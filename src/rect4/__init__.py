@@ -35,7 +35,6 @@ from .hyperplane import (  # noqa: F401
     analyze,
     domain_check,
     normalize,
-    rectifiability_verdict,
     root_data,
 )
 from .filtration import (  # noqa: F401

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import dense
+
 
 class FieldError(Exception):
     """Arithmetic or construction error in field operations."""
@@ -31,115 +33,6 @@ class FieldError(Exception):
 
 class FieldMismatch(FieldError):
     """Operands belong to different field descriptors."""
-
-
-# ---------------------------------------------------------------------------
-# dense univariate helpers over an arbitrary coefficient field
-#
-# A dense polynomial is a tuple of raw coefficient representations, low degree
-# first, with no trailing zeros; () is the zero polynomial.  These helpers are
-# shared by the rational-function field and by algebraic extensions.
-# ---------------------------------------------------------------------------
-
-
-def _trim(field, coeffs):
-    coeffs = list(coeffs)
-    while coeffs and field.raw_is_zero(coeffs[-1]):
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _dense_add(field, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else field.raw_zero()
-        y = b[i] if i < len(b) else field.raw_zero()
-        out.append(field.raw_add(x, y))
-    return _trim(field, out)
-
-
-def _dense_neg(field, a):
-    return tuple(field.raw_neg(x) for x in a)
-
-
-def _dense_sub(field, a, b):
-    return _dense_add(field, a, _dense_neg(field, b))
-
-
-def _dense_mul(field, a, b):
-    if not a or not b:
-        return ()
-    out = [field.raw_zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if field.raw_is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = field.raw_add(out[i + j], field.raw_mul(x, y))
-    return _trim(field, out)
-
-
-def _dense_scale(field, a, c):
-    if field.raw_is_zero(c):
-        return ()
-    return _trim(field, [field.raw_mul(x, c) for x in a])
-
-
-def _dense_divmod(field, a, b):
-    """Euclidean division; the divisor's leading coefficient must be invertible."""
-    if not b:
-        raise FieldError("division by the zero polynomial")
-    inv_lc = field.raw_inv(b[-1])
-    rem = list(a)
-    deg_b = len(b) - 1
-    quo = [field.raw_zero()] * max(0, len(a) - deg_b)
-    while len(rem) - 1 >= deg_b and rem:
-        shift = len(rem) - 1 - deg_b
-        c = field.raw_mul(rem[-1], inv_lc)
-        quo[shift] = c
-        for i, y in enumerate(b):
-            rem[shift + i] = field.raw_sub(rem[shift + i], field.raw_mul(c, y))
-        while rem and field.raw_is_zero(rem[-1]):
-            rem.pop()
-    return _trim(field, quo), _trim(field, rem)
-
-
-def _dense_gcd(field, a, b):
-    """Monic gcd by the Euclidean algorithm."""
-    while b:
-        _, r = _dense_divmod(field, a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    inv_lc = field.raw_inv(a[-1])
-    return _dense_scale(field, a, inv_lc)
-
-
-def _dense_xgcd(field, a, b):
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g, g monic or zero."""
-    r0, r1 = a, b
-    s0, s1 = (field.raw_one(),), ()
-    t0, t1 = (), (field.raw_one(),)
-    while r1:
-        q, r = _dense_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _dense_sub(field, s0, _dense_mul(field, q, s1))
-        t0, t1 = t1, _dense_sub(field, t0, _dense_mul(field, q, t1))
-    if not r0:
-        return (), s0, t0
-    inv_lc = field.raw_inv(r0[-1])
-    return (
-        _dense_scale(field, r0, inv_lc),
-        _dense_scale(field, s0, inv_lc),
-        _dense_scale(field, t0, inv_lc),
-    )
-
-
-def _dense_eval(field, a, x):
-    acc = field.raw_zero()
-    for c in reversed(a):
-        acc = field.raw_add(field.raw_mul(acc, x), c)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +127,6 @@ class Field:
         elt = self.coerce(elt)
         rep = self.raw_pth_root(elt.rep)
         return None if rep is None else self.element(rep)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 class FieldElement:
@@ -345,6 +235,9 @@ class RationalField(Field):
     def raw_neg(self, a):
         return -a
 
+    def raw_sub(self, a, b):
+        return a - b
+
     def raw_mul(self, a, b):
         return a * b
 
@@ -415,6 +308,9 @@ class PrimeField(Field):
     def raw_neg(self, a):
         return (-a) % self.p
 
+    def raw_sub(self, a, b):
+        return (a - b) % self.p
+
     def raw_mul(self, a, b):
         return (a * b) % self.p
 
@@ -467,18 +363,18 @@ class RationalFunctionField(Field):
             raise FieldError("zero denominator")
         if not num:
             return ((), (self.base.raw_one(),))
-        g = _dense_gcd(self.base, num, den)
+        g = dense.gcd(self.base, num, den)
         if len(g) > 1:
-            num, _ = _dense_divmod(self.base, num, g)
-            den, _ = _dense_divmod(self.base, den, g)
+            num, _ = dense.divmod(self.base, num, g)
+            den, _ = dense.divmod(self.base, den, g)
         inv_lc = self.base.raw_inv(den[-1])
-        num = _dense_scale(self.base, num, inv_lc)
-        den = _dense_scale(self.base, den, inv_lc)
+        num = dense.scale(self.base, num, inv_lc)
+        den = dense.scale(self.base, den, inv_lc)
         return (num, den)
 
     def from_polynomial(self, coeffs):
         """Element given by a dense tuple of F_p integer coefficients."""
-        num = _trim(self.base, [c % self.p for c in coeffs])
+        num = dense.trim(self.base, [c % self.p for c in coeffs])
         return self.element(self._normalize(num, (1,)))
 
     def parameter(self):
@@ -491,26 +387,26 @@ class RationalFunctionField(Field):
         return ((1 % self.p,), (1,)) if self.p > 1 else ((), (1,))
 
     def raw_from_int(self, n):
-        return self._normalize(_trim(self.base, [n % self.p]), (1,))
+        return self._normalize(dense.trim(self.base, [n % self.p]), (1,))
 
     def raw_add(self, a, b):
         (na, da), (nb, db) = a, b
-        num = _dense_add(
+        num = dense.add(
             self.base,
-            _dense_mul(self.base, na, db),
-            _dense_mul(self.base, nb, da),
+            dense.mul(self.base, na, db),
+            dense.mul(self.base, nb, da),
         )
-        den = _dense_mul(self.base, da, db)
+        den = dense.mul(self.base, da, db)
         return self._normalize(num, den)
 
     def raw_neg(self, a):
         num, den = a
-        return (_dense_neg(self.base, num), den)
+        return (dense.neg(self.base, num), den)
 
     def raw_mul(self, a, b):
         (na, da), (nb, db) = a, b
         return self._normalize(
-            _dense_mul(self.base, na, nb), _dense_mul(self.base, da, db)
+            dense.mul(self.base, na, nb), dense.mul(self.base, da, db)
         )
 
     def raw_inv(self, a):
@@ -552,7 +448,7 @@ class RationalFunctionField(Field):
         p = self.p
         if any(c and (i % p) for i, c in enumerate(coeffs)):
             return None
-        return _trim(self.base, [coeffs[i * p] if i * p < len(coeffs) else 0
+        return dense.trim(self.base, [coeffs[i * p] if i * p < len(coeffs) else 0
                                  for i in range(len(coeffs) // p + 1)])
 
     def raw_pth_root(self, a):
@@ -579,14 +475,14 @@ class RationalFunctionField(Field):
         # num/den = num*den^(p-1) / den^p ; den^p lies in F_p[s^p].
         den_pm1 = (1 % p,)
         for _ in range(p - 1):
-            den_pm1 = _dense_mul(self.base, den_pm1, den)
-        scaled = _dense_mul(self.base, num, den_pm1)
-        den_p = _dense_mul(self.base, den_pm1, den)  # den^p
+            den_pm1 = dense.mul(self.base, den_pm1, den)
+        scaled = dense.mul(self.base, num, den_pm1)
+        den_p = dense.mul(self.base, den_pm1, den)  # den^p
         den_p_inner = self._poly_pth_root(den_p)
         assert den_p_inner is not None
         out = []
         for i in range(p):
-            ci = _trim(self.base, [scaled[j] for j in range(i, len(scaled), p)])
+            ci = dense.trim(self.base, [scaled[j] for j in range(i, len(scaled), p)])
             out.append(self.element(self._normalize(ci, den_p_inner)))
         return out
 
@@ -599,7 +495,7 @@ class RationalFunctionField(Field):
             for c in coeffs:
                 out.append(c)
                 out.extend([0] * (self.p - 1))
-            return _trim(self.base, out[: len(coeffs) * self.p])
+            return dense.trim(self.base, out[: len(coeffs) * self.p])
 
         return self.element(self._normalize(blow(num), blow(den)))
 
@@ -656,7 +552,7 @@ class ExtensionField(Field):
         return tuple(out)
 
     def _reduce(self, coeffs):
-        _, r = _dense_divmod(self.base, _trim(self.base, coeffs), self.minpoly)
+        _, r = dense.divmod(self.base, dense.trim(self.base, coeffs), self.minpoly)
         return self._pad(r)
 
     def generator(self):
@@ -702,18 +598,17 @@ class ExtensionField(Field):
         return tuple(self.base.raw_neg(x) for x in a)
 
     def raw_mul(self, a, b):
-        prod = _dense_mul(self.base, _trim(self.base, a), _trim(self.base, b))
+        prod = dense.mul(self.base, dense.trim(self.base, a), dense.trim(self.base, b))
         return self._reduce(prod)
 
     def raw_inv(self, a):
-        at = _trim(self.base, a)
+        at = dense.trim(self.base, a)
         if not at:
             raise FieldError("division by zero")
-        g, u, _ = _dense_xgcd(self.base, at, self.minpoly)
+        g, u, _ = dense.xgcd(self.base, at, self.minpoly)
         if len(g) != 1:
             raise FieldError("minimal polynomial is not irreducible (inverse failed)")
-        inv = _dense_scale(self.base, u, self.base.raw_inv(g[0]))
-        return self._reduce(inv)
+        return self._reduce(u)
 
     def raw_is_zero(self, a):
         return all(self.base.raw_is_zero(x) for x in a)
@@ -895,7 +790,7 @@ def extend(field, minpoly_coeffs, gen="g"):
             "extension generator name collides with the function-field parameter"
         )
     reps = [field.coerce(c).rep for c in minpoly_coeffs]
-    reps = list(_trim(field, reps))
+    reps = list(dense.trim(field, reps))
     if len(reps) < 3:
         raise FieldError("extension minimal polynomial must have degree >= 2")
     if not field.raw_eq(reps[-1], field.raw_one()):
@@ -977,7 +872,7 @@ def composite_extension(field, poly_coeffs, gen="g"):
     ``root + c * generator``.
     """
     reps = [field.coerce(c).rep for c in poly_coeffs]
-    psi = _trim(field, reps)
+    psi = dense.trim(field, reps)
     if len(psi) < 3:
         raise FieldError("composite extension needs degree >= 2")
     if not field.raw_eq(psi[-1], field.raw_one()):

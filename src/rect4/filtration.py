@@ -206,7 +206,6 @@ def check_x_divisibility(e, ctx=None):
         B = exact_divide(at0, f0)
     except PolynomialError:
         return False, None
-    G0 = _defining_at_zero(ctx)
     lifted = P + B * _defining_polynomial(ctx)
     X = MultiPoly.variable(field, _VARS4, "X")
     quotient = exact_divide(lifted, X)
@@ -215,11 +214,6 @@ def check_x_divisibility(e, ctx=None):
 
 def _defining_polynomial(ctx):
     return ctx.hyperplane.defining_polynomial()
-
-
-def _defining_at_zero(ctx):
-    G = _defining_polynomial(ctx)
-    return G.substitute({"X": ctx.field.zero()})
 
 
 def admissible_representation(e, ctx=None):
@@ -234,9 +228,7 @@ def admissible_representation(e, ctx=None):
     if e.is_zero():
         raise FiltrationError("admissible representation of zero requested")
     target = w_degree(e, ctx)
-    field = ctx.field
     d = ctx.d
-    vars4 = _VARS4
 
     def wdeg_mono(expv):
         # w(x^a y^b z^c t^e) = d*b - a

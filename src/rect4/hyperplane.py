@@ -468,11 +468,6 @@ def analyze(h, degree_bound=None, rng=None, verify_certificates=True):
     return report
 
 
-def rectifiability_verdict(h, degree_bound=None, rng=None):
-    """Alias for :func:`analyze`: the verdict with its full evidence record."""
-    return analyze(h, degree_bound=degree_bound, rng=rng)
-
-
 def _set_not_rectifiable_implications(report):
     report.implied = {
         "polynomial_ring_over_base": "false (implied)",

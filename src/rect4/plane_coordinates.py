@@ -132,18 +132,6 @@ class CoordinateCertificate:
         v = MultiPoly.variable(self.field, self.variables, name)
         return self.image_of(v)
 
-    @property
-    def extension_minpoly(self):
-        if self.extension is None:
-            return None
-        base = self.extension.base
-        return MultiPoly.from_dense(
-            base,
-            (self.extension.gen,),
-            self.extension.gen,
-            [base.element(c) for c in self.extension.minpoly],
-        )
-
 
 @dataclass
 class VartestResult:

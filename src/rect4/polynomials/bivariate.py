@@ -11,7 +11,7 @@ a guess.
 from __future__ import annotations
 
 from ..fields import Embedding, ExtensionField, PrimeField, RationalField
-from .factor import univariate_factor
+from .factor import FactorizationError, univariate_factor
 from .multipoly import (
     MultiPoly,
     PolynomialError,
@@ -99,7 +99,10 @@ def bivariate_irreducible(f, zvar, tvar, bound=DEFAULT_DEGREE_BOUND):
 
 
 def _univariate_case(f, var):
-    fact = univariate_factor(f, var=var)
+    try:
+        fact = univariate_factor(f, var=var)
+    except FactorizationError as exc:
+        return IrreducibilityResult("unknown", reason=str(exc))
     nontrivial = [(g, m) for g, m in fact.factors if g.total_degree() >= 1]
     if not fact.complete:
         return IrreducibilityResult("unknown", reason="partial factorization")
@@ -256,7 +259,6 @@ def bivariate_gcd(f, g, main_var, coeff_var):
 
 
 def _pseudo_remainder(a, b, main_var):
-    da = a.degree_in(main_var)
     db = b.degree_in(main_var)
     lb = b.as_univariate(main_var)[-1]
     r = a

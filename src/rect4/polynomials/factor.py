@@ -11,10 +11,12 @@ flagged.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
+from .. import dense
 from ..fields import (
     PrimeField,
     RationalField,
@@ -118,137 +120,65 @@ def _zdivide_exact(a, b):
 
 
 # ---------------------------------------------------------------------------
-# F_p dense helpers and factorization
+# factorization over F_p (dense polynomials over PrimeField(p), see rect4.dense)
 # ---------------------------------------------------------------------------
 
 
-def _ptrim(a, p):
-    a = [x % p for x in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out, p)
-
-
-def _pdivmod(a, b, p):
-    a = list(a)
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while a and len(a) >= len(b):
-        c = (a[-1] * inv) % p
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i in range(len(b)):
-            a[shift + i] = (a[shift + i] - c * b[i]) % p
-        a = _ptrim(a, p)
-    return _ptrim(q, p), a
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a, p), _ptrim(b, p)
-    while b:
-        _, r = _pdivmod(a, b, p)
-        a, b = b, r
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(x * inv) % p for x in a]
-    return a
-
-
-def _pmonic(a, p):
-    a = _ptrim(a, p)
-    if not a:
-        return a
-    inv = pow(a[-1], -1, p)
-    return [(x * inv) % p for x in a]
-
-
-def _pderiv(a, p):
-    return _ptrim([(i * a[i]) % p for i in range(1, len(a))], p)
-
-
-def _ppowmod(base, e, mod, p):
-    result = [1]
-    base = _pdivmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
-        e >>= 1
-        if e:
-            base = _pdivmod(_pmul(base, base, p), mod, p)[1]
-    return result
-
-
-def _p_squarefree_decomposition(a, p):
+def _p_squarefree_decomposition(F, a):
     """[(g_i, m_i)] with a = prod g_i^m_i, g_i monic squarefree, char-p aware."""
-    a = _pmonic(a, p)
+    a = dense.monic(F, a)
     if len(a) <= 1:
         return []
     out = []
-    d = _pderiv(a, p)
+    d = dense.deriv(F, a)
     if not d:
         # a = h(X^p) = (h')^p with coefficients fixed by Frobenius
-        root = [a[i] for i in range(0, len(a), p)]
-        for g, m in _p_squarefree_decomposition(root, p):
-            out.append((g, m * p))
+        root = a[:: F.p]
+        for g, m in _p_squarefree_decomposition(F, root):
+            out.append((g, m * F.p))
         return out
-    g = _pgcd(a, d, p)
-    w, _ = _pdivmod(a, g, p)
+    g = dense.gcd(F, a, d)
+    w = dense.divmod(F, a, g)[0]
     m = 1
     while len(w) > 1:
-        y = _pgcd(w, g, p)
-        z, _ = _pdivmod(w, y, p)
+        y = dense.gcd(F, w, g)
+        z = dense.divmod(F, w, y)[0]
         if len(z) > 1:
             out.append((z, m))
         w = y
-        g, _ = _pdivmod(g, y, p)
+        g = dense.divmod(F, g, y)[0]
         m += 1
     if len(g) > 1:
         # g carries the factors of p-divisible multiplicity with their full
         # exponents; its derivative vanishes, so the recursion takes the
         # p-th-root branch and returns the true multiplicities directly
-        out.extend(_p_squarefree_decomposition(g, p))
+        out.extend(_p_squarefree_decomposition(F, g))
     return out
 
 
-def _p_distinct_degree(a, p):
+def _p_distinct_degree(F, a):
     """[(product-of-irreducibles-of-degree-d, d)] for monic squarefree a."""
     out = []
-    x = [0, 1]
+    x = (0, 1)
     h = x
-    f = list(a)
+    f = a
     d = 0
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
-        h = _ppowmod(h, p, f, p)
-        g = _pgcd([(hi - xi) % p for hi, xi in _zip_pad(h, x, p)], f, p)
+        h = dense.powmod(F, h, F.p, f)
+        g = dense.gcd(F, dense.sub(F, h, x), f)
         if len(g) > 1:
             out.append((g, d))
-            f, _ = _pdivmod(f, g, p)
-            h = _pdivmod(h, f, p)[1]
+            f = dense.divmod(F, f, g)[0]
+            h = dense.divmod(F, h, f)[1]
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
 
 
-def _zip_pad(a, b, p):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)
-
-
-def _p_equal_degree(a, d, p, rng):
+def _p_equal_degree(F, a, d, rng):
     """Split monic squarefree a (all factors of degree d) into irreducibles."""
+    p = F.p
     n = len(a) - 1
     if n == d:
         return [a]
@@ -256,34 +186,35 @@ def _p_equal_degree(a, d, p, rng):
         r = [rng.randrange(p) for _ in range(n)] + [1]
         if p == 2:
             # trace map over F_2
-            t = list(r)
-            acc = list(r)
+            t = acc = r
             for _ in range(d - 1):
-                acc = _ppowmod(acc, 2, a, 2)
-                t = _ptrim([(x + y) % 2 for x, y in _zip_pad(t, acc, 2)], 2)
-            g = _pgcd(t, a, 2)
+                acc = dense.powmod(F, acc, 2, a)
+                t = dense.add(F, t, acc)
         else:
-            e = (p**d - 1) // 2
-            t = _ppowmod(r, e, a, p)
-            t = _ptrim([(x - y) % p for x, y in _zip_pad(t, [1], p)], p)
-            g = _pgcd(t, a, p)
+            t = dense.sub(F, dense.powmod(F, r, (p**d - 1) // 2, a), (1,))
+        g = dense.gcd(F, t, a)
         if 1 < len(g) < len(a):
-            h, _ = _pdivmod(a, g, p)
-            return _p_equal_degree(g, d, p, rng) + _p_equal_degree(h, d, p, rng)
+            h = dense.divmod(F, a, g)[0]
+            return _p_equal_degree(F, g, d, rng) + _p_equal_degree(F, h, d, rng)
+
+
+def _reduce_mod(F, coeffs):
+    """Dense F_p polynomial of integer coefficients."""
+    return dense.trim(F, map(F.raw_from_int, coeffs))
 
 
 def factor_mod_p(coeffs, p, rng=None):
     """Full monic factorization over F_p: returns (unit, [(dense, mult)])."""
     rng = rng or random.Random(20240901)
-    a = _ptrim(coeffs, p)
+    F = PrimeField(p)
+    a = _reduce_mod(F, coeffs)
     if not a:
         raise FactorizationError("cannot factor the zero polynomial")
     unit = a[-1]
-    a = _pmonic(a, p)
     factors = []
-    for g, m in _p_squarefree_decomposition(a, p):
-        for h, d in _p_distinct_degree(g, p):
-            for irr in _p_equal_degree(h, d, p, rng):
+    for g, m in _p_squarefree_decomposition(F, a):
+        for h, d in _p_distinct_degree(F, g):
+            for irr in _p_equal_degree(F, h, d, rng):
                 factors.append((irr, m))
     factors.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return unit, factors
@@ -311,7 +242,7 @@ def _yun_squarefree(a):
     m = 1
     while True:
         wd = _ztrim([i * w[i] for i in range(1, len(w))])
-        z = _ztrim([yi - wi for yi, wi in _izip_pad(y, wd)])
+        z = _zsub(y, wd)
         if not z:
             if len(w) > 1:
                 out.append((w, m))
@@ -323,12 +254,6 @@ def _yun_squarefree(a):
         y = _zdivide_exact(z, g)
         m += 1
     return out
-
-
-def _izip_pad(a, b):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)
 
 
 def _zgcd_poly(a, b):
@@ -356,16 +281,6 @@ def _zgcd_poly(a, b):
     return a
 
 
-def _zadd_scalar(a, b, c):
-    """a + b + c (c added to constant coefficient)."""
-    out = [x + y for x, y in _izip_pad(a, b)]
-    if out:
-        out[0] += c
-    else:
-        out = [c]
-    return _ztrim(out)
-
-
 def _zdivmod_mod(a, b, m):
     """Division of integer polys mod m; b must be monic mod m."""
     a = [x % m for x in a]
@@ -384,21 +299,6 @@ def _zdivmod_mod(a, b, m):
         for i in range(len(b)):
             a[shift + i] = (a[shift + i] - c * b[i]) % m
     return _ztrim([x % m for x in q]), a
-
-
-def _p_bezout(g, h, p):
-    """s, t with s*g + t*h = 1 mod p for coprime g, h."""
-    r0, r1 = _ptrim(g, p), _ptrim(h, p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _ptrim([(x - y) % p for x, y in _zip_pad(s0, _pmul(q, s1, p), p)], p)
-        t0, t1 = t1, _ptrim([(x - y) % p for x, y in _zip_pad(t0, _pmul(q, t1, p), p)], p)
-    assert len(r0) == 1, "inputs are not coprime mod p"
-    inv = pow(r0[0], -1, p)
-    return [(x * inv) % p for x in s0], [(x * inv) % p for x in t0]
 
 
 def _mignotte_bound(a):
@@ -422,10 +322,11 @@ def _factor_squarefree_z(a, rng):
     for p in _SMALL_PRIMES:
         if a[-1] % p == 0:
             continue
-        am = _ptrim(a, p)
+        F = PrimeField(p)
+        am = _reduce_mod(F, a)
         if len(am) - 1 != n:
             continue
-        if len(_pgcd(am, _pderiv(am, p), p)) == 1:
+        if len(dense.gcd(F, am, dense.deriv(F, am))) == 1:
             break
     else:
         raise FactorizationError("no suitable prime found for reduction")
@@ -437,7 +338,7 @@ def _factor_squarefree_z(a, rng):
     k = 1
     while p**k < bound:
         k += 1
-    lifted = _hensel_lift_tree(a, modular, p, k)
+    lifted = _hensel_lift_tree(a, modular, F, k)
     pk = p**k
 
     factors = []
@@ -448,7 +349,7 @@ def _factor_squarefree_z(a, rng):
         found = True
         while found:
             found = False
-            for subset in _subsets(remaining, size):
+            for subset in itertools.combinations(remaining, size):
                 cand = [current[-1] % pk]
                 for i in subset:
                     cand = [x % pk for x in _zmul(cand, lifted[i])]
@@ -471,74 +372,56 @@ def _factor_squarefree_z(a, rng):
     return factors
 
 
-def _subsets(items, size):
-    import itertools
-
-    return itertools.combinations(items, size)
-
-
-def _hensel_lift_tree(f, factors, p, k):
+def _hensel_lift_tree(f, factors, F, k):
     """Lift the monic factors of f mod p to mod p^k (binary splitting)."""
-    if len(factors) == 1:
-        # single factor: f = lc * g mod p^k with g monic; recover g from f
-        pk = p**k
-        inv = pow(f[-1], -1, pk)
-        return [[(x * inv) % pk for x in f]]
-    mid = len(factors) // 2
-    g = [1]
-    for fac in factors[:mid]:
-        g = _pmul(g, fac, p)
-    h = [1]
-    for fac in factors[mid:]:
-        h = _pmul(h, fac, p)
-    # make f monic mod p^k for the pair lift, then push lc back later
-    pk = p**k
+    pk = F.p**k
+    # make f monic mod p^k: the single-factor case returns it, the pair
+    # lift needs it
     inv = pow(f[-1], -1, pk)
     f_monic = [(x * inv) % pk for x in f]
-    G, H = _hensel_pair(f_monic, g, h, p, k)
-    left = _hensel_lift_tree(G, factors[:mid], p, k)
-    right = _hensel_lift_tree(H, factors[mid:], p, k)
+    if len(factors) == 1:
+        return [f_monic]
+    mid = len(factors) // 2
+    g = h = (1,)
+    for fac in factors[:mid]:
+        g = dense.mul(F, g, fac)
+    for fac in factors[mid:]:
+        h = dense.mul(F, h, fac)
+    G, H = _hensel_pair(f_monic, g, h, F, k)
+    left = _hensel_lift_tree(G, factors[:mid], F, k)
+    right = _hensel_lift_tree(H, factors[mid:], F, k)
     return left + right
 
 
-def _hensel_pair(f, g, h, p, k):
+def _hensel_pair(f, g, h, F, k):
     """Quadratic Hensel: f = g*h mod p with f, g, h monic -> mod p^k."""
-    s, t = _p_bezout(g, h, p)
-    q = p
-    target = p**k
+    one, s, t = dense.xgcd(F, g, h)
+    assert one == (1,), "inputs are not coprime mod p"
+    q = F.p
+    target = q**k
     g, h, s, t = list(g), list(h), list(s), list(t)
     while q < target:
         q2 = q * q
         e = _ztrim([x % q2 for x in (_zsub(f, _zmul(g, h)))])
         qg, r = _zdivmod_mod(_zmul(s, e), h, q2)
-        h_new = _ztrim([(x + y) % q2 for x, y in _izip_pad(h, r)])
-        g_new = _ztrim(
-            [
-                (x + y) % q2
-                for x, y in _izip_pad(g, _zadd(_zmul(t, e), _zmul(qg, g)))
-            ]
-        )
+        h_new = _ztrim([x % q2 for x in _zadd(h, r)])
+        g_new = _ztrim([x % q2 for x in _zadd(g, _zadd(_zmul(t, e), _zmul(qg, g)))])
         g, h = g_new, h_new
-        b = _ztrim([x % q2 for x in _zadd_scalar(_zadd(_zmul(s, g), _zmul(t, h)), [], -1)])
+        b = _ztrim([x % q2 for x in _zsub(_zadd(_zmul(s, g), _zmul(t, h)), [1])])
         qs, r_s = _zdivmod_mod(_zmul(s, b), h, q2)
-        s_new = _ztrim([(x - y) % q2 for x, y in _izip_pad(s, r_s)])
-        t_new = _ztrim(
-            [
-                (x - y) % q2
-                for x, y in _izip_pad(t, _zadd(_zmul(t, b), _zmul(qs, g)))
-            ]
-        )
+        s_new = _ztrim([x % q2 for x in _zsub(s, r_s)])
+        t_new = _ztrim([x % q2 for x in _zsub(t, _zadd(_zmul(t, b), _zmul(qs, g)))])
         s, t = s_new, t_new
         q = q2
     return g, h
 
 
 def _zadd(a, b):
-    return _ztrim([x + y for x, y in _izip_pad(a, b)])
+    return _ztrim([x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
 def _zsub(a, b):
-    return _ztrim([x - y for x, y in _izip_pad(a, b)])
+    return _ztrim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
 # ---------------------------------------------------------------------------
@@ -613,152 +496,80 @@ def _factor_over_gfp(poly, var, rng):
 def _factor_over_rff(poly, var):
     """Restricted factorization over F_p(s); may return unresolved parts."""
     field = poly.field
-    p = field.p
-    coeffs = poly.to_dense(var)
-    unit = field.one()
+
+    def as_poly(reps):
+        return MultiPoly.from_dense(field, poly.vars, var, [field.element(c) for c in reps])
+
+    coeffs = [c.rep for c in poly.to_dense(var)]
     # strip X-monomial content
     low = 0
-    while coeffs and coeffs[low].is_zero():
+    while field.raw_is_zero(coeffs[low]):
         low += 1
     factors = []
     if low:
         factors.append((MultiPoly.variable(field, poly.vars, var), low))
-        coeffs = coeffs[low:]
-    lc = coeffs[-1]
-    unit = unit * lc
-    coeffs = [c / lc for c in coeffs]
-    if len(coeffs) == 1:
-        return Factorization(unit, factors, vars=poly.vars)
-    body = MultiPoly.from_dense(field, poly.vars, var, coeffs)
-    if len(coeffs) == 2:
-        factors.append((body, 1))
-        return Factorization(unit, factors, vars=poly.vars)
-    if _rff_is_irreducible(field, coeffs):
-        factors.append((body, 1))
-        return Factorization(unit, factors, vars=poly.vars)
-    # try to split off roots in F_p (cheap trial divisions)
+    unit = field.element(coeffs[-1])
+    current = dense.monic(field, coeffs[low:])
     unresolved = []
-    changed = True
-    current = coeffs
-    while changed and len(current) > 2:
-        changed = False
-        for c0 in range(p):
-            root = field.from_int(c0)
-            val = field.zero()
-            for c in reversed(current):
-                val = val * root + c
-            if val.is_zero():
-                lin = [-root, field.one()]
-                current = _rff_exact_div(field, current, lin)
-                factors.append(
-                    (
-                        MultiPoly.from_dense(field, poly.vars, var, lin),
-                        1,
-                    )
-                )
-                changed = True
-                break
-    if len(current) == 2:
-        factors.append(
-            (MultiPoly.from_dense(field, poly.vars, var, current), 1)
-        )
-    elif len(current) > 2:
-        if _rff_is_irreducible(field, current):
-            factors.append(
-                (MultiPoly.from_dense(field, poly.vars, var, current), 1)
-            )
-        else:
-            unresolved.append(
-                (MultiPoly.from_dense(field, poly.vars, var, current), 1)
-            )
+    if len(current) > 2 and not _rff_is_irreducible(field, current):
+        # try to split off roots in F_p (cheap trial divisions)
+        root = _fp_root(field, current)
+        while root is not None:
+            lin = (field.raw_from_int(-root), field.raw_one())
+            current, rem = dense.divmod(field, current, lin)
+            assert not rem
+            factors.append((as_poly(lin), 1))
+            root = _fp_root(field, current) if len(current) > 2 else None
+        if len(current) > 2 and not _rff_is_irreducible(field, current):
+            unresolved.append((as_poly(current), 1))
+    if len(current) > 1 and not unresolved:
+        factors.append((as_poly(current), 1))
     merged = {}
     for f, m in factors:
-        key = str(f)
-        if key in merged:
-            g, old = merged[key]
-            merged[key] = (g, old + m)
-        else:
-            merged[key] = (f, m)
+        g, old = merged.get(str(f), (f, 0))
+        merged[str(f)] = (g, old + m)
     return Factorization(unit, list(merged.values()), unresolved, vars=poly.vars)
 
 
-def _rff_exact_div(field, a, b):
-    out = []
-    a = list(a)
-    while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        out.append(c)
-        shift = len(a) - len(b)
-        for i in range(len(b)):
-            a[shift + i] = a[shift + i] - c * b[i]
-        while a and a[-1].is_zero():
-            a.pop()
-    out.reverse()
-    return out
+def _fp_root(field, coeffs):
+    """The least c in 0..p-1 at which the dense polynomial vanishes, or None."""
+    for c in range(field.p):
+        if field.raw_is_zero(dense.eval(field, coeffs, field.raw_from_int(c))):
+            return c
+    return None
 
 
 def _rff_is_irreducible(field, coeffs):
     """Certify irreducibility over F_p(s) for the supported patterns.
 
-    Patterns: binomials X^(p^e) - c with c not a p-th power, and Eisenstein
-    at s or s - c (after clearing denominators).  Returns True only when
-    certified.
+    ``coeffs`` is a monic dense polynomial of raw F_p(s) elements.  Patterns:
+    binomials X^(p^e) - c with c not a p-th power, and Eisenstein at s or
+    s - c (after clearing denominators).  Returns True only when certified.
     """
     p = field.p
     n = len(coeffs) - 1
     # inseparable binomial X^(p^e) - c
-    if n >= 2 and all(coeffs[i].is_zero() for i in range(1, n)):
-        e = 0
+    if n >= 2 and all(field.raw_is_zero(c) for c in coeffs[1:n]):
         m = n
         while m % p == 0:
             m //= p
-            e += 1
-        if m == 1 and e >= 1:
-            c = -coeffs[0]
-            probe = c
-            has_root = True
-            for _ in range(e):
-                r = field.pth_root(probe)
-                if r is None:
-                    has_root = False
-                    break
-                probe = r
-            if not has_root and field.pth_root(c) is None:
-                return True
-    # Eisenstein at small primes of F_p[s]
+        if m == 1 and field.raw_pth_root(field.raw_neg(coeffs[0])) is None:
+            return True
+    # Eisenstein at the primes s - c of F_p[s]
     base = field.base
-    dens = [c.rep[1] for c in coeffs]
-    lcm = (1 % p,)
-    from ..fields import _dense_divmod, _dense_gcd, _dense_mul
-
-    for d in dens:
-        g = _dense_gcd(base, lcm, d)
-        q, _ = _dense_divmod(base, d, g)
-        lcm = _dense_mul(base, lcm, q)
-    cleared = []
-    for c in coeffs:
-        num, den = c.rep
-        q, r = _dense_divmod(base, lcm, den)
-        assert not r
-        cleared.append(_dense_mul(base, num, q))
-    eisenstein_primes = [(0, 1)] + [((p - c) % p, 1) for c in range(p)]
-    seen = set()
-    for pi in eisenstein_primes:
-        if pi in seen:
-            continue
-        seen.add(pi)
-        def vmod(poly):
-            _, r = _dense_divmod(base, poly, pi)
-            return r
-        if vmod(cleared[-1]):
-            ok = all(not vmod(c) for c in cleared[:-1])
-            if ok and cleared:
-                # p^2 must not divide the constant term
-                q, r = _dense_divmod(base, cleared[0], pi)
-                if not r:
-                    _, r2 = _dense_divmod(base, q, pi)
-                    if r2:
-                        return True
+    lcm = (1,)
+    for _, den in coeffs:
+        lcm = dense.lcm(base, lcm, den)
+    cleared = [dense.mul(base, num, dense.divmod(base, lcm, den)[0]) for num, den in coeffs]
+    for c in range(p):
+        pi = ((-c) % p, 1)
+        if dense.divmod(base, cleared[-1], pi)[1] and not any(
+            dense.divmod(base, a, pi)[1] for a in cleared[:-1]
+        ):
+            # pi^2 must not divide the constant term
+            q, r = dense.divmod(base, cleared[0], pi)
+            if not r and dense.divmod(base, q, pi)[1]:
+                return True
     return False
 
 
@@ -768,31 +579,20 @@ def certify_irreducible_univariate(field, dense_reps, varname="g"):
 
     Used by field-extension construction.
     """
-    elems = [field.element(r) for r in dense_reps]
-    poly = MultiPoly.from_dense(field, (varname,), varname, elems)
     if isinstance(field, RationalFunctionField):
-        coeffs = poly.to_dense(varname)
-        if len(coeffs) == 2:
+        if len(dense_reps) == 2 or _rff_is_irreducible(field, dense_reps):
             return None
-        if _rff_is_irreducible(field, [c / coeffs[-1] for c in coeffs]):
-            return None
-        # find certificate of reducibility: roots in F_p
-        p = field.p
-        for c0 in range(p):
-            root = field.from_int(c0)
-            val = field.zero()
-            for c in reversed(coeffs):
-                val = val * root + c
-            if val.is_zero():
-                return f"{varname}-{c0}" if c0 else varname
+        # certificate of reducibility: a root in F_p
+        c0 = _fp_root(field, dense_reps)
+        if c0 is not None:
+            return f"{varname}-{c0}" if c0 else varname
         return (
             "irreducibility could not be certified over "
             f"{field} (unsupported pattern)"
         )
-    fact = univariate_factor(poly)
-    if len(fact.factors) == 1 and fact.factors[0][1] == 1:
-        return None
+    elems = [field.element(r) for r in dense_reps]
+    fact = univariate_factor(MultiPoly.from_dense(field, (varname,), varname, elems))
     f0, m0 = fact.factors[0]
-    if m0 > 1 or len(fact.factors) > 1:
-        return str(f0)
-    return None
+    if len(fact.factors) == 1 and m0 == 1:
+        return None
+    return str(f0)

@@ -57,8 +57,6 @@ def groebner_basis(generators, order=GREVLEX):
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise PolynomialError("empty or zero generator list")
-    field = gens[0].field
-    vars = gens[0].vars
     for g in gens:
         g._check_compatible(gens[0])
     basis = []

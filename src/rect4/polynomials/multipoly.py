@@ -8,6 +8,7 @@ polynomials.
 
 from __future__ import annotations
 
+from .. import dense
 from ..fields import Embedding, FieldElement, FieldMismatch
 
 
@@ -573,30 +574,14 @@ def univariate_gcd(f, g, var=None):
         if len(used) > 1:
             raise PolynomialError("gcd arguments are not univariate")
         var = used.pop() if used else f.vars[0]
-    a = f.to_dense(var)
-    b = g.to_dense(var)
     field = f.field
-
-    def dense_divmod(x, y):
-        y_lead_inv = y[-1].inv()
-        x = list(x)
-        dy = len(y) - 1
-        while len(x) - 1 >= dy and x:
-            c = x[-1] * y_lead_inv
-            shift = len(x) - 1 - dy
-            for k in range(len(y)):
-                x[shift + k] = x[shift + k] - c * y[k]
-            while x and x[-1].is_zero():
-                x.pop()
-        return x
-
-    a = [c for c in a]
-    b = [c for c in b]
-    while b:
-        r = dense_divmod(a, b)
-        a, b = b, r
-    lc_inv = a[-1].inv()
-    return MultiPoly.from_dense(field, f.vars, var, [c * lc_inv for c in a])
+    if g.field != field:
+        raise FieldMismatch("polynomials over different fields")
+    a = [c.rep for c in f.to_dense(var)]
+    b = [c.rep for c in g.to_dense(var)]
+    return MultiPoly.from_dense(
+        field, f.vars, var, [field.element(c) for c in dense.gcd(field, a, b)]
+    )
 
 
 def content_free_part(f, main_vars):

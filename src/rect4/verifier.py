@@ -10,8 +10,9 @@ every certificate the rest of the system produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
+from . import dense
 from .fields import RationalFunctionField
 from .polynomials import MonomialOrder, MultiPoly, groebner_basis, normal_form
 
@@ -29,7 +30,6 @@ class CoordinateClaim:
 
     variables: tuple
     polynomials: list
-    inverse_hints: list = dataclass_field(default_factory=list)
 
     def __post_init__(self):
         self.variables = tuple(self.variables)
@@ -138,15 +138,10 @@ def _clear_denominators(g):
     field = g.field
     if not isinstance(field, RationalFunctionField) or g.is_zero():
         return g
-    from .fields import _dense_divmod, _dense_gcd, _dense_mul
-
     base = field.base
-    lcm = (1 % field.p,)
+    lcm = (1,)
     for c in g.terms.values():
-        den = c.rep[1]
-        common = _dense_gcd(base, lcm, den)
-        q, _ = _dense_divmod(base, den, common)
-        lcm = _dense_mul(base, lcm, q)
-    if lcm == (1 % field.p,):
+        lcm = dense.lcm(base, lcm, c.rep[1])
+    if lcm == (1,):
         return g
-    return g.scale(field.element((lcm, (1 % field.p,))))
+    return g.scale(field.element((lcm, (1,))))

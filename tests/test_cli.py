@@ -136,6 +136,18 @@ def test_degree_bound_degrades_to_unknown(capsys):
     assert doc["verdict"] == "NotRectifiable"
 
 
+def test_univariate_specialization_over_residue_extension(capsys, schema):
+    # the specialization Z^3 at a root of X^2+1 is univariate over Q[g]/(g^2+1),
+    # where no univariate factorization exists: irreducibility is unknown,
+    # and the coordinate rejection still decides the verdict
+    code, doc = run_json(capsys, ["analyze", "X^2+1", "Z^3", "Q"])
+    assert code == 1
+    validate(doc, schema)
+    assert doc["verdict"] == "NotRectifiable"
+    assert doc["ufd"] == "unknown"
+    assert doc["roots"][0]["irreducible"] == "unknown"
+
+
 def test_usage_errors(capsys):
     code, _ = run(capsys, ["analyze", "X +", "Z", "Q"])
     assert code == 3
@@ -268,6 +280,13 @@ def test_factor_f2s(capsys):
     code, doc = run_json(capsys, ["factor", "X^2*(X^2-s)", "F2(s)"])
     assert code == 0
     assert sorted(tuple(f) for f in doc["factors"]) == [("X", 2), ("X^2+s", 1)]
+
+
+def test_factor_f3s_root_split_keeps_the_cofactor(capsys):
+    # dividing out the root X = -1 leaves X^2+s, whose X coefficient is zero
+    code, doc = run_json(capsys, ["factor", "(X^2+s)*(X+1)", "F3(s)"])
+    assert code == 0
+    assert sorted(tuple(f) for f in doc["factors"]) == [("X+1", 1), ("X^2+s", 1)]
 
 
 # -- corpus ---------------------------------------------------------------------------
