@@ -206,13 +206,4 @@ def parse_field_spec(text):
 
 def field_spec_string(field):
     """Canonical spec string for a field descriptor (round-trips)."""
-    if isinstance(field, ExtensionField):
-        base = field_spec_string(field.base)
-        mp = MultiPoly.from_dense(
-            field.base,
-            (field.gen,),
-            field.gen,
-            [field.base.element(c) for c in field.minpoly],
-        )
-        return f"{base}[{field.gen}]/({mp})"
     return str(field)

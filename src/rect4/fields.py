@@ -605,6 +605,8 @@ class ExtensionField(Field):
         at = dense.trim(self.base, a)
         if not at:
             raise FieldError("division by zero")
+        if len(at) == 1:  # an element of the base field
+            return self._pad((self.base.raw_inv(at[0]),))
         g, u, _ = dense.xgcd(self.base, at, self.minpoly)
         if len(g) != 1:
             raise FieldError("minimal polynomial is not irreducible (inverse failed)")
@@ -704,17 +706,33 @@ class ExtensionField(Field):
             c = self.minpoly[i]
             if self.base.raw_is_zero(c):
                 continue
-            cs = self.base.raw_str(c)
             mono = self.gen if i == 1 else (f"{self.gen}^{i}" if i else "")
-            if not mono:
-                terms.append(cs)
-            elif self.base.raw_eq(c, self.base.raw_one()):
-                terms.append(mono)
-            else:
-                terms.append(f"{cs}*{mono}")
-        return f"{self.base}[{self.gen}]/({'+'.join(terms)})"
+            terms.append((self.base.raw_str(c), self.base.raw_eq(c, self.base.raw_one()), mono))
+        return f"{self.base}[{self.gen}]/({term_sum_str(terms)})"
 
     __repr__ = __str__
+
+
+def term_sum_str(terms):
+    """Text of a nonempty sum of (coefficient text, coefficient is one,
+    monomial text) terms, largest first; "" is the monomial 1."""
+    parts = []
+    for cs, one, mono in terms:
+        need_parens = any(ch in cs[1:] for ch in "+-") or "/" in cs
+        if not mono:
+            parts.append(f"({cs})" if need_parens and not cs.startswith("(") else cs)
+        elif one:
+            parts.append(mono)
+        elif cs == "-1":
+            parts.append(f"-{mono}")
+        else:
+            if need_parens and not (cs.startswith("(") and cs.endswith(")")):
+                cs = f"({cs})"
+            parts.append(f"{cs}*{mono}")
+    text = parts[0]
+    for p in parts[1:]:
+        text += p if p.startswith("-") else "+" + p
+    return text
 
 
 def _solve_linear_system(field, cols, rhs):

@@ -51,26 +51,38 @@ class TameStep:
     target: str = None  # "Z" or "T"
     shift: object = None  # MultiPoly in the other variable
 
-    def images(self, vars):
-        zn, tn = vars
-        Z = MultiPoly.variable(self.field, vars, zn)
-        T = MultiPoly.variable(self.field, vars, tn)
+    def apply(self, poly):
+        """Image of ``poly`` under the substitution, by Horner's rule on raw
+        coefficients.
+
+        A linear step writes poly = sum_k a_k(Z) * T^k and evaluates it by
+        Horner in the image of T, each a_k by Horner in the image of Z; an
+        elementary step runs Horner in (target + shift).
+        """
+        field = self.field
+        if poly.field is not field and poly.field != field:
+            raise PlaneCoordinateError(
+                f"tame step over {field} applied to a polynomial over {poly.field}"
+            )
+        raw = {e: c.rep for e, c in poly.terms.items()}
         if self.kind == "linear":
             (m00, m01), (m10, m11) = self.matrix
             v0, v1 = self.translation
-            return (
-                Z.scale(m00) + T.scale(m01) + MultiPoly.constant(self.field, vars, v0),
-                Z.scale(m10) + T.scale(m11) + MultiPoly.constant(self.field, vars, v1),
+            z_image = _affine_image(len(poly.vars), m00, m01, v0)
+            t_image = _affine_image(len(poly.vars), m10, m11, v1)
+            coeffs = [
+                _horner(field, _split_by_degree(a, 0), z_image)
+                for a in _split_by_degree(raw, 1)
+            ]
+            out = _horner(field, coeffs, t_image)
+        else:
+            i = 1 if self.target == poly.vars[1] else 0
+            image = self.shift.with_vars(poly.vars) + MultiPoly.variable(
+                field, poly.vars, poly.vars[i]
             )
-        shift = self.shift.with_vars(vars)
-        if self.target == tn:
-            return (Z, T + shift)
-        return (Z + shift, T)
-
-    def apply(self, poly):
-        zi, ti = poly.vars[0], poly.vars[1]
-        pz, pt = self.images((zi, ti))
-        return poly.substitute({zi: pz, ti: pt})
+            image = [(e, c.rep) for e, c in image.terms.items()]
+            out = _horner(field, _split_by_degree(raw, i), image)
+        return MultiPoly._from_raw(field, poly.vars, out)
 
     def inverse(self):
         if self.kind == "elementary":
@@ -110,6 +122,48 @@ class TameStep:
             matrix=((embedding(m00), embedding(m01)), (embedding(m10), embedding(m11))),
             translation=(embedding(v0), embedding(v1)),
         )
+
+
+def _affine_image(nvars, cz, ct, c1):
+    """Raw terms of cz*Z + ct*T + c1, with Z and T the first two variables."""
+    zero = (0,) * nvars
+    monomials = ((1,) + zero[1:], (0, 1) + zero[2:], zero)
+    return [(e, c.rep) for e, c in zip(monomials, (cz, ct, c1)) if not c.is_zero()]
+
+
+def _split_by_degree(raw, i):
+    """Raw terms as a list over the degree k in variable i of the terms with
+    that degree, each with its exponent of variable i set to 0."""
+    out = []
+    for e, c in raw.items():
+        k = e[i]
+        while len(out) <= k:
+            out.append({})
+        out[k][e[:i] + (0,) + e[i + 1 :]] = c
+    return out
+
+
+def _horner(field, coeffs, image):
+    """sum_k coeffs[k] * image^k on raw term dicts; image is a list of terms."""
+    if not coeffs:
+        return {}
+    add, mul, is_zero = field.raw_add, field.raw_mul, field.raw_is_zero
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        out = dict(c)
+        for e1, c1 in acc.items():
+            for e2, c2 in image:
+                e = tuple([a + b for a, b in zip(e1, e2)])
+                v = mul(c1, c2)
+                old = out.get(e)
+                if old is not None:
+                    v = add(old, v)
+                    if is_zero(v):
+                        del out[e]
+                        continue
+                out[e] = v
+        acc = out
+    return acc
 
 
 @dataclass

@@ -7,6 +7,8 @@ elimination uses a block order.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from .multipoly import GREVLEX, MultiPoly, PolynomialError
 
 
@@ -19,37 +21,85 @@ def _divides_exp(e1, e2):
 
 
 def normal_form(f, basis, order=GREVLEX):
-    """Remainder of f under multivariate division by the (ordered) basis."""
+    """Remainder of f under multivariate division by the (ordered) basis.
+
+    Each step takes the largest monomial left and reduces it by the first
+    basis element whose leading monomial divides it, or moves it to the
+    remainder.  The work polynomial is a dict of raw coefficients with a heap
+    of its monomials under ``order.descending_key``; a monomial that cancels
+    stays in the heap and is skipped when popped.
+    """
     if not basis:
         return f
     field = f.field
-    vars = f.vars
-    leads = [g.leading_term(order) for g in basis]
-    rem_terms = {}
-    work = f
-    while not work.is_zero():
-        we, wc = work.leading_term(order)
-        reduced = False
-        for g, (ge, gc) in zip(basis, leads):
+    add, mul, is_zero = field.raw_add, field.raw_mul, field.raw_is_zero
+    key = order.descending_key
+    divisors = []  # (lead exponent, -1/lead coefficient, raw tail)
+    for g in basis:
+        f._check_compatible(g)
+        ge, gc = g.leading_term(order)
+        tail = [(e, c.rep) for e, c in g.terms.items() if e != ge]
+        divisors.append((ge, field.raw_neg(field.raw_inv(gc.rep)), tail))
+    work = {e: c.rep for e, c in f.terms.items()}
+    heap = [(key(e), e) for e in work]
+    heapify(heap)
+    rem = {}
+    while heap:
+        we = heappop(heap)[1]
+        wc = work.pop(we, None)
+        if wc is None:
+            continue
+        for ge, neg_inv, tail in divisors:
             if _divides_exp(ge, we):
-                shift = tuple(a - b for a, b in zip(we, ge))
-                t = MultiPoly(field, vars, {shift: wc / gc})
-                work = work - t * g
-                reduced = True
+                shift = tuple([a - b for a, b in zip(we, ge)])
+                q = mul(wc, neg_inv)
+                for te, tc in tail:
+                    m = tuple([a + b for a, b in zip(shift, te)])
+                    v = mul(q, tc)
+                    old = work.get(m)
+                    if old is None:
+                        work[m] = v
+                        heappush(heap, (key(m), m))
+                    else:
+                        v = add(old, v)
+                        if is_zero(v):
+                            del work[m]
+                        else:
+                            work[m] = v
                 break
-        if not reduced:
-            rem_terms[we] = wc
-            work = work - MultiPoly(field, vars, {we: wc})
-    return MultiPoly(field, vars, rem_terms)
+        else:
+            rem[we] = wc
+    return MultiPoly._from_raw(field, f.vars, rem)
+
+
+def _add_multiple(out, p, shift, c):
+    """out += c * x^shift * p, on raw coefficients."""
+    field = p.field
+    add, mul, is_zero = field.raw_add, field.raw_mul, field.raw_is_zero
+    for e, pc in p.terms.items():
+        m = tuple([a + b for a, b in zip(e, shift)])
+        v = mul(c, pc.rep)
+        old = out.get(m)
+        if old is not None:
+            v = add(old, v)
+            if is_zero(v):
+                del out[m]
+                continue
+        out[m] = v
 
 
 def s_polynomial(f, g, order=GREVLEX):
+    f._check_compatible(g)
+    field = f.field
     fe, fc = f.leading_term(order)
     ge, gc = g.leading_term(order)
     lcm = _lcm(fe, ge)
-    tf = MultiPoly(f.field, f.vars, {tuple(a - b for a, b in zip(lcm, fe)): fc.inv()})
-    tg = MultiPoly(f.field, f.vars, {tuple(a - b for a, b in zip(lcm, ge)): gc.inv()})
-    return tf * f - tg * g
+    out = {}
+    _add_multiple(out, f, tuple(a - b for a, b in zip(lcm, fe)), field.raw_inv(fc.rep))
+    _add_multiple(
+        out, g, tuple(a - b for a, b in zip(lcm, ge)), field.raw_neg(field.raw_inv(gc.rep))
+    )
+    return MultiPoly._from_raw(field, f.vars, out)
 
 
 def groebner_basis(generators, order=GREVLEX):

@@ -9,7 +9,7 @@ polynomials.
 from __future__ import annotations
 
 from .. import dense
-from ..fields import Embedding, FieldElement, FieldMismatch
+from ..fields import Embedding, FieldElement, FieldMismatch, term_sum_str
 
 
 class PolynomialError(Exception):
@@ -40,6 +40,16 @@ class MonomialOrder:
         head, tail = expv[: self.split], expv[self.split :]
         return (_grevlex_key(head), _grevlex_key(tail))
 
+    def descending_key(self, expv):
+        """Flat int tuple whose ascending order is this order's descending
+        order: the min-heap key of sparse reduction."""
+        if self.kind == "lex":
+            return tuple([-e for e in expv])
+        if self.kind == "grevlex":
+            return (-sum(expv),) + expv[::-1]
+        head, tail = expv[: self.split], expv[self.split :]
+        return (-sum(head),) + head[::-1] + (-sum(tail),) + tail[::-1]
+
     def __repr__(self):
         if self.kind == "elimination":
             return f"MonomialOrder(elimination, split={self.split})"
@@ -67,6 +77,18 @@ class MultiPoly:
             if not c.is_zero():
                 clean[tuple(expv)] = c
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _from_raw(cls, field, vars, raw):
+        """Wrap raw coefficients ``{expv: rep}``, all nonzero, of a tuple of
+        variables; skips the zero filter of ``__init__``."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "field", field)
+        object.__setattr__(poly, "vars", vars)
+        object.__setattr__(
+            poly, "terms", {e: FieldElement(field, c) for e, c in raw.items()}
+        )
+        return poly
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
@@ -145,7 +167,7 @@ class MultiPoly:
         return any(e[i] for e in self.terms)
 
     def _check_compatible(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch("polynomials over different fields")
         if self.vars != other.vars:
             raise PolynomialError("polynomials with different variable lists")
@@ -251,7 +273,7 @@ class MultiPoly:
     def leading_term(self, order=GREVLEX):
         if not self.terms:
             raise PolynomialError("zero polynomial has no leading term")
-        expv = max(self.terms, key=order.key)
+        expv = min(self.terms, key=order.descending_key)
         return expv, self.terms[expv]
 
     def leading_form(self):
@@ -285,7 +307,11 @@ class MultiPoly:
         if self.is_zero():
             return self
         _, lc = self.leading_term(order)
-        return self.scale(lc.inv())
+        field = self.field
+        mul, inv = field.raw_mul, field.raw_inv(lc.rep)
+        return MultiPoly._from_raw(
+            field, self.vars, {e: mul(c.rep, inv) for e, c in self.terms.items()}
+        )
 
     # -- calculus / substitution ---------------------------------------------
     def partial_derivative(self, var):
@@ -446,7 +472,7 @@ class MultiPoly:
         if not self.terms:
             return "0"
         items = sorted(self.terms.items(), key=lambda kv: GREVLEX.key(kv[0]), reverse=True)
-        parts = []
+        terms = []
         for e, c in items:
             factors = []
             for v, k in zip(self.vars, e):
@@ -454,24 +480,8 @@ class MultiPoly:
                     factors.append(v)
                 elif k > 1:
                     factors.append(f"{v}^{k}")
-            cs = str(c)
-            need_parens = any(ch in cs[1:] for ch in "+-") or "/" in cs
-            if not factors:
-                parts.append(f"({cs})" if need_parens and not cs.startswith("(") else cs)
-                continue
-            mono = "*".join(factors)
-            if c.is_one():
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            else:
-                if need_parens and not (cs.startswith("(") and cs.endswith(")")):
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{mono}")
-        text = parts[0]
-        for p in parts[1:]:
-            text += p if p.startswith("-") else "+" + p
-        return text
+            terms.append((str(c), c.is_one(), "*".join(factors)))
+        return term_sum_str(terms)
 
     def __repr__(self):
         return f"MultiPoly({self})"

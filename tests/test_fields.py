@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rect4.exprparse import parse_field_spec
 from rect4.fields import (
     GF,
     QQ,
@@ -203,3 +204,44 @@ def test_characteristics():
     assert GF(2).characteristic() == 2
     assert rational_function_field(2).characteristic() == 2
     assert extend(QQ, [-2, 0, 1], "r").characteristic() == 0
+
+
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (lambda: extend(QQ, [-2, 0, 1]), "Q[g]/(g^2-2)"),
+        (lambda: extend(QQ, [1, -1, 1]), "Q[g]/(g^2-g+1)"),
+        (lambda: extend(QQ, [3, -2, 1]), "Q[g]/(g^2-2*g+3)"),
+        (lambda: extend(QQ, [1, 0, 1], "i"), "Q[i]/(i^2+1)"),
+        (lambda: extend(GF(5), [2, 0, 1]), "F5[g]/(g^2+2)"),
+        (lambda: extend(GF(5), [1, 4, 1], "b"), "F5[b]/(b^2+4*b+1)"),
+        (
+            lambda: extend(rational_function_field(2), [rational_function_field(2).parameter(), 0, 1]),
+            "F2(s)[g]/(g^2+s)",
+        ),
+    ],
+)
+def test_extension_str_signs_and_round_trip(make, text):
+    field = make()
+    assert str(field) == text
+    assert parse_field_spec(text) == field
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: extend(QQ, [1, 0, 1], "i"),
+        lambda: extend(GF(5), [2, 0, 1]),
+        lambda: extend(rational_function_field(3), [rational_function_field(3).parameter(), 0, 0, 1]),
+    ],
+)
+def test_extension_inverse_of_base_elements(make):
+    field = make()
+    rng = random.Random(5)
+    for _ in range(10):
+        c = random_element(field.base, rng)
+        if c.is_zero():
+            continue
+        inv = field.from_base(c).inv()
+        assert inv == field.from_base(c.inv())
+        assert inv * field.from_base(c) == field.one()

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from rect4.fields import GF, QQ, extend
+from rect4.exprparse import parse_polynomial
+from rect4.fields import GF, QQ, extend, rational_function_field
 from rect4.polynomials import MultiPoly
 from rect4.plane_coordinates import (
     LINE,
     NOT_LINE,
     UNKNOWN_LINE,
     PlaneCoordinateError,
+    TameStep,
     complement,
     line_test,
     linear_fastpath,
@@ -16,7 +18,14 @@ from rect4.plane_coordinates import (
 )
 from rect4.verifier import verify_plane_pair
 
-from conftest import ZT, random_coordinate, random_poly, random_tame_steps, zt_vars
+from conftest import (
+    ZT,
+    _pool_element,
+    random_coordinate,
+    random_poly,
+    random_tame_steps,
+    zt_vars,
+)
 
 
 # -- linear fastpath ---------------------------------------------------------
@@ -218,3 +227,91 @@ def test_complement_rejects_stale_certificate():
     r = vartest(Z + T * T)
     with pytest.raises(PlaneCoordinateError):
         complement(Z + T**3, r.certificate)
+
+
+# -- TameStep.apply against the generic substitution ---------------------------
+
+
+def reference_images(step, vars):
+    """The substitution a tame step stands for, as MultiPoly images."""
+    zn, tn = vars
+    field = step.field
+    Z = MultiPoly.variable(field, vars, zn)
+    T = MultiPoly.variable(field, vars, tn)
+    if step.kind == "linear":
+        (m00, m01), (m10, m11) = step.matrix
+        v0, v1 = step.translation
+        return {
+            zn: Z.scale(m00) + T.scale(m01) + MultiPoly.constant(field, vars, v0),
+            tn: Z.scale(m10) + T.scale(m11) + MultiPoly.constant(field, vars, v1),
+        }
+    shift = step.shift.with_vars(vars)
+    if step.target == tn:
+        return {zn: Z, tn: T + shift}
+    return {zn: Z + shift, tn: T}
+
+
+def random_field_poly(field, rng, max_deg=4, n_terms=6):
+    """Random polynomial whose coefficients mix in the generator or parameter."""
+    terms = {}
+    for _ in range(n_terms):
+        e = (rng.randint(0, max_deg), rng.randint(0, max_deg))
+        terms[e] = _pool_element(field, rng, (-3, -2, -1, 1, 2, 3))
+    return MultiPoly.from_terms(field, ZT, terms.items())
+
+
+def assert_apply_matches_substitute(step, poly):
+    assert step.apply(poly) == poly.substitute(reference_images(step, poly.vars))
+
+
+TAME_FIELDS = [
+    QQ,
+    GF(5),
+    extend(QQ, [1, 0, 1], "i"),
+    rational_function_field(2),
+]
+
+
+@pytest.mark.parametrize("field", TAME_FIELDS, ids=str)
+def test_apply_matches_substitute(field):
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(12):
+        for step in random_tame_steps(field, rng, max_len=4, max_shift_deg=3):
+            seen.add((step.kind, step.target))
+            for _ in range(3):
+                assert_apply_matches_substitute(step, random_field_poly(field, rng))
+            assert_apply_matches_substitute(step, MultiPoly.zero(field, ZT))
+            assert_apply_matches_substitute(step, MultiPoly.constant(field, ZT, 3))
+    assert seen == {("linear", None), ("elementary", "Z"), ("elementary", "T")}
+
+
+def test_apply_matches_substitute_over_inseparable_extension():
+    # vartest reduces Z^2+s*T^2+T (the insep_binomial_quadric fiber) only
+    # after adjoining a square root of s, promoting its earlier steps
+    F2s = rational_function_field(2)
+    result = vartest(parse_polynomial("Z^2+s*T^2+T", F2s, ZT))
+    cert = result.extension_certificate
+    assert cert is not None and cert.field == cert.extension != F2s
+    rng = random.Random(11)
+    steps = list(cert.steps)
+    for _ in range(6):
+        steps += [s.promote(cert.embedding, cert.field) for s in random_tame_steps(F2s, rng, max_len=3)]
+    assert {s.kind for s in steps} == {"linear", "elementary"}
+    for step in steps:
+        assert step.field == cert.field
+        for _ in range(3):
+            assert_apply_matches_substitute(step, random_field_poly(cert.field, rng))
+
+
+def test_apply_rejects_a_polynomial_over_another_field():
+    steps = [
+        TameStep("linear", QQ, matrix=((QQ.one(), QQ.zero()), (QQ.zero(), QQ.one())),
+                 translation=(QQ.zero(), QQ.one())),
+        TameStep("elementary", QQ, target="T", shift=zt_vars(QQ)[0]),
+    ]
+    for step in steps:
+        with pytest.raises(PlaneCoordinateError):
+            step.apply(zt_vars(GF(5))[1])
+        with pytest.raises(PlaneCoordinateError):
+            step.apply(zt_vars(extend(QQ, [1, 0, 1], "i"))[1])
