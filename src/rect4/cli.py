@@ -139,7 +139,7 @@ def replay_certificate(doc):
 # ---------------------------------------------------------------------------
 
 
-def _root_to_json(rd, coord, line, irreducible):
+def _root_to_json(rd, coord, line, irreducible, irreducible_reason):
     cert_json = None
     if coord.certificate is not None:
         cert_json = certificate_to_json(coord.certificate, rd.specialization)
@@ -157,6 +157,7 @@ def _root_to_json(rd, coord, line, irreducible):
         },
         "line": line,
         "irreducible": irreducible,
+        "irreducible_reason": irreducible_reason,
     }
 
 
@@ -181,9 +182,13 @@ def analysis_to_json(report, field, a_text, f_text):
         "hypotheses": report.hypotheses,
         "implied": report.implied,
         "roots": [
-            _root_to_json(rd, coord, line, irr)
-            for rd, coord, line, irr in zip(
-                report.roots, report.coordinates, report.lines, report.irreducibility
+            _root_to_json(rd, coord, line, irr, why)
+            for rd, coord, line, irr, why in zip(
+                report.roots,
+                report.coordinates,
+                report.lines,
+                report.irreducibility,
+                report.irreducible_reasons,
             )
         ],
     }

@@ -486,19 +486,6 @@ class RationalFunctionField(Field):
             out.append(self.element(self._normalize(ci, den_p_inner)))
         return out
 
-    def compose_parameter_power(self, elt):
-        """Substitute s -> s^p into ``elt``."""
-        num, den = self.coerce(elt).rep
-
-        def blow(coeffs):
-            out = []
-            for c in coeffs:
-                out.append(c)
-                out.extend([0] * (self.p - 1))
-            return dense.trim(self.base, out[: len(coeffs) * self.p])
-
-        return self.element(self._normalize(blow(num), blow(den)))
-
     def __eq__(self, other):
         return (
             isinstance(other, RationalFunctionField)
@@ -869,12 +856,6 @@ class Embedding:
         if not isinstance(self.src, ExtensionField):
             return Embedding(self.src, other.dst)
         return Embedding(self.src, other.dst, other(self.gen_image))
-
-    @staticmethod
-    def identity(field):
-        if isinstance(field, ExtensionField):
-            return Embedding(field, field, field.generator())
-        return Embedding(field, field)
 
 
 def composite_extension(field, poly_coeffs, gen="g"):

@@ -206,14 +206,10 @@ def check_x_divisibility(e, ctx=None):
         B = exact_divide(at0, f0)
     except PolynomialError:
         return False, None
-    lifted = P + B * _defining_polynomial(ctx)
+    lifted = P + B * ctx.hyperplane.defining_polynomial()
     X = MultiPoly.variable(field, _VARS4, "X")
     quotient = exact_divide(lifted, X)
     return True, to_normal_form(quotient, ctx)
-
-
-def _defining_polynomial(ctx):
-    return ctx.hyperplane.defining_polynomial()
 
 
 def admissible_representation(e, ctx=None):
@@ -234,6 +230,8 @@ def admissible_representation(e, ctx=None):
         # w(x^a y^b z^c t^e) = d*b - a
         return d * expv[1] - expv[0]
 
+    field = ctx.field
+    add, is_zero = field.raw_add, field.raw_is_zero
     current = dict(e.polynomial().terms)
     guard = 0
     while True:
@@ -251,12 +249,15 @@ def admissible_representation(e, ctx=None):
         replacement = _rewrite_group(group, top, ctx)
         for ev, c in replacement.terms.items():
             cur = current.get(ev)
-            s = c if cur is None else cur + c
-            if s.is_zero():
+            s = c if cur is None else add(cur, c)
+            if is_zero(s):
                 current.pop(ev, None)
             else:
                 current[ev] = s
-    return sorted(current.items(), key=lambda kv: (-wdeg_mono(kv[0]), kv[0]))
+    return [
+        (ev, field.element(c))
+        for ev, c in sorted(current.items(), key=lambda kv: (-wdeg_mono(kv[0]), kv[0]))
+    ]
 
 
 def _rewrite_group(group, top, ctx):
@@ -274,14 +275,10 @@ def _rewrite_group(group, top, ctx):
         j = b_ - iota
         assert j >= 0 and a_ - beta == d * j, "group factorization failed"
         key = (j, c_, e_)
-        U_poly[key] = U_poly.get(key, field.zero()) + c
+        U_poly[key] = field.raw_add(U_poly.get(key, field.raw_zero()), c)
     # U-polynomial Q(U, Z, T); divide by alpha0*U - f0
     uvars = ("U", "Z", "T")
-    Q = MultiPoly(
-        field,
-        uvars,
-        {k: v for k, v in U_poly.items() if not v.is_zero()},
-    )
+    Q = MultiPoly(field, uvars, U_poly)
     alpha0 = ctx.alpha0
     f0u = ctx.f0.with_vars(uvars)
     U = MultiPoly.variable(field, uvars, "U")
@@ -303,18 +300,9 @@ def _rewrite_group(group, top, ctx):
     H4 = MultiPoly.zero(field, vars4)
     for ev, c in H.terms.items():
         j, cz, ce = ev
-        term = (
-            MultiPoly.constant(field, vars4, c)
-            * Ux**j
-            * MultiPoly(
-                field,
-                vars4,
-                {(0, 0, cz, ce): field.one()},
-            )
-        )
-        H4 = H4 + term
+        H4 = H4 + MultiPoly(field, vars4, {(0, 0, cz, ce): c}) * Ux**j
     repl = rhs * H4
-    shift = MultiPoly(field, vars4, {(beta, iota, 0, 0): field.one()})
+    shift = MultiPoly(field, vars4, {(beta, iota, 0, 0): field.raw_one()})
     return repl * shift
 
 

@@ -122,6 +122,7 @@ class AnalysisReport:
     coordinates: list = dataclass_field(default_factory=list)
     lines: list = dataclass_field(default_factory=list)
     irreducibility: list = dataclass_field(default_factory=list)
+    irreducible_reasons: list = dataclass_field(default_factory=list)
     verdict: str = None
     failing_root: int = None
     inconclusive_reason: str = None
@@ -275,32 +276,35 @@ def ufd_check(data, coord_results=None, degree_bound=None):
 
     A coordinate is irreducible, and irreducibility descends from any field
     extension, so both accept flavours of the coordinate test short-circuit
-    the Kronecker machinery.
+    the Kronecker machinery.  Returns the flag, the per-root verdicts and the
+    per-root reasons (the cause of an "unknown" verdict, else None).
     """
     if coord_results is None:
         coord_results = coordinate_results(data)
-    verdicts = []
+    verdicts, reasons = [], []
     for rd, cr in zip(data, coord_results):
         f = rd.specialization
+        reason = None
         if f.is_constant():
-            verdicts.append("true")  # nonzero constant: a unit
-            continue
-        if cr.status in ("accept", "reject-accepts-over-extension"):
-            verdicts.append("true")
-            continue
-        kwargs = {} if degree_bound is None else {"bound": degree_bound}
-        res = bivariate_irreducible(f, "Z", "T", **kwargs)
-        if res.is_irreducible:
-            verdicts.append("true")
-        elif res.is_reducible:
-            verdicts.append("false")
+            verdict = "true"  # nonzero constant: a unit
+        elif cr.status in ("accept", "reject-accepts-over-extension"):
+            verdict = "true"
         else:
-            verdicts.append("unknown")
+            kwargs = {} if degree_bound is None else {"bound": degree_bound}
+            res = bivariate_irreducible(f, "Z", "T", **kwargs)
+            if res.is_irreducible:
+                verdict = "true"
+            elif res.is_reducible:
+                verdict = "false"
+            else:
+                verdict, reason = "unknown", res.reason
+        verdicts.append(verdict)
+        reasons.append(reason)
     if "false" in verdicts:
-        return "false", verdicts
+        return "false", verdicts, reasons
     if "unknown" in verdicts:
-        return "unknown", verdicts
-    return "true", verdicts
+        return "unknown", verdicts, reasons
+    return "true", verdicts, reasons
 
 
 def fibration_check(data, coord_results=None):
@@ -374,7 +378,7 @@ def analyze(h, degree_bound=None, rng=None, verify_certificates=True):
 
     coords = coordinate_results(data)
     report.coordinates = coords
-    report.ufd, report.irreducibility = ufd_check(
+    report.ufd, report.irreducibility, report.irreducible_reasons = ufd_check(
         data, coords, degree_bound=degree_bound
     )
     report.theorem_path.append(RULE_UFD)

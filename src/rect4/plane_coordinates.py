@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .fields import ExtensionField, composite_extension
 from .polynomials import MultiPoly
+from .polynomials.multipoly import add_multiple
 
 
 class PlaneCoordinateError(Exception):
@@ -64,15 +65,14 @@ class TameStep:
             raise PlaneCoordinateError(
                 f"tame step over {field} applied to a polynomial over {poly.field}"
             )
-        raw = {e: c.rep for e, c in poly.terms.items()}
         if self.kind == "linear":
             (m00, m01), (m10, m11) = self.matrix
             v0, v1 = self.translation
-            z_image = _affine_image(len(poly.vars), m00, m01, v0)
-            t_image = _affine_image(len(poly.vars), m10, m11, v1)
+            z_image = _affine_image(field, poly.vars, m00, m01, v0)
+            t_image = _affine_image(field, poly.vars, m10, m11, v1)
             coeffs = [
                 _horner(field, _split_by_degree(a, 0), z_image)
-                for a in _split_by_degree(raw, 1)
+                for a in _split_by_degree(poly.terms, 1)
             ]
             out = _horner(field, coeffs, t_image)
         else:
@@ -80,9 +80,8 @@ class TameStep:
             image = self.shift.with_vars(poly.vars) + MultiPoly.variable(
                 field, poly.vars, poly.vars[i]
             )
-            image = [(e, c.rep) for e, c in image.terms.items()]
-            out = _horner(field, _split_by_degree(raw, i), image)
-        return MultiPoly._from_raw(field, poly.vars, out)
+            out = _horner(field, _split_by_degree(poly.terms, i), list(image.terms.items()))
+        return MultiPoly(field, poly.vars, out)
 
     def inverse(self):
         if self.kind == "elementary":
@@ -124,11 +123,11 @@ class TameStep:
         )
 
 
-def _affine_image(nvars, cz, ct, c1):
+def _affine_image(field, vars, cz, ct, c1):
     """Raw terms of cz*Z + ct*T + c1, with Z and T the first two variables."""
-    zero = (0,) * nvars
+    zero = (0,) * len(vars)
     monomials = ((1,) + zero[1:], (0, 1) + zero[2:], zero)
-    return [(e, c.rep) for e, c in zip(monomials, (cz, ct, c1)) if not c.is_zero()]
+    return list(MultiPoly.from_terms(field, vars, zip(monomials, (cz, ct, c1))).terms.items())
 
 
 def _split_by_degree(raw, i):
@@ -147,21 +146,11 @@ def _horner(field, coeffs, image):
     """sum_k coeffs[k] * image^k on raw term dicts; image is a list of terms."""
     if not coeffs:
         return {}
-    add, mul, is_zero = field.raw_add, field.raw_mul, field.raw_is_zero
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         out = dict(c)
-        for e1, c1 in acc.items():
-            for e2, c2 in image:
-                e = tuple([a + b for a, b in zip(e1, e2)])
-                v = mul(c1, c2)
-                old = out.get(e)
-                if old is not None:
-                    v = add(old, v)
-                    if is_zero(v):
-                        del out[e]
-                        continue
-                out[e] = v
+        for e, v in image:
+            add_multiple(field, out, acc.items(), e, v)
         acc = out
     return acc
 
@@ -271,9 +260,9 @@ def _analyze_leading_form(lead, zname, tname):
     mixed = False
     for e, c in lead.terms.items():
         if e[iz] == d:
-            c0 = c
+            c0 = field.element(c)
         elif e[it] == d:
-            cd = c
+            cd = field.element(c)
         else:
             mixed = True
     if not mixed:
@@ -285,7 +274,7 @@ def _analyze_leading_form(lead, zname, tname):
         return None
     u = [field.zero()] * (d + 1)
     for e, c in lead.terms.items():
-        u[e[it]] = c
+        u[e[it]] = field.element(c)
     while u and u[-1].is_zero():
         u.pop()
     if len(u) - 1 != d:
@@ -485,7 +474,7 @@ def vartest(f):
         it = work.vars.index(tn)
         for e, c in work.terms.items():
             if e[iz] + q * e[it] == d:
-                phi[e[it]] = c
+                phi[e[it]] = field.element(c)
         res = _power_of_linear_univariate(phi, field)
         if res is None:
             return VartestResult(
@@ -503,7 +492,7 @@ def vartest(f):
             rho = extend_with(res[1], res[2])
         shift_exp = [0] * len(work.vars)
         shift_exp[iz] = q
-        shift = MultiPoly(field, work.vars, {tuple(shift_exp): rho})
+        shift = MultiPoly.from_terms(field, work.vars, [(shift_exp, rho)])
         step = TameStep("elementary", field, target=tn, shift=shift)
         work = step.apply(work)
         inv_steps.append(step.inverse())

@@ -120,13 +120,14 @@ def _kronecker_map(f, zvar, tvar, e):
     """f(Z, Z^e) as a univariate polynomial in zvar."""
     iz = f.vars.index(zvar)
     it = f.vars.index(tvar)
+    add = f.field.raw_add
     terms = {}
     for exp, c in f.terms.items():
         n = exp[iz] + e * exp[it]
         ne = [0] * len(f.vars)
         ne[iz] = n
         key = tuple(ne)
-        terms[key] = terms[key] + c if key in terms else c
+        terms[key] = add(terms[key], c) if key in terms else c
     return MultiPoly(f.field, f.vars, terms)
 
 
@@ -268,7 +269,7 @@ def _pseudo_remainder(a, b, main_var):
         lr = r.as_univariate(main_var)[-1]
         shift_exp = [0] * len(a.vars)
         shift_exp[iv] = dr - db
-        shift = MultiPoly(a.field, a.vars, {tuple(shift_exp): a.field.one()})
+        shift = MultiPoly(a.field, a.vars, {tuple(shift_exp): a.field.raw_one()})
         r = r * lb - lr * shift * b
     return r
 
@@ -287,9 +288,8 @@ def _resultant_in_generator(f, field):
     # write f = sum_j f_j * g^j with f_j over the base field
     layers = [dict() for _ in range(n)]
     for exp, c in f.terms.items():
-        for j, cj in enumerate(c.rep):
-            if not base.raw_is_zero(cj):
-                layers[j][exp] = base.element(cj)
+        for j, cj in enumerate(c):
+            layers[j][exp] = cj
     fj = [MultiPoly(base, f.vars, layer) for layer in layers]
     deg_f = max((j for j in range(n) if not fj[j].is_zero()), default=0)
     # Sylvester matrix of m (degree n) and f (degree deg_f in g)

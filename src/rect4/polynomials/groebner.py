@@ -7,9 +7,7 @@ elimination uses a block order.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-
-from .multipoly import GREVLEX, MultiPoly, PolynomialError
+from .multipoly import GREVLEX, MultiPoly, PolynomialError, add_multiple, heap_divide
 
 
 def _lcm(e1, e2):
@@ -25,81 +23,29 @@ def normal_form(f, basis, order=GREVLEX):
 
     Each step takes the largest monomial left and reduces it by the first
     basis element whose leading monomial divides it, or moves it to the
-    remainder.  The work polynomial is a dict of raw coefficients with a heap
-    of its monomials under ``order.descending_key``; a monomial that cancels
-    stays in the heap and is skipped when popped.
+    remainder (:func:`~rect4.polynomials.multipoly.heap_divide`).
     """
     if not basis:
         return f
-    field = f.field
-    add, mul, is_zero = field.raw_add, field.raw_mul, field.raw_is_zero
-    key = order.descending_key
-    divisors = []  # (lead exponent, -1/lead coefficient, raw tail)
-    for g in basis:
-        f._check_compatible(g)
-        ge, gc = g.leading_term(order)
-        tail = [(e, c.rep) for e, c in g.terms.items() if e != ge]
-        divisors.append((ge, field.raw_neg(field.raw_inv(gc.rep)), tail))
-    work = {e: c.rep for e, c in f.terms.items()}
-    heap = [(key(e), e) for e in work]
-    heapify(heap)
-    rem = {}
-    while heap:
-        we = heappop(heap)[1]
-        wc = work.pop(we, None)
-        if wc is None:
-            continue
-        for ge, neg_inv, tail in divisors:
-            if _divides_exp(ge, we):
-                shift = tuple([a - b for a, b in zip(we, ge)])
-                q = mul(wc, neg_inv)
-                for te, tc in tail:
-                    m = tuple([a + b for a, b in zip(shift, te)])
-                    v = mul(q, tc)
-                    old = work.get(m)
-                    if old is None:
-                        work[m] = v
-                        heappush(heap, (key(m), m))
-                    else:
-                        v = add(old, v)
-                        if is_zero(v):
-                            del work[m]
-                        else:
-                            work[m] = v
-                break
-        else:
-            rem[we] = wc
-    return MultiPoly._from_raw(field, f.vars, rem)
-
-
-def _add_multiple(out, p, shift, c):
-    """out += c * x^shift * p, on raw coefficients."""
-    field = p.field
-    add, mul, is_zero = field.raw_add, field.raw_mul, field.raw_is_zero
-    for e, pc in p.terms.items():
-        m = tuple([a + b for a, b in zip(e, shift)])
-        v = mul(c, pc.rep)
-        old = out.get(m)
-        if old is not None:
-            v = add(old, v)
-            if is_zero(v):
-                del out[m]
-                continue
-        out[m] = v
+    _, rem = heap_divide(f, basis, order.descending_key)
+    return MultiPoly(f.field, f.vars, rem)
 
 
 def s_polynomial(f, g, order=GREVLEX):
     f._check_compatible(g)
     field = f.field
-    fe, fc = f.leading_term(order)
-    ge, gc = g.leading_term(order)
+    fe, ge = f.leading_monomial(order), g.leading_monomial(order)
     lcm = _lcm(fe, ge)
     out = {}
-    _add_multiple(out, f, tuple(a - b for a, b in zip(lcm, fe)), field.raw_inv(fc.rep))
-    _add_multiple(
-        out, g, tuple(a - b for a, b in zip(lcm, ge)), field.raw_neg(field.raw_inv(gc.rep))
+    add_multiple(
+        field, out, f.terms.items(), tuple(a - b for a, b in zip(lcm, fe)),
+        field.raw_inv(f.terms[fe]),
     )
-    return MultiPoly._from_raw(field, f.vars, out)
+    add_multiple(
+        field, out, g.terms.items(), tuple(a - b for a, b in zip(lcm, ge)),
+        field.raw_neg(field.raw_inv(g.terms[ge])),
+    )
+    return MultiPoly(field, f.vars, out)
 
 
 def groebner_basis(generators, order=GREVLEX):
@@ -115,7 +61,7 @@ def groebner_basis(generators, order=GREVLEX):
         if not r.is_zero():
             basis.append(r.monic(order))
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    leads = [g.leading_term(order)[0] for g in basis]
+    leads = [g.leading_monomial(order) for g in basis]
 
     def chain_criterion(i, j):
         lcm_ij = _lcm(leads[i], leads[j])
@@ -145,7 +91,7 @@ def groebner_basis(generators, order=GREVLEX):
             continue
         r = r.monic(order)
         basis.append(r)
-        leads.append(r.leading_term(order)[0])
+        leads.append(r.leading_monomial(order))
         new_idx = len(basis) - 1
         for k in range(new_idx):
             pairs.add((k, new_idx))
@@ -166,7 +112,7 @@ def groebner_basis(generators, order=GREVLEX):
         r = normal_form(g, others, order)
         if not r.is_zero():
             reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]), reverse=True)
+    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
     return reduced
 
 

@@ -1,12 +1,23 @@
 """Sparse exact multivariate polynomials over a field descriptor.
 
 A :class:`MultiPoly` stores a field, an ordered tuple of variable names and a
-dict mapping exponent tuples to nonzero :class:`~rect4.fields.FieldElement`
-coefficients.  Values are treated as immutable; all operations return new
-polynomials.
+dict mapping exponent tuples to nonzero raw coefficients, in the
+representation of the field's ``raw_*`` interface.  Arithmetic runs on the raw
+coefficients; :class:`~rect4.fields.FieldElement` is the public boundary only:
+constructors such as :meth:`MultiPoly.constant` take elements or ints, and
+readers such as :meth:`MultiPoly.coeff` return elements.  Values are treated
+as immutable; all operations return new polynomials.
+
+Two kernels on raw terms carry the arithmetic: :func:`add_multiple`
+(``out += c * x^shift * p``) and :func:`heap_divide`, a division over a heap
+of monomials (Yan, *The geobucket data structure for polynomials*, 1998) that
+serves ``groebner.normal_form``, :func:`exact_divide` and
+:func:`divmod_in_variable`.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from .. import dense
 from ..fields import Embedding, FieldElement, FieldMismatch, term_sum_str
@@ -68,27 +79,19 @@ class MultiPoly:
     __slots__ = ("field", "vars", "terms")
 
     def __init__(self, field, vars, terms):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "vars", tuple(vars))
+        """``terms`` maps exponent tuples to raw coefficients of ``field``;
+        zero coefficients are dropped."""
+        vars = tuple(vars)
+        n, is_zero = len(vars), field.raw_is_zero
         clean = {}
         for expv, c in terms.items():
-            if len(expv) != len(self.vars):
+            if len(expv) != n:
                 raise PolynomialError("exponent vector length mismatch")
-            if not c.is_zero():
+            if not is_zero(c):
                 clean[tuple(expv)] = c
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _from_raw(cls, field, vars, raw):
-        """Wrap raw coefficients ``{expv: rep}``, all nonzero, of a tuple of
-        variables; skips the zero filter of ``__init__``."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "field", field)
-        object.__setattr__(poly, "vars", vars)
-        object.__setattr__(
-            poly, "terms", {e: FieldElement(field, c) for e, c in raw.items()}
-        )
-        return poly
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
@@ -100,12 +103,11 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, field, vars, value):
-        value = field.coerce(value)
-        return cls(field, vars, {(0,) * len(vars): value})
+        return cls(field, vars, {(0,) * len(vars): field.coerce(value).rep})
 
     @classmethod
     def one(cls, field, vars):
-        return cls.constant(field, vars, field.one())
+        return cls(field, vars, {(0,) * len(vars): field.raw_one()})
 
     @classmethod
     def variable(cls, field, vars, name):
@@ -113,16 +115,18 @@ class MultiPoly:
         if name not in vars:
             raise PolynomialError(f"unknown variable {name!r}")
         expv = tuple(1 if v == name else 0 for v in vars)
-        return cls(field, vars, {expv: field.one()})
+        return cls(field, vars, {expv: field.raw_one()})
 
     @classmethod
     def from_terms(cls, field, vars, pairs):
+        """Sum of (exponent, coefficient) pairs, each coefficient anything
+        ``field.coerce`` takes (a FieldElement, an int or a Fraction)."""
         terms = {}
         for expv, c in pairs:
-            c = field.coerce(c)
+            c = field.coerce(c).rep
             expv = tuple(expv)
             if expv in terms:
-                c = terms[expv] + c
+                c = field.raw_add(terms[expv], c)
             terms[expv] = c
         return cls(field, vars, terms)
 
@@ -134,8 +138,7 @@ class MultiPoly:
         return all(all(e == 0 for e in expv) for expv in self.terms)
 
     def constant_term(self):
-        zero = (0,) * len(self.vars)
-        return self.terms.get(zero, self.field.zero())
+        return self.coeff((0,) * len(self.vars))
 
     def constant_value(self):
         if not self.is_constant():
@@ -160,7 +163,8 @@ class MultiPoly:
             raise PolynomialError(f"unknown variable {var!r}") from None
 
     def coeff(self, expv):
-        return self.terms.get(tuple(expv), self.field.zero())
+        field = self.field
+        return field.element(self.terms.get(tuple(expv), field.raw_zero()))
 
     def involves(self, var):
         i = self._var_index(var)
@@ -176,14 +180,16 @@ class MultiPoly:
     def __add__(self, other):
         other = self._coerce(other)
         self._check_compatible(other)
+        add, is_zero = self.field.raw_add, self.field.raw_is_zero
         terms = dict(self.terms)
         for expv, c in other.terms.items():
-            if expv in terms:
-                s = terms[expv] + c
-                if s.is_zero():
-                    del terms[expv]
-                else:
-                    terms[expv] = s
+            old = terms.get(expv)
+            if old is None:
+                terms[expv] = c
+                continue
+            c = add(old, c)
+            if is_zero(c):
+                del terms[expv]
             else:
                 terms[expv] = c
         return MultiPoly(self.field, self.vars, terms)
@@ -191,8 +197,9 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
+        neg = self.field.raw_neg
         return MultiPoly(
-            self.field, self.vars, {e: -c for e, c in self.terms.items()}
+            self.field, self.vars, {e: neg(c) for e, c in self.terms.items()}
         )
 
     def __sub__(self, other):
@@ -204,22 +211,13 @@ class MultiPoly:
     def __mul__(self, other):
         other = self._coerce(other)
         self._check_compatible(other)
-        if not self.terms or not other.terms:
-            return MultiPoly.zero(self.field, self.vars)
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        b = list(b.items())
         out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                c = c1 * c2
-                if e in out:
-                    c = out[e] + c
-                if c.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = c
+        for e, c in a.items():
+            add_multiple(self.field, out, b, e, c)
         return MultiPoly(self.field, self.vars, out)
 
     __rmul__ = __mul__
@@ -239,12 +237,12 @@ class MultiPoly:
         return result
 
     def scale(self, c):
-        c = self.field.coerce(c)
-        if c.is_zero():
-            return MultiPoly.zero(self.field, self.vars)
-        return MultiPoly(
-            self.field, self.vars, {e: v * c for e, v in self.terms.items()}
-        )
+        field = self.field
+        c = field.coerce(c).rep
+        if field.raw_is_zero(c):
+            return MultiPoly.zero(field, self.vars)
+        mul = field.raw_mul
+        return MultiPoly(field, self.vars, {e: mul(v, c) for e, v in self.terms.items()})
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
@@ -270,11 +268,14 @@ class MultiPoly:
         )
 
     # -- leading data -----------------------------------------------------------
-    def leading_term(self, order=GREVLEX):
+    def leading_monomial(self, order=GREVLEX):
         if not self.terms:
             raise PolynomialError("zero polynomial has no leading term")
-        expv = min(self.terms, key=order.descending_key)
-        return expv, self.terms[expv]
+        return min(self.terms, key=order.descending_key)
+
+    def leading_term(self, order=GREVLEX):
+        expv = self.leading_monomial(order)
+        return expv, self.field.element(self.terms[expv])
 
     def leading_form(self):
         """Homogeneous component of maximal total degree."""
@@ -285,19 +286,6 @@ class MultiPoly:
             {e: c for e, c in self.terms.items() if sum(e) == d},
         )
 
-    def homogeneous_component(self, d, weights=None):
-        if weights is None:
-            weights = (1,) * len(self.vars)
-        return MultiPoly(
-            self.field,
-            self.vars,
-            {
-                e: c
-                for e, c in self.terms.items()
-                if sum(w * x for w, x in zip(weights, e)) == d
-            },
-        )
-
     def weighted_degree(self, weights):
         if not self.terms:
             return -1
@@ -306,27 +294,21 @@ class MultiPoly:
     def monic(self, order=GREVLEX):
         if self.is_zero():
             return self
-        _, lc = self.leading_term(order)
         field = self.field
-        mul, inv = field.raw_mul, field.raw_inv(lc.rep)
-        return MultiPoly._from_raw(
-            field, self.vars, {e: mul(c.rep, inv) for e, c in self.terms.items()}
-        )
+        mul = field.raw_mul
+        inv = field.raw_inv(self.terms[self.leading_monomial(order)])
+        return MultiPoly(field, self.vars, {e: mul(c, inv) for e, c in self.terms.items()})
 
     # -- calculus / substitution ---------------------------------------------
     def partial_derivative(self, var):
         i = self._var_index(var)
+        field = self.field
         out = {}
         for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            factor = self.field.from_int(e[i])
-            nc = c * factor
-            if nc.is_zero():
-                continue
-            ne = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            out[ne] = out[ne] + nc if ne in out else nc
-        return MultiPoly(self.field, self.vars, out)
+            if e[i]:
+                ne = e[:i] + (e[i] - 1,) + e[i + 1 :]
+                out[ne] = field.raw_mul(c, field.raw_from_int(e[i]))
+        return MultiPoly(field, self.vars, out)
 
     def substitute(self, bindings):
         """Substitute variables by polynomials or field elements.
@@ -361,8 +343,8 @@ class MultiPoly:
                 elif value.field != target_field:
                     value = _embedding_into(value.field, target_field)(value)
                 resolved[name] = MultiPoly.constant(target_field, poly.vars, value)
-        acc = MultiPoly.zero(target_field, poly.vars)
-        powers = {name: {0: MultiPoly.one(target_field, poly.vars)} for name in resolved}
+        one = MultiPoly.one(target_field, poly.vars)
+        powers = {name: {0: one} for name in resolved}
 
         def power_of(name, n):
             cache = powers[name]
@@ -377,27 +359,25 @@ class MultiPoly:
             return p
 
         idx = {name: poly.vars.index(name) for name in resolved}
+        out = {}
         for e, c in poly.terms.items():
             term_exp = list(e)
-            factor = MultiPoly.constant(target_field, poly.vars, c)
+            factor = one
             for name, i in idx.items():
                 if e[i]:
                     factor = factor * power_of(name, e[i])
                     term_exp[i] = 0
-            mono = MultiPoly(
-                target_field, poly.vars, {tuple(term_exp): target_field.one()}
-            )
-            acc = acc + factor * mono
-        return acc
+            add_multiple(target_field, out, factor.terms.items(), tuple(term_exp), c)
+        return MultiPoly(target_field, poly.vars, out)
 
     def map_coefficients(self, func, new_field=None):
+        """Apply ``func``, from FieldElements to FieldElements of
+        ``new_field`` (default: this field), to every coefficient."""
         field = new_field if new_field is not None else self.field
-        out = {}
-        for e, c in self.terms.items():
-            nc = func(c)
-            if not nc.is_zero():
-                out[e] = nc
-        return MultiPoly(field, self.vars, out)
+        element = self.field.element
+        return MultiPoly(
+            field, self.vars, {e: func(element(c)).rep for e, c in self.terms.items()}
+        )
 
     def with_vars(self, new_vars):
         """Reinterpret over a different variable tuple (superset or reorder)."""
@@ -445,7 +425,7 @@ class MultiPoly:
         deg = self.degree_in(var)
         out = [self.field.zero()] * (deg + 1) if deg >= 0 else []
         for e, c in self.terms.items():
-            out[e[i]] = c
+            out[e[i]] = self.field.element(c)
         return out
 
     @classmethod
@@ -454,23 +434,17 @@ class MultiPoly:
         i = vars.index(var)
         terms = {}
         for k, c in enumerate(coeffs):
-            c = field.coerce(c)
-            if c.is_zero():
-                continue
             e = [0] * len(vars)
             e[i] = k
-            terms[tuple(e)] = c
+            terms[tuple(e)] = field.coerce(c).rep
         return cls(field, vars, terms)
-
-    def evaluate(self, assignment):
-        """Full evaluation to a FieldElement (all occurring variables bound)."""
-        result = self.substitute(assignment)
-        return result.constant_value()
 
     # -- printing ---------------------------------------------------------------
     def __str__(self):
         if not self.terms:
             return "0"
+        field = self.field
+        one = field.raw_one()
         items = sorted(self.terms.items(), key=lambda kv: GREVLEX.key(kv[0]), reverse=True)
         terms = []
         for e, c in items:
@@ -480,7 +454,7 @@ class MultiPoly:
                     factors.append(v)
                 elif k > 1:
                     factors.append(f"{v}^{k}")
-            terms.append((str(c), c.is_one(), "*".join(factors)))
+            terms.append((field.raw_str(c), field.raw_eq(c, one), "*".join(factors)))
         return term_sum_str(terms)
 
     def __repr__(self):
@@ -507,27 +481,93 @@ def _embedding_into(src, dst):
 
 
 # ---------------------------------------------------------------------------
+# kernels on raw terms
+# ---------------------------------------------------------------------------
+
+
+def add_multiple(field, out, terms, shift, c):
+    """out += c * x^shift * p on raw coefficients, where ``terms`` iterates
+    the (exponent, coefficient) pairs of p and ``out`` is a raw term dict."""
+    add, mul, is_zero = field.raw_add, field.raw_mul, field.raw_is_zero
+    for e, pc in terms:
+        m = tuple([a + b for a, b in zip(e, shift)])
+        v = mul(c, pc)
+        old = out.get(m)
+        if old is not None:
+            v = add(old, v)
+            if is_zero(v):
+                del out[m]
+                continue
+        out[m] = v
+
+
+def heap_divide(f, divisors, key, exact=False):
+    """Division of f by a list of divisors, on raw coefficients.
+
+    ``key`` is the ``descending_key`` of a monomial order: its ascending order
+    is the descending monomial order, and it picks each divisor's leading
+    monomial.  Each step takes the largest monomial left and reduces it by
+    the first divisor whose leading monomial divides it, or moves it to the
+    remainder; with ``exact`` such a monomial raises :class:`PolynomialError`
+    instead.  The work polynomial is a dict with a heap of its monomials; a
+    monomial that cancels stays in the heap and is skipped when popped.
+
+    Returns ``(quotients, remainder)`` as raw term dicts, one quotient per
+    divisor.
+    """
+    field = f.field
+    add, mul, neg, is_zero = field.raw_add, field.raw_mul, field.raw_neg, field.raw_is_zero
+    prepared = []  # (lead exponent, 1/lead coefficient, negated tail, quotient)
+    for g in divisors:
+        f._check_compatible(g)
+        if g.is_zero():
+            raise PolynomialError("division by the zero polynomial")
+        ge = min(g.terms, key=key)
+        tail = [(e, neg(c)) for e, c in g.terms.items() if e != ge]
+        prepared.append((ge, field.raw_inv(g.terms[ge]), tail, {}))
+    work = dict(f.terms)
+    heap = [(key(e), e) for e in work]
+    heapify(heap)
+    rem = {}
+    while heap:
+        we = heappop(heap)[1]
+        wc = work.pop(we, None)
+        if wc is None:
+            continue
+        for ge, inv, tail, quo in prepared:
+            if all([a >= b for a, b in zip(we, ge)]):
+                shift = tuple([a - b for a, b in zip(we, ge)])
+                q = quo[shift] = mul(wc, inv)
+                for te, tc in tail:
+                    m = tuple([a + b for a, b in zip(shift, te)])
+                    v = mul(q, tc)
+                    old = work.get(m)
+                    if old is None:
+                        work[m] = v
+                        heappush(heap, (key(m), m))
+                    else:
+                        v = add(old, v)
+                        if is_zero(v):
+                            del work[m]
+                        else:
+                            work[m] = v
+                break
+        else:
+            if exact:
+                raise PolynomialError("polynomial is not exactly divisible")
+            rem[we] = wc
+    return [d[3] for d in prepared], rem
+
+
+# ---------------------------------------------------------------------------
 # division
 # ---------------------------------------------------------------------------
 
 
 def exact_divide(f, g):
     """Quotient f/g when g divides f exactly; raises otherwise."""
-    f._check_compatible(g)
-    if g.is_zero():
-        raise PolynomialError("division by the zero polynomial")
-    quo = MultiPoly.zero(f.field, f.vars)
-    rem = f
-    ge, gc = g.leading_term(GREVLEX)
-    while not rem.is_zero():
-        re, rc = rem.leading_term(GREVLEX)
-        diff = tuple(a - b for a, b in zip(re, ge))
-        if any(d < 0 for d in diff):
-            raise PolynomialError("polynomial is not exactly divisible")
-        t = MultiPoly(f.field, f.vars, {diff: rc / gc})
-        quo = quo + t
-        rem = rem - t * g
-    return quo
+    (quo,), _ = heap_divide(f, [g], GREVLEX.descending_key, exact=True)
+    return MultiPoly(f.field, f.vars, quo)
 
 
 def divides(g, f):
@@ -544,31 +584,19 @@ def divmod_in_variable(f, g, var):
     The divisor must have an invertible (constant) leading coefficient in
     ``var``.  Returns (q, r) with deg_var r < deg_var g.
     """
-    f._check_compatible(g)
+    i = f._var_index(var)
     dg = g.degree_in(var)
-    if dg < 0:
-        raise PolynomialError("division by the zero polynomial")
-    g_coeffs = g.as_univariate(var)
-    lc = g_coeffs[-1]
-    if not lc.is_constant():
+    if any(e[i] == dg and sum(e) != dg for e in g.terms):
         raise PolynomialError(
             f"divisor's leading coefficient in {var!r} is not invertible"
         )
-    lc_inv = lc.constant_value().inv()
-    i = f._var_index(var)
-    q = MultiPoly.zero(f.field, f.vars)
-    r = f
-    while not r.is_zero() and r.degree_in(var) >= dg:
-        dr = r.degree_in(var)
-        r_top = [
-            (e[:i] + (dr - dg,) + e[i + 1 :], c)
-            for e, c in r.terms.items()
-            if e[i] == dr
-        ]
-        t = MultiPoly.from_terms(f.field, f.vars, r_top).scale(lc_inv)
-        q = q + t
-        r = r - t * g
-    return q, r
+    # a monomial order that ranks the degree in var first: the divisor's
+    # leading monomial is var^dg, which divides exactly the monomials of
+    # degree >= dg in var
+    (quo,), rem = heap_divide(
+        f, [g], lambda e: (-e[i],) + GREVLEX.descending_key(e)
+    )
+    return MultiPoly(f.field, f.vars, quo), MultiPoly(f.field, f.vars, rem)
 
 
 def univariate_gcd(f, g, var=None):

@@ -140,8 +140,8 @@ def _clear_denominators(g):
         return g
     base = field.base
     lcm = (1,)
-    for c in g.terms.values():
-        lcm = dense.lcm(base, lcm, c.rep[1])
+    for _, den in g.terms.values():
+        lcm = dense.lcm(base, lcm, den)
     if lcm == (1,):
         return g
     return g.scale(field.element((lcm, (1,))))

@@ -148,6 +148,27 @@ def test_univariate_specialization_over_residue_extension(capsys, schema):
     assert doc["roots"][0]["irreducible"] == "unknown"
 
 
+@pytest.mark.parametrize(
+    "F, irreducible, reason",
+    [
+        ("Z^3", "unknown", "univariate factorization over Q[g]/(g^2+1) is not supported"),
+        (
+            "Z^5*T^4+Z^2+T^3+X*Z^4*T^3+1",
+            "unknown",
+            "number-field reduction limited to degree <= 3 extensions and total degree <= 8",
+        ),
+        ("Z^2+T^3+1", "true", None),
+    ],
+    ids=["univariate-over-extension", "number-field-bound", "decided"],
+)
+def test_analyze_json_carries_the_irreducibility_reason(capsys, schema, F, irreducible, reason):
+    code, doc = run_json(capsys, ["analyze", "X^2+1", F, "Q"])
+    validate(doc, schema)
+    root = doc["roots"][0]
+    assert root["irreducible"] == irreducible
+    assert root["irreducible_reason"] == reason
+
+
 def test_usage_errors(capsys):
     code, _ = run(capsys, ["analyze", "X +", "Z", "Q"])
     assert code == 3

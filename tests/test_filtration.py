@@ -165,7 +165,7 @@ def test_admissible_rewriting_fires_for_nonconstant_alpha():
         rep = admissible_representation(e, ctx)
         acc = MultiPoly.zero(QQ, V4)
         for ev, c in rep:
-            acc = acc + MultiPoly(QQ, V4, {ev: c})
+            acc = acc + MultiPoly.from_terms(QQ, V4, [(ev, c)])
         assert to_normal_form(acc, ctx) == e
         assert max(ctx.d * ev[1] - ev[0] for ev, _ in rep) == -power
 
@@ -178,7 +178,7 @@ def test_admissible_representation_random(ctx_simple, rng):
         rep = admissible_representation(e, ctx_simple)
         acc = MultiPoly.zero(QQ, V4)
         for ev, c in rep:
-            acc = acc + MultiPoly(QQ, V4, {ev: c})
+            acc = acc + MultiPoly.from_terms(QQ, V4, [(ev, c)])
         assert to_normal_form(acc, ctx_simple) == e
         assert (
             max(ctx_simple.d * ev[1] - ev[0] for ev, _ in rep)

@@ -127,7 +127,7 @@ def reference_normal_form(f, divisors, order):
         for g, (ge, gc) in zip(divisors, leads):
             if all(a >= b for a, b in zip(we, ge)):
                 shift = tuple(a - b for a, b in zip(we, ge))
-                work = work - MultiPoly(f.field, f.vars, {shift: wc / gc}) * g
+                work = work - MultiPoly(f.field, f.vars, {shift: f.field.raw_div(wc, gc)}) * g
                 break
         else:
             rem = rem + lead
@@ -172,7 +172,7 @@ SYMS = sympy.symbols("X Y Z")
 def to_sympy(poly):
     expr = 0
     for e, c in poly.terms.items():
-        q = Fraction(c.rep)
+        q = Fraction(c)
         mono = sympy.Mul(*(s**k for s, k in zip(SYMS, e)))
         expr += sympy.Rational(q.numerator, q.denominator) * mono
     return expr
@@ -213,7 +213,7 @@ def test_groebner_basis_matches_sympy(field, p, order, name):
             for g in theirs.polys
         }
         got = {
-            monic_terms(((e, c.rep) for e, c in g.terms.items()), order, p) for g in ours
+            monic_terms(((e, c) for e, c in g.terms.items()), order, p) for g in ours
         }
         assert got == want, [str(g) for g in gens]
         assert all(g.leading_term(order)[1].is_one() for g in ours)

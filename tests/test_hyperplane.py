@@ -101,7 +101,7 @@ def test_domain_agrees_with_per_root_splitting_oracle(rng):
         F = MultiPoly.zero(QQ, XZT)
         for _ in range(rng.randint(1, 3)):
             e = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))
-            F = F + MultiPoly(QQ, XZT, {e: QQ.from_int(rng.choice([-2, -1, 1, 2]))})
+            F = F + MultiPoly.from_terms(QQ, XZT, [(e, QQ.from_int(rng.choice([-2, -1, 1, 2])))])
         if rng.random() < 0.3:
             F = F * a.with_vars(XZT)  # force a common factor sometimes
         if F.is_zero():
