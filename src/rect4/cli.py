@@ -93,32 +93,39 @@ def certificate_to_json(cert, f):
     }
 
 
+def _key(doc, key, what):
+    """``doc[key]``; a missing key is a CliError naming it."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise CliError(f"missing key {key!r} in {what}") from None
+
+
 def certificate_from_json(doc):
-    field = parse_field_spec(doc["field"])
-    vars = tuple(doc["variables"])
+    field = parse_field_spec(_key(doc, "field", "certificate"))
+    vars = tuple(_key(doc, "variables", "certificate"))
     steps = []
-    for s in doc["steps"]:
-        if s["kind"] == "linear":
+    for s in _key(doc, "steps", "certificate"):
+        if _key(s, "kind", "certificate step") == "linear":
             mat = tuple(
                 tuple(
                     parse_polynomial(entry, field, vars).constant_value()
                     for entry in row
                 )
-                for row in s["matrix"]
+                for row in _key(s, "matrix", "certificate step")
             )
             tr = tuple(
                 parse_polynomial(entry, field, vars).constant_value()
-                for entry in s["translation"]
+                for entry in _key(s, "translation", "certificate step")
             )
             steps.append(TameStep("linear", field, matrix=mat, translation=tr))
         else:
-            shift = parse_polynomial(s["shift"], field, vars)
-            steps.append(
-                TameStep("elementary", field, target=s["target"], shift=shift)
-            )
+            shift = parse_polynomial(_key(s, "shift", "certificate step"), field, vars)
+            target = _key(s, "target", "certificate step")
+            steps.append(TameStep("elementary", field, target=target, shift=shift))
     cert = CoordinateCertificate(field, vars, steps)
-    cert.complement = parse_polynomial(doc["complement"], field, vars)
-    f = parse_polynomial(doc["f"], field, vars)
+    cert.complement = parse_polynomial(_key(doc, "complement", "certificate"), field, vars)
+    f = parse_polynomial(_key(doc, "f", "certificate"), field, vars)
     return cert, f
 
 
@@ -339,10 +346,11 @@ def _cmd_verify(args):
     if args.claim_file:
         with open(args.claim_file) as fh:
             claim_doc = json.load(fh)
-        field = parse_field_spec(claim_doc["field"])
-        variables = tuple(claim_doc["variables"])
+        field = parse_field_spec(_key(claim_doc, "field", "claim document"))
+        variables = tuple(_key(claim_doc, "variables", "claim document"))
         polys = [
-            parse_polynomial(p, field, variables) for p in claim_doc["claims"]
+            parse_polynomial(p, field, variables)
+            for p in _key(claim_doc, "claims", "claim document")
         ]
     else:
         if not args.field or not args.vars or not args.polys:
@@ -532,7 +540,6 @@ def main(argv=None):
         FiltrationError,
         VerifierError,
         OSError,
-        KeyError,
         json.JSONDecodeError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -528,6 +528,11 @@ class ExtensionField(Field):
         self.minpoly = tuple(minpoly)
         self.deg = len(minpoly) - 1
         self.gen = gen
+        # -minpoly[i] for its nonzero coefficients below the (monic) top
+        self._neg_tail = tuple(
+            (i, base.raw_neg(m)) for i, m in enumerate(self.minpoly[:-1])
+            if not base.raw_is_zero(m)
+        )
 
     def characteristic(self):
         return self.base.characteristic()
@@ -539,8 +544,21 @@ class ExtensionField(Field):
         return tuple(out)
 
     def _reduce(self, coeffs):
-        _, r = dense.divmod(self.base, dense.trim(self.base, coeffs), self.minpoly)
-        return self._pad(r)
+        """Remainder of sum coeffs[k]*g^k modulo the monic minimal polynomial,
+        padded: each nonzero coefficient above degree deg, from the top down,
+        is folded into the deg coefficients below it."""
+        base = self.base
+        rem = list(coeffs)
+        n = self.deg
+        radd, rmul, is_zero = base.raw_add, base.raw_mul, base.raw_is_zero
+        tail = self._neg_tail
+        for k in range(len(rem) - 1, n - 1, -1):
+            c = rem[k]
+            if is_zero(c):
+                continue
+            for i, m in tail:
+                rem[k - n + i] = radd(rem[k - n + i], rmul(c, m))
+        return self._pad(rem)
 
     def generator(self):
         coeffs = [self.base.raw_zero()] * self.deg
@@ -585,7 +603,15 @@ class ExtensionField(Field):
         return tuple(self.base.raw_neg(x) for x in a)
 
     def raw_mul(self, a, b):
-        prod = dense.mul(self.base, dense.trim(self.base, a), dense.trim(self.base, b))
+        base = self.base
+        radd, rmul, is_zero = base.raw_add, base.raw_mul, base.raw_is_zero
+        prod = [base.raw_zero()] * (2 * self.deg - 1)
+        b_nonzero = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
+        for i, x in enumerate(a):
+            if is_zero(x):
+                continue
+            for j, y in b_nonzero:
+                prod[i + j] = radd(prod[i + j], rmul(x, y))
         return self._reduce(prod)
 
     def raw_inv(self, a):

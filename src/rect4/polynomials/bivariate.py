@@ -1,14 +1,25 @@
 """Bivariate irreducibility testing.
 
 Over the rationals and prime fields the test is exhaustive Kronecker
-substitution: factor the univariate image and try to un-map every sub-product
-as a genuine bivariate divisor.  Over a quadratic or cubic number field the
-question is reduced to the rationals through the norm (a resultant against the
-minimal polynomial); beyond the configured bounds the answer is Unknown, never
-a guess.
+substitution: factor the univariate image f(Z, Z^e) once and try to un-map
+its sub-products, smallest first, as genuine bivariate divisors.
+
+Over a quadratic or cubic number field K = Q(g) the question is reduced to
+the rationals through the norm N = Res_g(minpoly, f_c) of a shift
+f_c = f(Z + c*g, T), with c tried in the order 0, 1, -1, 2, -2, 3, -3 until N
+is squarefree (Trager).  A shift whose coefficients all lie in Q has norm
+f_c^[K:Q] and is skipped.  One factorization of the image of N serves twice:
+it certifies N squarefree and is recombined into N's irreducible factors.  The
+certificate: write N = Z^a*T^b*M with M free of monomial factors; a repeated
+factor of M is not a monomial, so neither is its image, and its square would
+show in the image factorization.  Hence a, b <= 1 and simple image factors
+apart from Z prove N squarefree; without that proof the exact gcd test
+decides.  Beyond the configured bounds the answer is Unknown, never a guess.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from ..fields import Embedding, ExtensionField, PrimeField, RationalField
 from .factor import FactorizationError, univariate_factor
@@ -144,64 +155,82 @@ def _kronecker_unmap(g, zvar, tvar, e):
     return MultiPoly(g.field, g.vars, terms)
 
 
-def _sub_multisets(items):
-    """Proper nonempty sub-multisets, by increasing size, no duplicates."""
-    import itertools
+def _kronecker_image(f, zvar, tvar):
+    """(zvar, tvar, e, factorization of f(Z, Z^e)).
 
-    seen = set()
-    for size in range(1, len(items)):
-        for combo in itertools.combinations(range(len(items)), size):
-            key = tuple(sorted(str(items[i]) for i in combo))
-            if key in seen:
-                continue
-            seen.add(key)
-            yield [items[i] for i in combo]
-
-
-def _kronecker_test(f, zvar, tvar):
+    The returned ``zvar`` is the variable of lower degree in f (the first one
+    on a tie) and e is one more than that degree, so the map is injective on
+    the monomials of every divisor of f.
+    """
     if f.degree_in(zvar) > f.degree_in(tvar):
         zvar, tvar = tvar, zvar
     e = f.degree_in(zvar) + 1
-    fhat = _kronecker_map(f, zvar, tvar, e)
-    fact = univariate_factor(fhat, var=zvar)
-    items = []
-    for g, m in fact.factors:
-        if g.total_degree() >= 1:
-            items.extend([g] * m)
-    if len(items) == 1:
-        return IrreducibilityResult("irreducible")
-    for subset in _sub_multisets(items):
-        cand = subset[0]
-        for g in subset[1:]:
-            cand = cand * g
+    return zvar, tvar, e, univariate_factor(_kronecker_map(f, zvar, tvar, e), var=zvar)
+
+
+def _recombine(f, image, limit=None):
+    """Irreducible factors of f, with repetition, from one factorization of
+    its Kronecker image: the factors multiply to f.
+
+    Sub-multisets of the image factors are tried by increasing size, in
+    combination order; each one whose un-mapped product divides the cofactor
+    is split off and its image factors are removed, as in Zassenhaus
+    recombination.  A divisor found at the smallest size is irreducible, and
+    once 2*size exceeds the image factors left the cofactor is irreducible
+    too.  With ``limit`` the search stops after that many divisors, so
+    ``limit=1`` yields f's first irreducible divisor and its cofactor.
+    """
+    zvar, tvar, e, fact = image
+    items = [(i, g) for i, (g, m) in enumerate(fact.factors) for _ in range(m)]
+    found = []
+    size = 1
+    while 2 * size <= len(items) and len(found) != limit:
+        split = _split_off(f, items, size, zvar, tvar, e)
+        if split is None:
+            size += 1
+            continue
+        cand, f, used = split
+        found.append(cand)
+        items = [item for k, item in enumerate(items) if k not in used]
+    return found + [f]
+
+
+def _split_off(f, items, size, zvar, tvar, e):
+    """(divisor, cofactor, used item positions) for the first size-element
+    sub-multiset of ``items`` whose un-mapped product divides f, or None."""
+    dz, dt = f.degree_in(zvar), f.degree_in(tvar)
+    seen = set()
+    for combo in itertools.combinations(range(len(items)), size):
+        key = tuple(items[k][0] for k in combo)
+        if key in seen:
+            continue
+        seen.add(key)
+        cand = items[combo[0]][1]
+        for k in combo[1:]:
+            cand = cand * items[k][1]
         cand = _kronecker_unmap(cand, zvar, tvar, e)
-        if cand.is_constant():
+        if cand.degree_in(zvar) > dz or cand.degree_in(tvar) > dt:
             continue
         try:
             quo = exact_divide(f, cand)
         except PolynomialError:
             continue
-        if not quo.is_constant():
-            return IrreducibilityResult("reducible", witness=cand)
-    return IrreducibilityResult("irreducible")
+        return cand, quo, set(combo)
+    return None
+
+
+def _kronecker_test(f, zvar, tvar):
+    factors = _recombine(f, _kronecker_image(f, zvar, tvar), limit=1)
+    if len(factors) == 1:
+        return IrreducibilityResult("irreducible")
+    return IrreducibilityResult("reducible", witness=factors[0])
 
 
 def kronecker_factor(f, zvar, tvar):
-    """Irreducible factorization (list of factors, with repetition) over Q or
-    F_p by repeated Kronecker splitting.  Exponential worst case; intended for
-    small inputs."""
-    res = _kronecker_test(f, zvar, tvar) if (
-        f.degree_in(zvar) > 0 and f.degree_in(tvar) > 0
-    ) else _univariate_case(f, zvar if f.degree_in(zvar) > 0 else tvar)
-    if res.is_irreducible:
-        return [f]
-    if res.is_unknown:
-        raise PolynomialError("factorization failed")
-    witness = res.witness
-    rest = exact_divide(f, witness)
-    return kronecker_factor(witness, zvar, tvar) + kronecker_factor(
-        rest, zvar, tvar
-    )
+    """Irreducible factorization (list of factors, with repetition, whose
+    product is f) of a nonconstant f over Q or F_p, from one factorization of
+    its Kronecker image.  Exponential worst case; intended for small inputs."""
+    return _recombine(f, _kronecker_image(f, zvar, tvar))
 
 
 # ---------------------------------------------------------------------------
@@ -325,46 +354,48 @@ def _poly_det(mat, field, vars):
     return det
 
 
-def _norm_test(f, zvar, tvar):
-    field = f.field
-    base = field.base
-    emb = Embedding(base, field)
-    gen = field.generator()
+_SHIFTS = (0, 1, -1, 2, -2, 3, -3)
 
-    # reducibility via repeated factors is cheap to check first
-    for v in (zvar, tvar):
-        d = f.partial_derivative(v)
-        if d.is_zero():
-            continue
-        g = bivariate_gcd(f, d, v, tvar if v == zvar else zvar)
-        if not g.is_constant() and g.total_degree() < f.total_degree():
-            if divides(g, f):
-                return IrreducibilityResult("reducible", witness=g)
+
+def _norm_test(f, zvar, tvar):
+    # c runs through _SHIFTS in order until N(f_c) is squarefree; a shift with
+    # base-field coefficients has norm f_c^[K:Q] and is skipped.  Squarefree
+    # certificate: a repeated non-monomial factor of N = Z^a*T^b*M shows squared
+    # in the factorization of N(Z, Z^e), so a, b <= 1 and simple image factors
+    # other than Z prove N squarefree.  A squarefree N(f_c) makes f squarefree,
+    # so the repeated-factor gcds of f run only before an unknown verdict.
+    field = f.field
+    emb = Embedding(field.base, field)
+    gen = field.generator()
 
     z = MultiPoly.variable(field, f.vars, zvar)
     gen_const = MultiPoly.constant(field, f.vars, gen)
-    for c in (0, 1, -1, 2, -2, 3, -3):
+    for c in _SHIFTS:
         shifted = f.substitute({zvar: z + gen_const.scale(field.from_int(c))}) if c else f
+        if _in_base_field(shifted):
+            if field.deg * shifted.total_degree() > _NORM_DEGREE_CAP:
+                return _unknown(f, zvar, tvar, "norm degree exceeds the internal cap")
+            continue
         norm = _resultant_in_generator(shifted, field)
         if norm.is_zero():
             continue
         if norm.total_degree() > _NORM_DEGREE_CAP:
-            return IrreducibilityResult(
-                "unknown", reason="norm degree exceeds the internal cap"
-            )
-        if not _is_squarefree_bivariate(norm, zvar, tvar):
-            continue
+            return _unknown(f, zvar, tvar, "norm degree exceeds the internal cap")
         d1 = min(norm.degree_in(zvar), norm.degree_in(tvar))
         d2 = max(norm.degree_in(zvar), norm.degree_in(tvar))
         if d1 + (d1 + 1) * d2 > _NORM_KRONECKER_CAP:
-            return IrreducibilityResult(
-                "unknown", reason="norm too large for Kronecker factorization"
+            if not _is_squarefree_bivariate(norm, zvar, tvar):
+                continue
+            return _unknown(
+                f, zvar, tvar, "norm too large for Kronecker factorization"
             )
-        try:
-            factors = kronecker_factor(norm, zvar, tvar)
-        except PolynomialError:
-            return IrreducibilityResult("unknown", reason="norm factorization failed")
-        factors = [g for g in factors if not g.is_constant()]
+        image = _kronecker_image(norm, zvar, tvar)
+        if not (
+            _image_certifies_squarefree(norm, image)
+            or _is_squarefree_bivariate(norm, zvar, tvar)
+        ):
+            continue
+        factors = _recombine(norm, image)
         for p in factors:
             p_up = p.map_coefficients(emb, field)
             if divides(shifted, p_up):
@@ -379,18 +410,45 @@ def _norm_test(f, zvar, tvar):
                 ) if c else w
                 if divides(unshift, f):
                     return IrreducibilityResult("reducible", witness=unshift)
-        return IrreducibilityResult(
-            "unknown", reason="norm split found but no verified witness"
-        )
-    return IrreducibilityResult("unknown", reason="no squarefree norm shift found")
+        return _unknown(f, zvar, tvar, "norm split found but no verified witness")
+    return _unknown(f, zvar, tvar, "no squarefree norm shift found")
+
+
+def _in_base_field(f):
+    """True when every coefficient of f (over an extension) lies in the base."""
+    is_zero = f.field.base.raw_is_zero
+    return all(is_zero(x) for c in f.terms.values() for x in c[1:])
+
+
+def _image_certifies_squarefree(norm, image):
+    """True when the Kronecker image factorization proves ``norm`` squarefree:
+    its monomial content Z^a*T^b has a, b <= 1 and every image factor other
+    than the variable is simple.  False means undecided, not repeated."""
+    zvar, tvar, _, fact = image
+    iz, it = norm.vars.index(zvar), norm.vars.index(tvar)
+    if min(exp[iz] for exp in norm.terms) > 1 or min(exp[it] for exp in norm.terms) > 1:
+        return False
+    return all(m == 1 for g, m in fact.factors if len(g.terms) > 1)
+
+
+def _unknown(f, zvar, tvar, reason):
+    """An unknown verdict, or reducible when f has a repeated factor."""
+    for g in _derivative_gcds(f, zvar, tvar):
+        if g.total_degree() < f.total_degree() and divides(g, f):
+            return IrreducibilityResult("reducible", witness=g)
+    return IrreducibilityResult("unknown", reason=reason)
 
 
 def _is_squarefree_bivariate(f, zvar, tvar):
+    return next(_derivative_gcds(f, zvar, tvar), None) is None
+
+
+def _derivative_gcds(f, zvar, tvar):
+    """The nonconstant gcds of f with its nonzero partial derivatives."""
     for v, other in ((zvar, tvar), (tvar, zvar)):
         d = f.partial_derivative(v)
         if d.is_zero():
             continue
         g = bivariate_gcd(f, d, v, other)
         if not g.is_constant():
-            return False
-    return True
+            yield g

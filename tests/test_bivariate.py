@@ -1,13 +1,16 @@
 import random
 
 import pytest
+import sympy
 
-from rect4.fields import GF, QQ, extend, rational_function_field
+from rect4.fields import GF, QQ, ExtensionField, PrimeField, extend, rational_function_field
 from rect4.polynomials import (
     MultiPoly,
+    bivariate,
     bivariate_gcd,
     bivariate_irreducible,
     divides,
+    kronecker_factor,
 )
 
 from conftest import random_poly, zt_vars
@@ -108,3 +111,230 @@ def test_bivariate_gcd():
     d = bivariate_gcd(f, g, "T", "Z")
     assert divides(d, f) and divides(d, g)
     assert d.total_degree() == 1
+
+
+# -- differential tests against sympy -----------------------------------------------------------
+#
+# sympy factors over Q and over number fields given by ``extension=``; it has
+# no multivariate factorization over finite fields, so there the test builds
+# products of factors it can certify irreducible itself.
+
+SZ, ST = sympy.symbols("Z T")
+
+NUMBER_FIELDS = [
+    (extend(QQ, [1, 0, 1], "i"), sympy.I, {"gaussian": True}),
+    (extend(QQ, [-2, 0, 1], "r"), sympy.sqrt(2), {"extension": sympy.sqrt(2)}),
+    (extend(QQ, [-2, 0, 0, 1], "c"), sympy.root(2, 3), {"extension": sympy.root(2, 3)}),
+]
+NF_IDS = [str(K) for K, _, _ in NUMBER_FIELDS]
+
+
+def to_sympy(f, alpha=None):
+    def coeff(c):
+        if isinstance(f.field, ExtensionField):
+            return sum(sympy.Rational(x.numerator, x.denominator) * alpha**j for j, x in enumerate(c))
+        if isinstance(f.field, PrimeField):
+            return sympy.Integer(c)
+        return sympy.Rational(c.numerator, c.denominator)
+
+    gens = dict(zip(f.vars, (SZ, ST)))
+    return sympy.Add(*(
+        coeff(c) * sympy.Mul(*(gens[v] ** k for v, k in zip(f.vars, exp)))
+        for exp, c in f.terms.items()
+    ))
+
+
+def sympy_irreducible(f, alpha, opts):
+    _, factors = sympy.factor_list(to_sympy(f, alpha), SZ, ST, **opts)
+    nonconstant = [(g, m) for g, m in factors if g.has(SZ, ST)]
+    return len(nonconstant) == 1 and nonconstant[0][1] == 1
+
+
+def random_nf_poly(K, rng, max_deg, n_terms):
+    """Random f in K[Z, T]; about half the coefficients involve the generator."""
+    gen = K.generator()
+    pairs = []
+    for _ in range(n_terms):
+        e = (rng.randint(0, max_deg), rng.randint(0, max_deg))
+        if sum(e) > max_deg:
+            continue
+        c = K.from_int(rng.choice((-2, -1, 1, 2)))
+        if rng.random() < 0.5:
+            c = c + K.from_int(rng.choice((-1, 1))) * gen
+        pairs.append((e, c))
+    return MultiPoly.from_terms(K, ZT, pairs)
+
+
+def assert_agrees_with_sympy(f, alpha, opts):
+    res = bivariate_irreducible(f, "Z", "T")
+    if res.is_unknown:
+        return False
+    assert res.is_irreducible == sympy_irreducible(f, alpha, opts), str(f)
+    if res.is_reducible:
+        assert not res.witness.is_constant() and divides(res.witness, f), str(f)
+    return True
+
+
+@pytest.mark.parametrize("K, alpha, opts", NUMBER_FIELDS, ids=NF_IDS)
+def test_number_field_irreducibility_matches_sympy(K, alpha, opts):
+    rng = random.Random(20240901 + K.deg)
+    cap = 5 if K.deg == 3 else 6  # keeps deg * total degree within the norm cap
+    def bivariate_poly(max_deg, n_terms):
+        # both variables and a constant term, so the norm test sees it
+        while True:
+            f = random_nf_poly(K, rng, max_deg, n_terms)
+            if f.degree_in("Z") > 0 and f.degree_in("T") > 0 and (0, 0) in f.terms:
+                return f
+
+    polys = []
+    while len(polys) < 12:
+        if len(polys) % 2:
+            f = bivariate_poly(3, 4)
+        else:  # a product of two factors in both variables
+            f = bivariate_poly(2, 3) * bivariate_poly(2, 3)
+        if f.total_degree() <= cap:
+            polys.append(f)
+    decided = sum(assert_agrees_with_sympy(f, alpha, opts) for f in polys)
+    assert decided >= 9
+
+
+@pytest.mark.parametrize("K, alpha, opts", NUMBER_FIELDS, ids=NF_IDS)
+def test_base_field_coefficients_skip_shift_zero(K, alpha, opts, monkeypatch):
+    # over the base field the norm at shift 0 is f^deg, never squarefree, so
+    # no resultant is taken for it
+    seen = []
+    resultant = bivariate._resultant_in_generator
+
+    def recording(f, field):
+        seen.append(f)
+        return resultant(f, field)
+
+    monkeypatch.setattr(bivariate, "_resultant_in_generator", recording)
+    Z, T = MultiPoly.variable(K, ZT, "Z"), MultiPoly.variable(K, ZT, "T")
+    two = MultiPoly.constant(K, ZT, K.from_int(2))
+    for f in (Z * Z + T**3 + 1, Z * Z - two * T * T, Z * Z + T * T, Z**3 - two * T**3 + Z * T):
+        seen.clear()
+        assert assert_agrees_with_sympy(f, alpha, opts)
+        assert seen and all(g != f for g in seen), str(f)
+
+
+def test_base_field_coefficients_past_the_norm_cap_are_unknown(monkeypatch):
+    # deg 3 * total degree 6 exceeds the norm degree cap at the skipped shift
+    K = NUMBER_FIELDS[2][0]
+    monkeypatch.setattr(bivariate, "_resultant_in_generator", None)
+    Z, T = MultiPoly.variable(K, ZT, "Z"), MultiPoly.variable(K, ZT, "T")
+    res = bivariate_irreducible(Z**6 + T**5 + 1, "Z", "T")
+    assert res.is_unknown
+    assert res.reason == "norm degree exceeds the internal cap"
+
+
+@pytest.mark.parametrize("K, alpha, opts", NUMBER_FIELDS, ids=NF_IDS)
+def test_non_squarefree_input_is_reducible(K, alpha, opts):
+    Z, T = MultiPoly.variable(K, ZT, "Z"), MultiPoly.variable(K, ZT, "T")
+    g = MultiPoly.constant(K, ZT, K.generator())
+    one = MultiPoly.one(K, ZT)
+    for f in ((Z + g * T + one) ** 2 * (Z - T), (Z * Z + g * T) ** 2, (Z * T + g) ** 2 * (Z + T * T + one)):
+        assert not sympy_irreducible(f, alpha, opts)
+        res = bivariate_irreducible(f, "Z", "T")
+        assert res.is_reducible, str(f)
+        assert not res.witness.is_constant() and divides(res.witness, f)
+
+
+def test_image_squarefree_certificate():
+    Z, T = zt_vars(QQ)
+    m = Z * Z + T**3 + Z * T + 1  # irreducible, no monomial factor
+    for n, certified in (
+        (m, True),
+        (Z * m, True),
+        (Z * T * m, True),
+        (Z * Z * m, False),  # monomial content Z^2: only the variable repeats in the image
+        (T * T * m, False),
+        (m * m, False),
+        (m * (Z + T + 1) ** 2, False),
+    ):
+        image = bivariate._kronecker_image(n, "Z", "T")
+        assert bivariate._image_certifies_squarefree(n, image) == certified, str(n)
+        _, sqf = sympy.sqf_list(to_sympy(n), SZ, ST)
+        assert all(k == 1 for _, k in sqf) == certified, str(n)
+    rng = random.Random(5)
+    for _ in range(40):
+        n = random_poly(QQ, ZT, rng, max_deg=3, n_terms=4) * random_poly(QQ, ZT, rng, max_deg=2, n_terms=3)
+        if n.is_constant():
+            continue
+        if bivariate._image_certifies_squarefree(n, bivariate._kronecker_image(n, "Z", "T")):
+            _, sqf = sympy.sqf_list(to_sympy(n), SZ, ST)
+            assert all(k == 1 for _, k in sqf), str(n)
+
+
+def monic_sympy(expr, field):
+    if isinstance(field, PrimeField):
+        return sympy.Poly(expr, SZ, ST, modulus=field.p).monic().as_expr()
+    return sympy.Poly(expr, SZ, ST, domain="QQ").monic().as_expr()
+
+
+def assert_kronecker_factorization(f, expected):
+    """kronecker_factor(f) multiplies back to f up to a unit and equals the
+    irreducible factors ``expected`` (sympy expressions, with repetition) up to
+    units."""
+    factors = kronecker_factor(f, "Z", "T")
+    product = MultiPoly.one(f.field, ZT)
+    for g in factors:
+        product = product * g
+    unit = product.scale(f.leading_term()[1] / product.leading_term()[1])
+    assert unit == f
+    got = sorted(str(monic_sympy(to_sympy(g), f.field)) for g in factors)
+    assert got == sorted(str(monic_sympy(e, f.field)) for e in expected), str(f)
+
+
+def test_kronecker_factor_matches_sympy_over_q():
+    rng = random.Random(31)
+    done = 0
+    while done < 30:
+        parts = [random_poly(QQ, ZT, rng, max_deg=2, n_terms=3) for _ in range(rng.randint(1, 3))]
+        if any(p.is_constant() for p in parts):
+            continue
+        f = parts[0] * parts[-1]  # the first part repeats when there is more than one
+        for p in parts[1:-1]:
+            f = f * p
+        if f.total_degree() > 8:
+            continue
+        _, sym = sympy.factor_list(to_sympy(f), SZ, ST)
+        expected = [g for g, m in sym for _ in range(m) if g.has(SZ, ST)]
+        assert all(sympy.Poly(g, SZ, ST, domain="QQ").is_irreducible for g in expected)
+        assert_kronecker_factorization(f, expected)
+        done += 1
+
+
+def _irreducible_seed(field, rng):
+    """A random factor that is irreducible over F_p by construction: degree 1
+    in one variable with coefficients coprime in the other (Gauss's lemma),
+    or univariate and irreducible according to sympy."""
+    p = field.p
+    while True:
+        main, other = rng.choice(((SZ, ST), (ST, SZ)))
+        a = sympy.Poly([rng.randrange(p) for _ in range(3)], other, modulus=p)
+        b = sympy.Poly([rng.randrange(p) for _ in range(3)], other, modulus=p)
+        if rng.random() < 0.2:
+            u = sympy.Poly([1] + [rng.randrange(p) for _ in range(rng.randint(1, 3))], main, modulus=p)
+            if u.is_irreducible:
+                return u.as_expr()
+        elif not a.is_zero and not b.is_zero and a.gcd(b).degree() == 0:
+            return (a.as_expr() * main + b.as_expr()).expand()
+
+
+def _from_sympy(expr, field):
+    poly = sympy.Poly(expr, SZ, ST)
+    return MultiPoly.from_terms(field, ZT, [(e, int(c) % field.p) for e, c in poly.terms()])
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_kronecker_factor_over_prime_fields(p):
+    field = GF(p)
+    rng = random.Random(100 + p)
+    for _ in range(25):
+        seeds = [_irreducible_seed(field, rng) for _ in range(rng.randint(1, 3))]
+        expected = seeds + seeds[:1] * rng.randint(0, 2)  # a repeated factor
+        f = MultiPoly.one(field, ZT)
+        for e in expected:
+            f = f * _from_sympy(e, field)
+        assert_kronecker_factorization(f, expected)

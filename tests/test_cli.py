@@ -226,6 +226,35 @@ def test_verify_claim_file(capsys, schema):
     assert set(doc["inverses"]) == {"X", "Y", "Z", "T"}
 
 
+def test_verify_claim_file_missing_key(capsys, tmp_path):
+    claim = json.loads((CORPUS / "claims" / "insep_binomial_quadric_claim.json").read_text())
+    del claim["field"]
+    path = tmp_path / "claim.json"
+    path.write_text(json.dumps(claim))
+    assert cli.main(["verify", "--claim-file", str(path)]) == 3
+    assert capsys.readouterr().err == "error: missing key 'field' in claim document\n"
+
+
+def test_verify_certificate_missing_step_key(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    assert run(capsys, ["vartest", "Z+(T+Z^2)^3", "Q", "--cert-out", str(cert_path)])[0] == 0
+    cert = json.loads(cert_path.read_text())
+    del cert["steps"][0]["kind"]
+    cert_path.write_text(json.dumps(cert))
+    assert cli.main(["verify", "--cert", str(cert_path)]) == 3
+    assert capsys.readouterr().err == "error: missing key 'kind' in certificate step\n"
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    def broken(doc):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "replay_certificate", broken)
+    cert = CORPUS / "claims" / "insep_binomial_quadric_claim.json"
+    with pytest.raises(KeyError):
+        cli.main(["verify", "--cert", str(cert)])
+
+
 def test_verify_positional_claim(capsys):
     code, doc = run_json(
         capsys,
