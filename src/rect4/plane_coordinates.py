@@ -221,19 +221,14 @@ def _power_of_linear_univariate(coeffs, field):
     # psi has degree Dprime with p not dividing Dprime
     denom = field.from_int(Dprime) * lc
     rho = -psi[-2] / denom if Dprime >= 1 else field.zero()
-    # verify psi == lc * (v - rho)^Dprime
-    power = [field.one()]
-    for _ in range(Dprime):
-        nxt = [field.zero()] * (len(power) + 1)
-        for k, a in enumerate(power):
-            nxt[k] = nxt[k] - a * rho
-            nxt[k + 1] = nxt[k + 1] + a
-        power = nxt
-    if len(power) != len(psi):
-        return None
-    for a, b in zip(power, psi):
-        if a * lc != b:
+    # verify psi[k] == lc * C(Dprime, k) * (-rho)^(Dprime - k), from the top
+    # down, so a mismatch returns after O(Dprime - k) steps
+    binom, power = 1, lc
+    for k in range(Dprime, -1, -1):
+        if psi[k] != power * field.from_int(binom):
             return None
+        binom = binom * k // (Dprime - k + 1)
+        power = power * -rho
     while e > 0:
         r = field.pth_root(rho)
         if r is None:

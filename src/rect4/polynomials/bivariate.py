@@ -1,6 +1,19 @@
 """Bivariate irreducibility testing.
 
-Over the rationals and prime fields the test is exhaustive Kronecker
+Two certificates run before the complete procedures; f has its content
+removed in both directions by then, so it is primitive both ways.
+
+* Linear in one variable (every field): if deg_Z f = 1 or deg_T f = 1, f is
+  irreducible, since a split leaves one factor of degree 0 in that variable,
+  and that factor divides the content, which is 1.
+* Hilbert specialization (K = Q(g) only): if f(Z, t0) keeps the Z-degree of
+  f and is irreducible in K[Z], then so is f, since a split of f keeps both
+  Z-degrees at t0.  f(Z, t0) is irreducible over K when its norm
+  Res_g(minpoly, f(Z + c*g, t0)) is irreducible over Q, since a factor over K
+  would give a factor of the norm.  Both variable roles, t0 in 0, 1, -1, 2, -2
+  and c in 0, 1, -1 are tried.
+
+Over the rationals and prime fields the complete test is exhaustive Kronecker
 substitution: factor the univariate image f(Z, Z^e) once and try to un-map
 its sub-products, smallest first, as genuine bivariate divisors.
 
@@ -88,6 +101,8 @@ def bivariate_irreducible(f, zvar, tvar, bound=DEFAULT_DEGREE_BOUND):
     dz, dt = f.degree_in(zvar), f.degree_in(tvar)
     if dz == 0 or dt == 0:
         return _univariate_case(f, zvar if dz > 0 else tvar)
+    if dz == 1 or dt == 1:
+        return IrreducibilityResult("irreducible")
 
     field = f.field
     if isinstance(field, (RationalField, PrimeField)):
@@ -103,6 +118,8 @@ def bivariate_irreducible(f, zvar, tvar, bound=DEFAULT_DEGREE_BOUND):
                 reason="number-field reduction limited to degree <= 3 "
                 "extensions and total degree <= 8",
             )
+        if _specialization_certifies(f, zvar, tvar):
+            return IrreducibilityResult("irreducible")
         return _norm_test(f, zvar, tvar)
     return IrreducibilityResult(
         "unknown", reason=f"no decision procedure over {field}"
@@ -354,6 +371,44 @@ def _poly_det(mat, field, vars):
     return det
 
 
+_SPECIALIZATIONS = (0, 1, -1, 2, -2)
+_SPECIALIZATION_SHIFTS = (0, 1, -1)
+
+
+def _specialization_certifies(f, zvar, tvar):
+    """True when a univariate norm of some f(main, t0) proves f irreducible
+    over K = Q(g); False means undecided.  f must be primitive both ways.
+
+    A t0 at which the leading coefficient in ``main`` vanishes is skipped, and
+    so is one where f(main, t0) has a repeated factor.  A squarefree norm that
+    splits proves f(main, t0) reducible (Trager), so the remaining shifts of
+    that t0 are not tried.
+    """
+    field = f.field
+    gen = MultiPoly.constant(field, f.vars, field.generator())
+    for main, other in ((zvar, tvar), (tvar, zvar)):
+        x = MultiPoly.variable(field, f.vars, main)
+        for t0 in _SPECIALIZATIONS:
+            g = f.substitute({other: MultiPoly.constant(field, f.vars, t0)})
+            if g.degree_in(main) < f.degree_in(main):
+                continue
+            if not univariate_gcd(g, g.partial_derivative(main), main).is_constant():
+                continue
+            for c in _SPECIALIZATION_SHIFTS:
+                shifted = (g.substitute({main: x + gen.scale(field.from_int(c))}) if c else g).monic()
+                if _in_base_field(shifted):
+                    continue
+                try:
+                    fact = univariate_factor(_resultant_in_generator(shifted, field), var=main)
+                except FactorizationError:
+                    continue
+                if len(fact.factors) == 1 and fact.factors[0][1] == 1:
+                    return True
+                if all(m == 1 for _, m in fact.factors):
+                    break
+    return False
+
+
 _SHIFTS = (0, 1, -1, 2, -2, 3, -3)
 
 
@@ -363,38 +418,45 @@ def _norm_test(f, zvar, tvar):
     # certificate: a repeated non-monomial factor of N = Z^a*T^b*M shows squared
     # in the factorization of N(Z, Z^e), so a, b <= 1 and simple image factors
     # other than Z prove N squarefree.  A squarefree N(f_c) makes f squarefree,
-    # so the repeated-factor gcds of f run only before an unknown verdict.
+    # so the repeated-factor gcds of f run once, at the first norm that is not
+    # squarefree, or before an unknown verdict when none has been seen.
     field = f.field
     emb = Embedding(field.base, field)
     gen = field.generator()
 
     z = MultiPoly.variable(field, f.vars, zvar)
     gen_const = MultiPoly.constant(field, f.vars, gen)
+    checked = False  # whether the repeated-factor gcds of f have run
     for c in _SHIFTS:
         shifted = f.substitute({zvar: z + gen_const.scale(field.from_int(c))}) if c else f
         if _in_base_field(shifted):
             if field.deg * shifted.total_degree() > _NORM_DEGREE_CAP:
-                return _unknown(f, zvar, tvar, "norm degree exceeds the internal cap")
+                return _unknown(f, zvar, tvar, "norm degree exceeds the internal cap", checked)
             continue
         norm = _resultant_in_generator(shifted, field)
         if norm.is_zero():
             continue
         if norm.total_degree() > _NORM_DEGREE_CAP:
-            return _unknown(f, zvar, tvar, "norm degree exceeds the internal cap")
+            return _unknown(f, zvar, tvar, "norm degree exceeds the internal cap", checked)
         d1 = min(norm.degree_in(zvar), norm.degree_in(tvar))
         d2 = max(norm.degree_in(zvar), norm.degree_in(tvar))
-        if d1 + (d1 + 1) * d2 > _NORM_KRONECKER_CAP:
-            if not _is_squarefree_bivariate(norm, zvar, tvar):
-                continue
-            return _unknown(
-                f, zvar, tvar, "norm too large for Kronecker factorization"
-            )
-        image = _kronecker_image(norm, zvar, tvar)
+        image = None
+        if d1 + (d1 + 1) * d2 <= _NORM_KRONECKER_CAP:
+            image = _kronecker_image(norm, zvar, tvar)
         if not (
-            _image_certifies_squarefree(norm, image)
+            image is not None and _image_certifies_squarefree(norm, image)
             or _is_squarefree_bivariate(norm, zvar, tvar)
         ):
+            if not checked:
+                checked = True
+                witness = _repeated_factor(f, zvar, tvar)
+                if witness is not None:
+                    return IrreducibilityResult("reducible", witness=witness)
             continue
+        if image is None:
+            return _unknown(
+                f, zvar, tvar, "norm too large for Kronecker factorization", checked
+            )
         factors = _recombine(norm, image)
         for p in factors:
             p_up = p.map_coefficients(emb, field)
@@ -410,8 +472,8 @@ def _norm_test(f, zvar, tvar):
                 ) if c else w
                 if divides(unshift, f):
                     return IrreducibilityResult("reducible", witness=unshift)
-        return _unknown(f, zvar, tvar, "norm split found but no verified witness")
-    return _unknown(f, zvar, tvar, "no squarefree norm shift found")
+        return _unknown(f, zvar, tvar, "norm split found but no verified witness", checked)
+    return _unknown(f, zvar, tvar, "no squarefree norm shift found", checked)
 
 
 def _in_base_field(f):
@@ -431,12 +493,21 @@ def _image_certifies_squarefree(norm, image):
     return all(m == 1 for g, m in fact.factors if len(g.terms) > 1)
 
 
-def _unknown(f, zvar, tvar, reason):
-    """An unknown verdict, or reducible when f has a repeated factor."""
+def _unknown(f, zvar, tvar, reason, checked):
+    """An unknown verdict, or reducible when f has a repeated factor; with
+    ``checked`` the gcds have already run and found none."""
+    witness = None if checked else _repeated_factor(f, zvar, tvar)
+    if witness is not None:
+        return IrreducibilityResult("reducible", witness=witness)
+    return IrreducibilityResult("unknown", reason=reason)
+
+
+def _repeated_factor(f, zvar, tvar):
+    """A proper divisor of f from its repeated-factor gcds, or None."""
     for g in _derivative_gcds(f, zvar, tvar):
         if g.total_degree() < f.total_degree() and divides(g, f):
-            return IrreducibilityResult("reducible", witness=g)
-    return IrreducibilityResult("unknown", reason=reason)
+            return g
+    return None
 
 
 def _is_squarefree_bivariate(f, zvar, tvar):

@@ -203,6 +203,12 @@ def _reduce_mod(F, coeffs):
     return dense.trim(F, map(F.raw_from_int, coeffs))
 
 
+def _p_split(F, a, rng):
+    """Monic irreducible factors of monic squarefree a, distinct-degree then
+    equal-degree, in that order."""
+    return [irr for h, d in _p_distinct_degree(F, a) for irr in _p_equal_degree(F, h, d, rng)]
+
+
 def factor_mod_p(coeffs, p, rng=None):
     """Full monic factorization over F_p: returns (unit, [(dense, mult)])."""
     rng = rng or random.Random(20240901)
@@ -211,11 +217,7 @@ def factor_mod_p(coeffs, p, rng=None):
     if not a:
         raise FactorizationError("cannot factor the zero polynomial")
     unit = a[-1]
-    factors = []
-    for g, m in _p_squarefree_decomposition(F, a):
-        for h, d in _p_distinct_degree(F, g):
-            for irr in _p_equal_degree(F, h, d, rng):
-                factors.append((irr, m))
+    factors = [(irr, m) for g, m in _p_squarefree_decomposition(F, a) for irr in _p_split(F, g, rng)]
     factors.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return unit, factors
 
@@ -330,8 +332,8 @@ def _factor_squarefree_z(a, rng):
             break
     else:
         raise FactorizationError("no suitable prime found for reduction")
-    _, modular = factor_mod_p(a, p, rng)
-    modular = [f for f, _ in modular]
+    # am is squarefree, so it is split directly, as factor_mod_p would split it
+    modular = sorted(_p_split(F, dense.monic(F, am), rng), key=lambda f: (len(f), f))
     if len(modular) == 1:
         return [a]
     bound = 2 * _mignotte_bound(a) + 1

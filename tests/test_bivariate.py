@@ -176,7 +176,15 @@ def assert_agrees_with_sympy(f, alpha, opts):
 
 
 @pytest.mark.parametrize("K, alpha, opts", NUMBER_FIELDS, ids=NF_IDS)
-def test_number_field_irreducibility_matches_sympy(K, alpha, opts):
+def test_number_field_irreducibility_matches_sympy(K, alpha, opts, monkeypatch):
+    certified = []
+    certifies = bivariate._specialization_certifies
+
+    def recording(f, zvar, tvar):
+        certified.append(certifies(f, zvar, tvar))
+        return certified[-1]
+
+    monkeypatch.setattr(bivariate, "_specialization_certifies", recording)
     rng = random.Random(20240901 + K.deg)
     cap = 5 if K.deg == 3 else 6  # keeps deg * total degree within the norm cap
     def bivariate_poly(max_deg, n_terms):
@@ -196,6 +204,9 @@ def test_number_field_irreducibility_matches_sympy(K, alpha, opts):
             polys.append(f)
     decided = sum(assert_agrees_with_sympy(f, alpha, opts) for f in polys)
     assert decided >= 9
+    # the specialization certificate decides the irreducible inputs of
+    # degree >= 2 in both variables (3 of 9 such calls per field)
+    assert sum(certified) >= 3
 
 
 @pytest.mark.parametrize("K, alpha, opts", NUMBER_FIELDS, ids=NF_IDS)
@@ -216,28 +227,78 @@ def test_base_field_coefficients_skip_shift_zero(K, alpha, opts, monkeypatch):
         seen.clear()
         assert assert_agrees_with_sympy(f, alpha, opts)
         assert seen and all(g != f for g in seen), str(f)
+        # the specialization certificate decides some of these first, so the
+        # norm test is also run on its own
+        seen.clear()
+        assert bivariate._norm_test(f, "Z", "T").status == bivariate_irreducible(f, "Z", "T").status
+        assert seen and all(g != f for g in seen), str(f)
 
 
 def test_base_field_coefficients_past_the_norm_cap_are_unknown(monkeypatch):
     # deg 3 * total degree 6 exceeds the norm degree cap at the skipped shift
     K = NUMBER_FIELDS[2][0]
-    monkeypatch.setattr(bivariate, "_resultant_in_generator", None)
     Z, T = MultiPoly.variable(K, ZT, "Z"), MultiPoly.variable(K, ZT, "T")
-    res = bivariate_irreducible(Z**6 + T**5 + 1, "Z", "T")
+    f = Z**6 + T**5 + 1
+    assert bivariate_irreducible(f, "Z", "T").is_irreducible  # by specialization
+    monkeypatch.setattr(bivariate, "_resultant_in_generator", None)
+    res = bivariate._norm_test(f, "Z", "T")
     assert res.is_unknown
     assert res.reason == "norm degree exceeds the internal cap"
 
 
 @pytest.mark.parametrize("K, alpha, opts", NUMBER_FIELDS, ids=NF_IDS)
-def test_non_squarefree_input_is_reducible(K, alpha, opts):
+def test_non_squarefree_input_is_reducible(K, alpha, opts, monkeypatch):
+    # every specialization has a repeated factor, so the certificate takes no
+    # norm, and the first norm of the norm test (not squarefree) sends it to
+    # the repeated-factor gcds
+    norms = []
+    resultant = bivariate._resultant_in_generator
+    monkeypatch.setattr(bivariate, "_resultant_in_generator", lambda f, field: norms.append(f) or resultant(f, field))
     Z, T = MultiPoly.variable(K, ZT, "Z"), MultiPoly.variable(K, ZT, "T")
     g = MultiPoly.constant(K, ZT, K.generator())
     one = MultiPoly.one(K, ZT)
     for f in ((Z + g * T + one) ** 2 * (Z - T), (Z * Z + g * T) ** 2, (Z * T + g) ** 2 * (Z + T * T + one)):
         assert not sympy_irreducible(f, alpha, opts)
+        norms.clear()
         res = bivariate_irreducible(f, "Z", "T")
         assert res.is_reducible, str(f)
         assert not res.witness.is_constant() and divides(res.witness, f)
+        assert len(norms) <= 1, str(f)
+
+
+def test_linear_in_one_variable_is_irreducible_over_every_field():
+    # primitive and of degree 1 in Z: a split would leave a factor in K[T]
+    # alone, which divides the content 1
+    F5b = extend(GF(5), [2, 0, 1], "b")
+    for K in (QQ, GF(5), F5b, rational_function_field(2)):
+        Z, T = zt_vars(K)
+        one = MultiPoly.one(K, ZT)
+        f = Z * T**2 + Z + T**3 + T + one  # T^3+T+1 - T*(T^2+1) = 1
+        assert bivariate_irreducible(f, "Z", "T").is_irreducible, str(K)
+        assert bivariate_irreducible(f.substitute({"Z": T, "T": Z}), "Z", "T").is_irreducible, str(K)
+
+
+def test_linear_with_content_stays_reducible():
+    # (T+1)*(Z+T) is linear in Z but has content T+1 in K[T]
+    K = extend(GF(5), [2, 0, 1], "b")
+    Z, T = zt_vars(K)
+    b = MultiPoly.constant(K, ZT, K.generator())
+    for f in ((T + 1) * (Z + T), (T + b) * (Z * T + Z + b)):
+        res = bivariate_irreducible(f, "Z", "T")
+        assert res.is_reducible, str(f)
+        assert res.witness.degree_in("Z") == 0 and divides(res.witness, f)
+
+
+def test_degree_dropping_specialization_does_not_certify():
+    # at T = 0 the Z-degree drops and (T*Z+i)*(Z+T) becomes i*Z, which is
+    # irreducible; the same happens at Z = 0 with the roles swapped
+    K = NUMBER_FIELDS[0][0]
+    Z, T = zt_vars(K)
+    i = MultiPoly.constant(K, ZT, K.generator())
+    f = (T * Z + i) * (Z + T)
+    assert not bivariate._specialization_certifies(f, "Z", "T")
+    res = bivariate_irreducible(f, "Z", "T")
+    assert res.is_reducible and divides(res.witness, f)
 
 
 def test_image_squarefree_certificate():

@@ -126,3 +126,28 @@ def test_f2s_roots_and_unresolved_flag():
     fact2 = univariate_factor(g)
     if not fact2.complete:
         assert fact2.unresolved and fact2.expand() == g
+
+
+def test_squarefree_split_matches_factor_mod_p():
+    # _factor_squarefree_z splits the reduction of a squarefree polynomial
+    # directly; factor_mod_p, which first decomposes it again, must give the
+    # same factors in the same order and draw the same random numbers
+    from rect4 import dense
+    from rect4.polynomials import factor
+
+    rng = random.Random(77)
+    compared = 0
+    while compared < 60:
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(3, 12))] + [rng.choice((1, 2, -3))]
+        p = rng.choice((3, 5, 7, 11))
+        F = GF(p)
+        am = factor._reduce_mod(F, a)
+        if len(am) != len(a) or len(dense.gcd(F, am, dense.deriv(F, am))) != 1:
+            continue
+        rng_split, rng_full = random.Random(compared), random.Random(compared)
+        split = sorted(factor._p_split(F, dense.monic(F, am), rng_split), key=lambda f: (len(f), f))
+        _, full = factor.factor_mod_p(a, p, rng_full)
+        assert split == [f for f, _ in full], (a, p)
+        assert all(m == 1 for _, m in full)
+        assert rng_split.getstate() == rng_full.getstate()
+        compared += 1

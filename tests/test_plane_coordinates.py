@@ -1,10 +1,15 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
 from rect4.exprparse import parse_polynomial
 from rect4.fields import GF, QQ, extend, rational_function_field
 from rect4.polynomials import MultiPoly
+from rect4 import plane_coordinates
 from rect4.plane_coordinates import (
     LINE,
     NOT_LINE,
@@ -315,3 +320,78 @@ def test_apply_rejects_a_polynomial_over_another_field():
             step.apply(zt_vars(GF(5))[1])
         with pytest.raises(PlaneCoordinateError):
             step.apply(zt_vars(extend(QQ, [1, 0, 1], "i"))[1])
+
+
+# -- scaled powers of linear polynomials ---------------------------------------
+
+
+def reference_power_of_linear(coeffs, field):
+    """The decision of plane_coordinates._power_of_linear_univariate by
+    expanding lc * (W - rho)^Dprime in full and comparing every coefficient."""
+    D = len(coeffs) - 1
+    lc = coeffs[-1]
+    p = field.characteristic()
+    e, Dprime = 0, D
+    while p and Dprime % p == 0:
+        Dprime //= p
+        e += 1
+    stride = p**e if p else 1
+    if any(i % stride and not c.is_zero() for i, c in enumerate(coeffs)):
+        return None
+    psi = coeffs[::stride]
+    rho = -psi[-2] / (field.from_int(Dprime) * lc)
+    power = [field.one()]
+    for _ in range(Dprime):
+        nxt = [field.zero()] * (len(power) + 1)
+        for k, a in enumerate(power):
+            nxt[k] = nxt[k] - a * rho
+            nxt[k + 1] = nxt[k + 1] + a
+        power = nxt
+    if [a * lc for a in power] != psi:
+        return None
+    while e > 0 and field.pth_root(rho) is not None:
+        rho = field.pth_root(rho)
+        e -= 1
+    return ("value", rho) if e == 0 else ("extension", e, rho)
+
+
+@pytest.mark.parametrize("field, max_e", [
+    (QQ, 0),
+    (GF(5), 2),  # D = Dprime * 5^e: the inseparable stride
+    (rational_function_field(2), 3),  # s + c has no square root: extensions
+], ids=str)
+def test_power_of_linear_matches_the_expanded_power(field, max_e):
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(40):
+        Dprime, stride = rng.choice((1, 2, 3, 5)), field.characteristic() ** rng.randint(0, max_e)
+        if field.characteristic() and Dprime % field.characteristic() == 0:
+            continue
+        lc = _pool_element(field, rng, (1, 3))  # nonzero in every characteristic
+        sigma = _pool_element(field, rng, (-2, -1, 0, 1, 2))
+        psi = [lc]
+        for _ in range(Dprime):  # psi * (V - sigma), low degree first
+            psi = [-sigma * psi[0]] + [psi[k - 1] - sigma * psi[k] for k in range(1, len(psi))] + [psi[-1]]
+        u = [field.zero()] * (Dprime * stride + 1)
+        u[::stride] = psi  # u(W) = psi(W^stride)
+        if rng.random() < 0.5:  # perturb one coefficient below the top
+            k = rng.randrange(len(u) - 1)
+            u[k] = u[k] + _pool_element(field, rng, (1, 2))
+        got = plane_coordinates._power_of_linear_univariate(u, field)
+        assert got == reference_power_of_linear(u, field), (u, field)
+        outcomes.add(got[0] if got else None)
+    assert {None, "value"} <= outcomes
+    assert ("extension" in outcomes) == (max_e == 3)
+
+
+def test_high_degree_leading_form_finishes():
+    # Z^2000 + T^2000 is not a power of a linear form; the check must say so
+    # in O(D) steps, without expanding (W - rho)^2000 in O(D^2)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rect4.cli", "analyze", "X", "Z^2000+T^2000+1", "Q"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "coordinate=reject" in proc.stdout
