@@ -24,7 +24,6 @@ from .plane_coordinates import (  # noqa: F401
     CoordinateCertificate,
     TameStep,
     complement,
-    line_test,
     linear_fastpath,
     vartest,
 )

@@ -1,18 +1,24 @@
 """Structural analysis of hypersurfaces G = a(X)Y - F(X,Z,T).
 
 Pipeline: domain check, normalization of F modulo a, per-irreducible-factor
-root data (residue field and specialization), then the structural criteria
-(unique factorization, plane fibration over k[x], regularity) and the
-rectifiability verdict.  Reports carry citation tags: stable identifiers of
-the decision rules used, so a consumer can see which equivalence produced a
-verdict.
+root data (residue field and specialization), one plane-coordinate test per
+root, then the structural criteria (unique factorization, plane fibration
+over k[x], regularity) and the rectifiability verdict.  Reports carry
+citation tags: stable identifiers of the decision rules used, so a consumer
+can see which equivalence produced a verdict.
+
+Each criterion reads the root's coordinate outcome first.  An accepted f is
+a line.  An f certified over K, or over the purely inseparable L the test
+may adjoin, is irreducible, and its partner g gives Jac(f, g) = c != 0, so
+(f_Z, f_T) = (1) over L, hence over K (L[Z,T] is free over K[Z,T]).  Only
+uncertified roots reach the Kronecker and Groebner tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .fields import Embedding, ExtensionField
+from .fields import Embedding, ExtensionField, extend
 from .polynomials import (
     MultiPoly,
     bivariate_irreducible,
@@ -21,7 +27,7 @@ from .polynomials import (
     univariate_factor,
     univariate_gcd,
 )
-from .plane_coordinates import LINE, NOT_LINE, UNKNOWN_LINE, line_test, vartest
+from .plane_coordinates import complement, vartest
 
 # citation tags used in reports
 RULE_DOMAIN_GCD = "gcd"
@@ -38,6 +44,11 @@ RULE_BASE_EXTENDS = "k[x]"
 RULE_LINE_EQ_COORDINATE_CHAR0 = "ams"
 RULE_SEPARABLE_DESCENT = "sepco"
 RULE_LINEAR_FIBER = "linear"
+
+# per-root values of the fibration flag
+LINE = "line"
+NOT_LINE = "not-line"
+UNKNOWN_LINE = "unknown"
 
 VERDICT_RECTIFIABLE = "Rectifiable"
 VERDICT_NOT_RECTIFIABLE = "NotRectifiable"
@@ -109,6 +120,13 @@ class CoordinateOutcome:
     status: str  # "accept" | "reject" | "reject-accepts-over-extension"
     certificate: object = None
     reason: str = None
+
+    @property
+    def certified(self):
+        """f is a coordinate over the residue field or over a purely
+        inseparable extension of it; either way it is irreducible and
+        (f_Z, f_T) = (1)."""
+        return self.status in ("accept", "reject-accepts-over-extension")
 
 
 @dataclass
@@ -192,19 +210,10 @@ def root_data(h, rng=None):
     for p, mult in fact.factors:
         sep = _is_separable(p)
         if p.degree_in("X") == 1:
-            dense = p.to_dense("X")
-            lam = -dense[0]
             K = field
-            spec = h.F.substitute({"X": lam})
         else:
-            coeffs = p.to_dense("X")
-            from .fields import extend
-
-            K = extend(field, coeffs, _residue_generator_name(field))
-            emb = Embedding(field, K)
-            F_up = h.F.map_coefficients(emb, K)
-            spec = F_up.substitute({"X": K.generator()})
-        spec = _restrict_to_plane(spec)
+            K = extend(field, p.to_dense("X"), _residue_generator_name(field))
+        spec = _at_root(h.F, p, K)
         if spec.is_zero():
             raise HyperplaneError(
                 "specialization vanished: the domain check must run first"
@@ -242,6 +251,16 @@ def _restrict_to_plane(spec):
     return spec.with_vars(("Z", "T"))
 
 
+def _at_root(poly, p, K):
+    """poly(lambda, Z, T) in K[Z,T] for a base-field poly in (X, Z, T), where
+    lambda is the root of the monic factor p that generates K."""
+    if K == poly.field:
+        lam = -p.to_dense("X")[0]
+        return _restrict_to_plane(poly.substitute({"X": lam}))
+    up = poly.map_coefficients(Embedding(poly.field, K), K)
+    return _restrict_to_plane(up.substitute({"X": K.generator()}))
+
+
 # ---------------------------------------------------------------------------
 # structural criteria
 # ---------------------------------------------------------------------------
@@ -271,24 +290,20 @@ def coordinate_results(data):
     return out
 
 
-def ufd_check(data, coord_results=None, degree_bound=None):
+def ufd_check(data, coords, degree_bound=None):
     """"true" iff every specialization is irreducible or a nonzero constant.
 
-    A coordinate is irreducible, and irreducibility descends from any field
-    extension, so both accept flavours of the coordinate test short-circuit
-    the Kronecker machinery.  Returns the flag, the per-root verdicts and the
-    per-root reasons (the cause of an "unknown" verdict, else None).
+    A certified root is irreducible (irreducibility descends from any field
+    extension), so only the others reach the Kronecker machinery.  Returns
+    the flag, the per-root verdicts and the per-root reasons (the cause of an
+    "unknown" verdict, else None).
     """
-    if coord_results is None:
-        coord_results = coordinate_results(data)
     verdicts, reasons = [], []
-    for rd, cr in zip(data, coord_results):
+    for rd, cr in zip(data, coords):
         f = rd.specialization
         reason = None
-        if f.is_constant():
-            verdict = "true"  # nonzero constant: a unit
-        elif cr.status in ("accept", "reject-accepts-over-extension"):
-            verdict = "true"
+        if f.is_constant() or cr.certified:
+            verdict = "true"  # a nonzero constant is a unit
         else:
             kwargs = {} if degree_bound is None else {"bound": degree_bound}
             res = bivariate_irreducible(f, "Z", "T", **kwargs)
@@ -307,18 +322,23 @@ def ufd_check(data, coord_results=None, degree_bound=None):
     return "true", verdicts, reasons
 
 
-def fibration_check(data, coord_results=None):
-    """"true" iff every specialization is a line in its residue plane."""
+def fibration_check(data, coords):
+    """"true" iff every specialization is a line in its residue plane.
+
+    A coordinate is a line and a unit is not.  In characteristic zero a line
+    is a coordinate (Abhyankar-Moh-Suzuki), so a rejection is not a line; in
+    characteristic p a rejected f may still be a line, which is unknown.
+    """
     lines = []
-    for idx, rd in enumerate(data):
-        f = rd.specialization
-        if f.is_constant():
-            lines.append(NOT_LINE)  # a unit is not a line
-            continue
-        if coord_results is not None and coord_results[idx].status == "accept":
+    for rd, cr in zip(data, coords):
+        if rd.specialization.is_constant():
+            lines.append(NOT_LINE)
+        elif cr.status == "accept":
             lines.append(LINE)
-            continue
-        lines.append(line_test(f))
+        elif rd.residue_field.characteristic() == 0:
+            lines.append(NOT_LINE)
+        else:
+            lines.append(UNKNOWN_LINE)
     if NOT_LINE in lines:
         return "false", lines
     if UNKNOWN_LINE in lines:
@@ -326,28 +346,24 @@ def fibration_check(data, coord_results=None):
     return "true", lines
 
 
-def regularity_check(h, data):
+def regularity_check(h, data, coords):
     """Jacobian smoothness test, root by root.
 
     Simple roots over the closure need (f, f_Z, f_T) = (1); multiple or
     inseparable ones add the X-derivative of the original, pre-normalization
-    F.  Returns ("true"/"false", per-root booleans).
+    F.  A certified root already has (f_Z, f_T) = (1); the others get a
+    Groebner unit-ideal test.  Returns ("true"/"false", per-root booleans).
     """
     FX = h.original_F.partial_derivative("X")
     per_root = []
-    for rd in data:
-        K = rd.residue_field
+    for rd, cr in zip(data, coords):
+        if cr.certified:
+            per_root.append(True)
+            continue
         f = rd.specialization
         gens = [f, f.partial_derivative("Z"), f.partial_derivative("T")]
         if not rd.kbar_simple:
-            if K == h.field:
-                dense = rd.factor.to_dense("X")
-                lam = -dense[0]
-                fx = FX.substitute({"X": lam})
-            else:
-                emb = Embedding(h.field, K)
-                fx = FX.map_coefficients(emb, K).substitute({"X": K.generator()})
-            gens.append(_restrict_to_plane(fx))
+            gens.append(_at_root(FX, rd.factor, rd.residue_field))
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             per_root.append(False)
@@ -361,7 +377,7 @@ def regularity_check(h, data):
 # ---------------------------------------------------------------------------
 
 
-def analyze(h, degree_bound=None, rng=None, verify_certificates=True):
+def analyze(h, degree_bound=None, rng=None):
     """Full analysis: domain, structure flags, coordinate data and verdict."""
     is_domain, witness = domain_check(h)
     if not is_domain:
@@ -386,7 +402,7 @@ def analyze(h, degree_bound=None, rng=None, verify_certificates=True):
     report.theorem_path.append(RULE_FIBRATION)
     if hn.field.characteristic() == 0:
         report.theorem_path.append(RULE_LINE_EQ_COORDINATE_CHAR0)
-    report.regular, _ = regularity_check(hn, data)
+    report.regular, _ = regularity_check(hn, data, coords)
     report.theorem_path.append(RULE_REGULARITY)
 
     if not complete:
@@ -399,8 +415,7 @@ def analyze(h, degree_bound=None, rng=None, verify_certificates=True):
     char = hn.field.characteristic()
     all_accept = all(c.status == "accept" for c in coords)
     if all_accept:
-        if verify_certificates:
-            _verify_all_certificates(data, coords)
+        _verify_all_certificates(data, coords)
         report.verdict = VERDICT_RECTIFIABLE
         report.theorem_path.extend(
             [
@@ -481,8 +496,6 @@ def _set_not_rectifiable_implications(report):
 
 
 def _verify_all_certificates(data, coords):
-    from .plane_coordinates import complement
-
     for rd, c in zip(data, coords):
         if c.status != "accept":
             continue

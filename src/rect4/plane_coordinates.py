@@ -529,27 +529,6 @@ def _fresh_generator_name(field):
 # derived operations
 # ---------------------------------------------------------------------------
 
-LINE = "line"
-NOT_LINE = "not-line"
-UNKNOWN_LINE = "unknown"
-
-
-def line_test(f):
-    """Is the residue ring K[Z,T]/(f) a polynomial line?
-
-    In characteristic zero this matches the coordinate test exactly.  In
-    characteristic p a coordinate is still a line, but non-coordinates may or
-    may not be lines, so any rejection yields Unknown.
-    """
-    if f.is_zero() or f.is_constant():
-        raise PlaneCoordinateError("line test needs a nonzero nonconstant input")
-    result = vartest(f)
-    if result.accepted:
-        return LINE
-    if f.field.characteristic() == 0:
-        return NOT_LINE
-    return UNKNOWN_LINE
-
 
 def complement(f, certificate):
     """The partner polynomial g with K[f, g] = K[Z, T], from the certificate."""

@@ -25,6 +25,18 @@ def a_var(field):
     return MultiPoly.variable(field, ("X",), "X")
 
 
+def load_case(path):
+    """The key = value lines of a corpus/*.case file, as a dict."""
+    data = {}
+    for line in path.read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        data[key.strip()] = value.strip()
+    return data
+
+
 def _pool_element(field, rng, pool):
     c = field.from_int(rng.choice(pool))
     # over an extension or function field, mix in the generator now and then

@@ -7,6 +7,8 @@ from rect4 import cli
 from rect4.exprparse import ParseError, parse_field_spec, parse_polynomial, field_spec_string
 from rect4.fields import QQ, rational_function_field
 
+from conftest import load_case
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 SCHEMA_PATH = (
@@ -340,17 +342,6 @@ def test_factor_f3s_root_split_keeps_the_cofactor(capsys):
 
 
 # -- corpus ---------------------------------------------------------------------------
-
-
-def load_case(path):
-    data = {}
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        data[key.strip()] = value.strip()
-    return data
 
 
 CASES = sorted(CORPUS.glob("*.case"))

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 
 from rect4.fields import GF, QQ, rational_function_field
 from rect4.polynomials import (
@@ -151,3 +153,45 @@ def test_squarefree_split_matches_factor_mod_p():
         assert all(m == 1 for _, m in full)
         assert rng_split.getstate() == rng_full.getstate()
         compared += 1
+
+
+# -- differential test against sympy over Q ------------------------------------
+
+SX = sympy.Symbol("X")
+
+
+def _monic_sympy_factors(f):
+    """(unit, sorted [(ascending monic coefficients, multiplicity)]) of f
+    from sympy.factor_list, with Fraction coefficients."""
+    expr = sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * SX**e for (e,), c in f.terms.items()
+    ))
+    content, factors = sympy.factor_list(expr, SX)
+    unit = Fraction(int(content.p), int(content.q))
+    out = []
+    for g, m in factors:
+        coeffs = sympy.Poly(g, SX).all_coeffs()[::-1]
+        lc = coeffs[-1]
+        unit *= Fraction(int(lc.p), int(lc.q)) ** m
+        monic = tuple(Fraction(int(c.p), int(c.q)) for c in (x / lc for x in coeffs))
+        out.append((monic, m))
+    return unit, sorted(out)
+
+
+def test_univariate_factor_matches_sympy_over_q():
+    """Seeded products of random integer polynomials with repeated factors:
+    the same unit and the same (monic factor, multiplicity) multiset."""
+    rng = random.Random(7141)
+    for _ in range(40):
+        f = MultiPoly.constant(QQ, ("X",), rng.choice([1, -1, 2, -6, 15]))
+        for _ in range(rng.randint(1, 3)):
+            deg = rng.randint(1, 3)
+            coeffs = [QQ.from_int(rng.randint(-5, 5)) for _ in range(deg)]
+            coeffs.append(QQ.from_int(rng.choice([-3, -2, -1, 1, 2, 3])))
+            f = f * MultiPoly.from_dense(QQ, ("X",), "X", coeffs) ** rng.randint(1, 3)
+        fact = univariate_factor(f)
+        assert fact.complete
+        ours = sorted(
+            (tuple(c.rep for c in g.to_dense("X")), m) for g, m in fact.factors
+        )
+        assert (fact.unit.rep, ours) == _monic_sympy_factors(f), str(f)

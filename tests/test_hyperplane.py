@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from rect4 import hyperplane, plane_coordinates
+from rect4.exprparse import parse_field_spec, parse_polynomial
 from rect4.fields import GF, QQ, rational_function_field
 from rect4.polynomials import MultiPoly, ideal_contains_one
 from rect4.hyperplane import (
@@ -10,6 +12,7 @@ from rect4.hyperplane import (
     VERDICT_RECTIFIABLE,
     Hyperplane,
     analyze,
+    coordinate_results,
     domain_check,
     normalize,
     regularity_check,
@@ -393,20 +396,59 @@ def test_randomized_report_consistency(rng):
     assert checked >= 40
 
 
+def _count_calls(monkeypatch, name, *modules):
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "a, F, spec, vartests, groebner_tests, regular",
+    [
+        ("X", "Z^2+T^3+1", "Q", 1, 1, "true"),
+        ("X^2*(X-1)", "Z*T", "F5", 3, 2, "false"),
+        # corpus/insep_double_binomial.case: both roots certified
+        ("X^2*(X^2-s)", "Z^2+s*T^2+T", "F2(s)", 2, 0, "true"),
+    ],
+)
+def test_flags_read_the_coordinate_outcome(
+    monkeypatch, a, F, spec, vartests, groebner_tests, regular
+):
+    """One coordinate test per root (plus the base-field test of the chp3
+    rule) and Groebner regularity only on uncertified roots."""
+    field = parse_field_spec(spec)
+    h = Hyperplane(
+        parse_polynomial(a, field, ("X",)), parse_polynomial(F, field, XZT)
+    )
+    vt = _count_calls(monkeypatch, "vartest", plane_coordinates, hyperplane)
+    gb = _count_calls(monkeypatch, "ideal_contains_one", hyperplane)
+    rep = analyze(h)
+    assert len(vt) == vartests
+    assert len(gb) == groebner_tests
+    assert rep.regular == regular
+
+
 def test_regularity_examples():
     aX = a_var(QQ)
     X, Z, T = xzt_vars(QQ)
     h = normalize(build(QQ, aX, Z * Z + T**3 + 1))
     data, _ = root_data(h)
-    assert regularity_check(h, data)[0] == "true"
+    assert regularity_check(h, data, coordinate_results(data))[0] == "true"
 
     h2 = normalize(build(QQ, aX * aX, Z * Z))
     data2, _ = root_data(h2)
-    assert regularity_check(h2, data2)[0] == "false"
+    assert regularity_check(h2, data2, coordinate_results(data2))[0] == "false"
 
     h3 = normalize(build(QQ, aX * aX, Z))
     data3, _ = root_data(h3)
-    assert regularity_check(h3, data3)[0] == "true"
+    assert regularity_check(h3, data3, coordinate_results(data3))[0] == "true"
 
 
 def _jacobian_smoothness_oracle(h):
@@ -422,7 +464,7 @@ def _jacobian_smoothness_oracle(h):
 
 
 @pytest.mark.parametrize(
-    "field", [QQ, GF(5), GF(3)], ids=str
+    "field", [QQ, GF(5), GF(3), rational_function_field(2)], ids=str
 )
 def test_regularity_agrees_with_jacobian_oracle(field):
     rng = random.Random(2718)
@@ -437,6 +479,11 @@ def test_regularity_agrees_with_jacobian_oracle(field):
         (aX, Z * Z - T * T),
         (aX * aX * (aX - 1), T + Z**3),
     ]
+    if field.characteristic() == 2:
+        # one root accepted, one accepted only over an inseparable extension
+        s1 = MultiPoly.constant(field, ("X",), field.parameter())
+        s3 = MultiPoly.constant(field, XZT, field.parameter())
+        cases.append((aX**2 * (aX**2 - s1), Z * Z + s3 * T * T + T))
     for _ in range(5):
         coeffs = [field.from_int(rng.randint(-2, 2)) for _ in range(2)] + [field.one()]
         a = MultiPoly.from_dense(field, ("X",), "X", coeffs)
@@ -454,6 +501,6 @@ def test_regularity_agrees_with_jacobian_oracle(field):
         data, complete = root_data(hn)
         if not complete:
             continue
-        got, _ = regularity_check(hn, data)
+        got, _ = regularity_check(hn, data, coordinate_results(data))
         want = "true" if _jacobian_smoothness_oracle(h) else "false"
         assert got == want, f"a={a}, F={F}"

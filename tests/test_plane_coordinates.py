@@ -10,14 +10,11 @@ from rect4.exprparse import parse_polynomial
 from rect4.fields import GF, QQ, extend, rational_function_field
 from rect4.polynomials import MultiPoly
 from rect4 import plane_coordinates
+from rect4.hyperplane import LINE, NOT_LINE, UNKNOWN_LINE, Hyperplane, analyze
 from rect4.plane_coordinates import (
-    LINE,
-    NOT_LINE,
-    UNKNOWN_LINE,
     PlaneCoordinateError,
     TameStep,
     complement,
-    line_test,
     linear_fastpath,
     vartest,
 )
@@ -181,7 +178,7 @@ def test_insep_quadric_rejected_over_base_accepted_over_extension(f2s):
     promoted = f.map_coefficients(cert.embedding, cert.field)
     assert cert.image_of_variable("T") == promoted
     assert verify_plane_pair(promoted, cert.complement)
-    assert line_test(f) == UNKNOWN_LINE
+    assert line_flags("X", "Z^2+s*T^2+T", f2s) == [UNKNOWN_LINE]
 
 
 def test_insep_quadric_accepts_over_adjoined_root(f2s):
@@ -193,18 +190,25 @@ def test_insep_quadric_accepts_over_adjoined_root(f2s):
     r = vartest(f)
     assert r.accepted
     assert r.certificate.extension is None
-    assert line_test(f) == LINE
+    assert line_flags("X^2-s", "Z^2+s*T^2+T", f2s) == [LINE]
 
 
-def test_line_test_char0():
-    Z, T = zt_vars(QQ)
-    assert line_test(Z + T * T) == LINE
-    assert line_test(Z * Z + T**3 + 1) == NOT_LINE
+def line_flags(a, F, field):
+    """The per-root line flags of analyze on a(X)Y - F."""
+    h = Hyperplane(
+        parse_polynomial(a, field, ("X",)),
+        parse_polynomial(F, field, ("X", "Z", "T")),
+    )
+    return analyze(h).lines
 
 
-def test_line_test_charp_unknown_on_plain_reject(gf5):
-    Z, T = zt_vars(gf5)
-    assert line_test(Z * T) == UNKNOWN_LINE
+def test_line_flag_char0():
+    assert line_flags("X", "Z+T^2", QQ) == [LINE]
+    assert line_flags("X", "Z^2+T^3+1", QQ) == [NOT_LINE]
+
+
+def test_line_flag_charp_unknown_on_plain_reject(gf5):
+    assert line_flags("X", "Z*T", gf5) == [UNKNOWN_LINE]
 
 
 # -- complement ----------------------------------------------------------------
