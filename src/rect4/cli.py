@@ -20,7 +20,7 @@ import json
 import random
 import sys
 
-from .exprparse import ParseError, field_spec_string, parse_field_spec, parse_polynomial
+from .exprparse import ParseError, parse_field_spec, parse_polynomial
 from .fields import FieldError
 from .filtration import (
     NEG_INF,
@@ -82,12 +82,12 @@ def certificate_to_json(cert, f):
         f_here = f.map_coefficients(cert.embedding, cert.field)
     return {
         "schema": SCHEMA_CERT,
-        "field": field_spec_string(cert.field),
+        "field": str(cert.field),
         "variables": list(cert.variables),
         "f": str(f_here),
         "complement": str(cert.complement),
         "extension": (
-            None if cert.extension is None else field_spec_string(cert.extension)
+            None if cert.extension is None else str(cert.extension)
         ),
         "steps": steps,
     }
@@ -101,28 +101,48 @@ def _key(doc, key, what):
         raise CliError(f"missing key {key!r} in {what}") from None
 
 
+def _pair(value, key, what):
+    """``value`` when it is a list of two entries; else a CliError naming the key."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise CliError(f"key {key!r} in {what} must be a list of two entries")
+    return value
+
+
 def certificate_from_json(doc):
     field = parse_field_spec(_key(doc, "field", "certificate"))
-    vars = tuple(_key(doc, "variables", "certificate"))
+    vars = tuple(_pair(_key(doc, "variables", "certificate"), "variables", "certificate"))
+    if not all(isinstance(v, str) for v in vars) or vars[0] == vars[1]:
+        raise CliError("key 'variables' in certificate must name two distinct variables")
     steps = []
     for s in _key(doc, "steps", "certificate"):
-        if _key(s, "kind", "certificate step") == "linear":
+        kind = _key(s, "kind", "certificate step")
+        if kind == "linear":
             mat = tuple(
                 tuple(
                     parse_polynomial(entry, field, vars).constant_value()
-                    for entry in row
+                    for entry in _pair(row, "matrix", "certificate step")
                 )
-                for row in _key(s, "matrix", "certificate step")
+                for row in _pair(_key(s, "matrix", "certificate step"), "matrix", "certificate step")
             )
             tr = tuple(
                 parse_polynomial(entry, field, vars).constant_value()
-                for entry in _key(s, "translation", "certificate step")
+                for entry in _pair(
+                    _key(s, "translation", "certificate step"), "translation", "certificate step"
+                )
             )
             steps.append(TameStep("linear", field, matrix=mat, translation=tr))
-        else:
+        elif kind == "elementary":
             shift = parse_polynomial(_key(s, "shift", "certificate step"), field, vars)
             target = _key(s, "target", "certificate step")
+            if target not in vars:
+                raise CliError(
+                    f"key 'target' in certificate step must be one of {list(vars)}, not {target!r}"
+                )
             steps.append(TameStep("elementary", field, target=target, shift=shift))
+        else:
+            raise CliError(
+                f"key 'kind' in certificate step must be 'linear' or 'elementary', not {kind!r}"
+            )
     cert = CoordinateCertificate(field, vars, steps)
     cert.complement = parse_polynomial(_key(doc, "complement", "certificate"), field, vars)
     f = parse_polynomial(_key(doc, "f", "certificate"), field, vars)
@@ -153,7 +173,7 @@ def _root_to_json(rd, coord, line, irreducible, irreducible_reason):
     return {
         "factor": str(rd.factor),
         "multiplicity": rd.multiplicity,
-        "residue_field": field_spec_string(rd.residue_field),
+        "residue_field": str(rd.residue_field),
         "specialization": str(rd.specialization),
         "separable": rd.separable,
         "kbar_simple": rd.kbar_simple,
@@ -172,7 +192,7 @@ def analysis_to_json(report, field, a_text, f_text):
     doc = {
         "schema": SCHEMA_REPORT,
         "command": "analyze",
-        "field": field_spec_string(field),
+        "field": str(field),
         "inputs": {"a": a_text, "F": f_text},
         "domain": report.domain,
         "domain_witness": (
@@ -304,7 +324,7 @@ def _cmd_vartest(args):
     doc = {
         "schema": SCHEMA_REPORT,
         "command": "vartest",
-        "field": field_spec_string(field),
+        "field": str(field),
         "inputs": {"f": args.f},
         "verdict": "Accept" if result.accepted else "Reject",
         "reason": result.reason,
@@ -371,7 +391,7 @@ def _cmd_verify(args):
     doc = {
         "schema": SCHEMA_REPORT,
         "command": "verify",
-        "field": field_spec_string(field),
+        "field": str(field),
         "inputs": {"variables": list(variables), "claims": [str(p) for p in polys]},
         "verdict": "Accept" if outcome.accepted else "Reject",
         "witness": outcome.witness,
@@ -418,7 +438,7 @@ def _cmd_gr_check(args):
     doc = {
         "schema": SCHEMA_REPORT,
         "command": "gr-check",
-        "field": field_spec_string(field),
+        "field": str(field),
         "inputs": {"a": args.a, "F": args.F},
         "d": ctx.d,
         "alpha": str(ctx.alpha),
@@ -451,7 +471,7 @@ def _cmd_factor(args):
     doc = {
         "schema": SCHEMA_REPORT,
         "command": "factor",
-        "field": field_spec_string(field),
+        "field": str(field),
         "inputs": {"poly": args.poly},
         "unit": str(fact.unit),
         "factors": [[str(g), m] for g, m in fact.factors],

@@ -203,7 +203,3 @@ def parse_field_spec(text):
     except FieldError as e:
         raise ParseError(f"bad extension: {e}") from None
 
-
-def field_spec_string(field):
-    """Canonical spec string for a field descriptor (round-trips)."""
-    return str(field)

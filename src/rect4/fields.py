@@ -834,6 +834,20 @@ def extend(field, minpoly_coeffs, gen="g"):
     return ExtensionField(field, tuple(reps), gen)
 
 
+def fresh_generator_name(field, first="b"):
+    """A name for a new extension generator over ``field``: ``first``, else
+    the first of b, c, w, g, a, m, that names neither the generator of
+    ``field`` nor its function-field parameter."""
+    base = field
+    taken = set()
+    if isinstance(field, ExtensionField):
+        taken.add(field.gen)
+        base = field.base
+    if isinstance(base, RationalFunctionField):
+        taken.add(base.param)
+    return next(name for name in (first, *"bcwgam") if name not in taken)
+
+
 class Embedding:
     """Field embedding src -> dst determined by the image of src's generator.
 

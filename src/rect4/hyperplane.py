@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .fields import Embedding, ExtensionField, extend
+from .fields import ExtensionField, fresh_generator_name
 from .polynomials import (
     MultiPoly,
     bivariate_irreducible,
@@ -208,11 +208,15 @@ def root_data(h, rng=None):
     data = []
     field = h.field
     for p, mult in fact.factors:
-        sep = _is_separable(p)
+        # p is irreducible, so gcd(p, p') = 1 unless p' = 0
+        sep = not p.partial_derivative("X").is_zero()
         if p.degree_in("X") == 1:
             K = field
+        elif isinstance(field, ExtensionField):
+            raise HyperplaneError("base field may not already be an extension")
         else:
-            K = extend(field, p.to_dense("X"), _residue_generator_name(field))
+            gen = fresh_generator_name(field, "g" if field.characteristic() == 0 else "b")
+            K = ExtensionField(field, tuple(c.rep for c in p.to_dense("X")), gen)
         spec = _at_root(h.F, p, K)
         if spec.is_zero():
             raise HyperplaneError(
@@ -231,22 +235,6 @@ def root_data(h, rng=None):
     return data, fact.complete
 
 
-def _is_separable(p):
-    d = p.partial_derivative("X")
-    if d.is_zero():
-        return False
-    g = univariate_gcd(p, d, "X")
-    return g.is_constant()
-
-
-def _residue_generator_name(field):
-    if isinstance(field, ExtensionField):
-        raise HyperplaneError("base field may not already be an extension")
-    if field.characteristic() == 0:
-        return "g"
-    return "b"
-
-
 def _restrict_to_plane(spec):
     return spec.with_vars(("Z", "T"))
 
@@ -254,11 +242,8 @@ def _restrict_to_plane(spec):
 def _at_root(poly, p, K):
     """poly(lambda, Z, T) in K[Z,T] for a base-field poly in (X, Z, T), where
     lambda is the root of the monic factor p that generates K."""
-    if K == poly.field:
-        lam = -p.to_dense("X")[0]
-        return _restrict_to_plane(poly.substitute({"X": lam}))
-    up = poly.map_coefficients(Embedding(poly.field, K), K)
-    return _restrict_to_plane(up.substitute({"X": K.generator()}))
+    lam = -p.to_dense("X")[0] if K == poly.field else K.generator()
+    return _restrict_to_plane(poly.substitute({"X": lam}))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import ExtensionField, composite_extension
+from .fields import composite_extension, fresh_generator_name
 from .polynomials import MultiPoly
-from .polynomials.multipoly import add_multiple
 
 
 class PlaneCoordinateError(Exception):
@@ -53,35 +52,36 @@ class TameStep:
     shift: object = None  # MultiPoly in the other variable
 
     def apply(self, poly):
-        """Image of ``poly`` under the substitution, by Horner's rule on raw
-        coefficients.
+        """Image of ``poly`` under the substitution, by
+        :meth:`MultiPoly.substitute`.
 
-        A linear step writes poly = sum_k a_k(Z) * T^k and evaluates it by
-        Horner in the image of T, each a_k by Horner in the image of Z; an
-        elementary step runs Horner in (target + shift).
+        A linear step binds Z and T to their affine images at once, Z first,
+        so Horner's rule runs in the image of Z outside the one of T.  The
+        shears of :func:`vartest` move only Z (Z -> Z - gamma*T, T -> T), so
+        the inner pass in the image of T only shifts exponents and the image
+        of Z is multiplied in once per degree in Z: on (Z+T)^d + 1 that is
+        O(d^2) term operations, against O(d^3) in the other order.  An
+        elementary step binds the target to target + shift.
         """
         field = self.field
         if poly.field is not field and poly.field != field:
             raise PlaneCoordinateError(
                 f"tame step over {field} applied to a polynomial over {poly.field}"
             )
+        vars = poly.vars
         if self.kind == "linear":
             (m00, m01), (m10, m11) = self.matrix
             v0, v1 = self.translation
-            z_image = _affine_image(field, poly.vars, m00, m01, v0)
-            t_image = _affine_image(field, poly.vars, m10, m11, v1)
-            coeffs = [
-                _horner(field, _split_by_degree(a, 0), z_image)
-                for a in _split_by_degree(poly.terms, 1)
-            ]
-            out = _horner(field, coeffs, t_image)
+            zero = (0,) * len(vars)
+            z, t = (1,) + zero[1:], (0, 1) + zero[2:]
+            images = {
+                vars[0]: MultiPoly.from_terms(field, vars, ((z, m00), (t, m01), (zero, v0))),
+                vars[1]: MultiPoly.from_terms(field, vars, ((z, m10), (t, m11), (zero, v1))),
+            }
         else:
-            i = 1 if self.target == poly.vars[1] else 0
-            image = self.shift.with_vars(poly.vars) + MultiPoly.variable(
-                field, poly.vars, poly.vars[i]
-            )
-            out = _horner(field, _split_by_degree(poly.terms, i), list(image.terms.items()))
-        return MultiPoly(field, poly.vars, out)
+            target = MultiPoly.variable(field, vars, self.target)
+            images = {self.target: self.shift.with_vars(vars) + target}
+        return poly.substitute(images)
 
     def inverse(self):
         if self.kind == "elementary":
@@ -121,38 +121,6 @@ class TameStep:
             matrix=((embedding(m00), embedding(m01)), (embedding(m10), embedding(m11))),
             translation=(embedding(v0), embedding(v1)),
         )
-
-
-def _affine_image(field, vars, cz, ct, c1):
-    """Raw terms of cz*Z + ct*T + c1, with Z and T the first two variables."""
-    zero = (0,) * len(vars)
-    monomials = ((1,) + zero[1:], (0, 1) + zero[2:], zero)
-    return list(MultiPoly.from_terms(field, vars, zip(monomials, (cz, ct, c1))).terms.items())
-
-
-def _split_by_degree(raw, i):
-    """Raw terms as a list over the degree k in variable i of the terms with
-    that degree, each with its exponent of variable i set to 0."""
-    out = []
-    for e, c in raw.items():
-        k = e[i]
-        while len(out) <= k:
-            out.append({})
-        out[k][e[:i] + (0,) + e[i + 1 :]] = c
-    return out
-
-
-def _horner(field, coeffs, image):
-    """sum_k coeffs[k] * image^k on raw term dicts; image is a list of terms."""
-    if not coeffs:
-        return {}
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        out = dict(c)
-        for e, v in image:
-            add_multiple(field, out, acc.items(), e, v)
-        acc = out
-    return acc
 
 
 @dataclass
@@ -393,7 +361,7 @@ def vartest(f):
         psi = [field.zero()] * (deg + 1)
         psi[0] = -rho
         psi[-1] = field.one()
-        gen_name = _fresh_generator_name(field)
+        gen_name = fresh_generator_name(field)
         L, emb, root = composite_extension(field, psi, gen_name)
         work = work.map_coefficients(emb, L)
         inv_steps = [s.promote(emb, L) for s in inv_steps]
@@ -513,16 +481,6 @@ def _wrap_accept(f, cert, field0):
         ),
         extension_certificate=cert,
     )
-
-
-def _fresh_generator_name(field):
-    taken = set()
-    if isinstance(field, ExtensionField):
-        taken.add(field.gen)
-    for name in "bcwgamma":
-        if name not in taken:
-            return name
-    return "b1"
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ constructors such as :meth:`MultiPoly.constant` take elements or ints, and
 readers such as :meth:`MultiPoly.coeff` return elements.  Values are treated
 as immutable; all operations return new polynomials.
 
-Two kernels on raw terms carry the arithmetic: :func:`add_multiple`
-(``out += c * x^shift * p``) and :func:`heap_divide`, a division over a heap
-of monomials (Yan, *The geobucket data structure for polynomials*, 1998) that
-serves ``groebner.normal_form``, :func:`exact_divide` and
-:func:`divmod_in_variable`.
+Three kernels on raw terms carry the arithmetic: :func:`add_multiple`
+(``out += c * x^shift * p``); :func:`_nested_horner`, the substitution behind
+:meth:`MultiPoly.substitute` and so behind every tame step; and
+:func:`heap_divide`, a division over a heap of monomials (Yan, *The geobucket
+data structure for polynomials*, 1998) that serves ``groebner.normal_form``,
+:func:`exact_divide` and :func:`divmod_in_variable`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .. import dense
-from ..fields import Embedding, FieldElement, FieldMismatch, term_sum_str
+from ..fields import Embedding, ExtensionField, FieldElement, FieldMismatch, term_sum_str
 
 
 class PolynomialError(Exception):
@@ -311,64 +312,34 @@ class MultiPoly:
         return MultiPoly(field, self.vars, out)
 
     def substitute(self, bindings):
-        """Substitute variables by polynomials or field elements.
+        """Substitute variables by polynomials, field elements or ints, all
+        at once, by :func:`_nested_horner` in the order the bindings are given.
 
         Binding values may live in an extension of this polynomial's field;
         the result is promoted accordingly.  Unbound variables are unchanged.
         """
         if not bindings:
             return self
-        target_field = self.field
+        field = self.field
         for v in bindings.values():
-            f = v.field if isinstance(v, (MultiPoly, FieldElement)) else None
-            if f is not None and f != target_field:
-                target_field = _join_fields(target_field, f)
+            if isinstance(v, (MultiPoly, FieldElement)) and v.field is not field and v.field != field:
+                field = _join_fields(field, v.field)
         poly = self
-        if target_field != self.field:
-            poly = poly.map_coefficients(_embedding_into(self.field, target_field), target_field)
-        resolved = {}
+        if field is not self.field:
+            poly = poly.map_coefficients(Embedding(self.field, field), field)
+        vars = poly.vars
+        images = []
         for name, value in bindings.items():
-            poly._var_index(name)
-            if isinstance(value, MultiPoly):
-                if value.vars != poly.vars:
-                    value = value.with_vars(poly.vars)
-                if value.field != target_field:
-                    value = value.map_coefficients(
-                        _embedding_into(value.field, target_field), target_field
-                    )
-                resolved[name] = value
-            else:
-                if isinstance(value, int):
-                    value = target_field.from_int(value)
-                elif value.field != target_field:
-                    value = _embedding_into(value.field, target_field)(value)
-                resolved[name] = MultiPoly.constant(target_field, poly.vars, value)
-        one = MultiPoly.one(target_field, poly.vars)
-        powers = {name: {0: one} for name in resolved}
-
-        def power_of(name, n):
-            cache = powers[name]
-            if n in cache:
-                return cache[n]
-            m = max(k for k in cache if k <= n)
-            p = cache[m]
-            while m < n:
-                p = p * resolved[name]
-                m += 1
-                cache[m] = p
-            return p
-
-        idx = {name: poly.vars.index(name) for name in resolved}
-        out = {}
-        for e, c in poly.terms.items():
-            term_exp = list(e)
-            factor = one
-            for name, i in idx.items():
-                if e[i]:
-                    factor = factor * power_of(name, e[i])
-                    term_exp[i] = 0
-            add_multiple(target_field, out, factor.terms.items(), tuple(term_exp), c)
-        return MultiPoly(target_field, poly.vars, out)
+            i = poly._var_index(name)
+            if not isinstance(value, MultiPoly):
+                own = value.field if isinstance(value, FieldElement) else field
+                value = MultiPoly.constant(own, vars, value)
+            elif value.vars != vars:
+                value = value.with_vars(vars)
+            if value.field is not field and value.field != field:
+                value = value.map_coefficients(Embedding(value.field, field), field)
+            images.append((i, list(value.terms.items())))
+        return MultiPoly(field, vars, _nested_horner(field, poly.terms, images))
 
     def map_coefficients(self, func, new_field=None):
         """Apply ``func``, from FieldElements to FieldElements of
@@ -405,12 +376,7 @@ class MultiPoly:
     def as_univariate(self, var):
         """Dense list of coefficient polynomials in the remaining variables."""
         i = self._var_index(var)
-        deg = self.degree_in(var)
-        buckets = [dict() for _ in range(deg + 1)] if deg >= 0 else []
-        for e, c in self.terms.items():
-            ne = e[:i] + (0,) + e[i + 1 :]
-            buckets[e[i]][ne] = c
-        return [MultiPoly(self.field, self.vars, b) for b in buckets]
+        return [MultiPoly(self.field, self.vars, b) for b in _split_by_degree(self.terms, i)]
 
     def to_dense(self, var=None):
         """Dense FieldElement coefficient list for a univariate polynomial."""
@@ -462,22 +428,13 @@ class MultiPoly:
 
 
 def _join_fields(f1, f2):
-    """The larger of two fields when one embeds canonically in the other."""
-    if f1 == f2:
-        return f1
-    from ..fields import ExtensionField
-
+    """The larger of two distinct fields when one embeds canonically in the
+    other."""
     if isinstance(f2, ExtensionField) and f2.base == f1:
         return f2
     if isinstance(f1, ExtensionField) and f1.base == f2:
         return f1
     raise FieldMismatch(f"no canonical common field for {f1} and {f2}")
-
-
-def _embedding_into(src, dst):
-    if src == dst:
-        return lambda c: c
-    return Embedding(src, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +456,39 @@ def add_multiple(field, out, terms, shift, c):
                 del out[m]
                 continue
         out[m] = v
+
+
+def _split_by_degree(terms, i):
+    """Raw terms as a list over the degree k in variable i of the terms with
+    that degree, each with its exponent of variable i set to 0."""
+    out = []
+    for e, c in terms.items():
+        k = e[i]
+        while len(out) <= k:
+            out.append({})
+        out[k][e[:i] + (0,) + e[i + 1 :]] = c
+    return out
+
+
+def _nested_horner(field, terms, images):
+    """Raw terms with each variable i of ``images``, a list of pairs
+    (i, image terms), replaced by its image at once.
+
+    Splits by the first variable, evaluates each coefficient in the
+    remaining ones, then runs Horner's rule in the first variable's image.
+    Images may involve the bound variables: each split consumes its
+    variable, and the images are only ever multiplied in.
+    """
+    (i, image), rest = images[0], images[1:]
+    acc = {}
+    for c in reversed(_split_by_degree(terms, i)):
+        if rest:
+            c = _nested_horner(field, c, rest)
+        if acc:
+            for e, v in image:
+                add_multiple(field, c, acc.items(), e, v)
+        acc = c
+    return acc
 
 
 def heap_divide(f, divisors, key, exact=False):

@@ -25,6 +25,21 @@ def a_var(field):
     return MultiPoly.variable(field, ("X",), "X")
 
 
+def naive_substitute(poly, images):
+    """sum c * prod_v images[v]^e_v over the terms of poly, expanded with
+    ``*`` and ``**``; unbound variables stay.  The images are polynomials
+    over poly's field in poly's variables.  A reference for
+    ``MultiPoly.substitute`` that shares none of its code."""
+    field, vars = poly.field, poly.vars
+    out = MultiPoly.zero(field, vars)
+    for e in poly.terms:
+        term = MultiPoly.constant(field, vars, poly.coeff(e))
+        for v, k in zip(vars, e):
+            term = term * images.get(v, MultiPoly.variable(field, vars, v)) ** k
+        out = out + term
+    return out
+
+
 def load_case(path):
     """The key = value lines of a corpus/*.case file, as a dict."""
     data = {}

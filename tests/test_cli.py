@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from rect4 import cli
-from rect4.exprparse import ParseError, parse_field_spec, parse_polynomial, field_spec_string
+from rect4.exprparse import ParseError, parse_field_spec, parse_polynomial
 from rect4.fields import QQ, rational_function_field
 
 from conftest import load_case
@@ -66,7 +66,7 @@ def test_parse_errors_have_positions():
 def test_field_spec_round_trip():
     for spec in ("Q", "F5", "F2(s)", "Q[i]/(i^2+1)", "F2(s)[b]/(b^2+s)"):
         field = parse_field_spec(spec)
-        again = parse_field_spec(field_spec_string(field))
+        again = parse_field_spec(str(field))
         assert again == field
 
 
@@ -171,6 +171,25 @@ def test_analyze_json_carries_the_irreducibility_reason(capsys, schema, F, irred
     assert root["irreducible_reason"] == reason
 
 
+@pytest.mark.parametrize(
+    "a, F, field, code, generated",
+    [
+        ("X^2+b", "Z+T^2", "F3(b)", 0, "F3(b)[c]/(c^2+b)"),
+        ("X", "Z^2+b*T^2+T", "F2(b)", 2, "F2(b)[c]/(c^2+(1)/(b))"),
+    ],
+)
+def test_generated_generators_avoid_a_parameter_named_b(capsys, a, F, field, code, generated):
+    got, doc = run_json(capsys, ["analyze", a, F, field])
+    assert got == code
+    assert doc["roots"][0]["coordinate"]["certificate"]["field"] == generated
+    # the same answer as with the parameter named s
+    rename = str.maketrans("b", "s")
+    want, ref = run_json(capsys, ["analyze", a.translate(rename), F.translate(rename), field.translate(rename)])
+    assert want == code
+    for key in ("verdict", "ufd", "fibration", "regular"):
+        assert doc[key] == ref[key]
+
+
 def test_usage_errors(capsys):
     code, _ = run(capsys, ["analyze", "X +", "Z", "Q"])
     assert code == 3
@@ -245,6 +264,53 @@ def test_verify_certificate_missing_step_key(capsys, tmp_path):
     cert_path.write_text(json.dumps(cert))
     assert cli.main(["verify", "--cert", str(cert_path)]) == 3
     assert capsys.readouterr().err == "error: missing key 'kind' in certificate step\n"
+
+
+def _elementary_cert(**changes):
+    """A certificate over Q for f = T, with partner Z + T^2, whose one step
+    shifts Z by T^2; ``changes`` overrides keys of the document or, with a
+    ``step_`` prefix, of its step."""
+    step = {"kind": "elementary", "target": "Z", "shift": "T^2"}
+    doc = {
+        "schema": cli.SCHEMA_CERT,
+        "field": "Q",
+        "variables": ["Z", "T"],
+        "f": "T",
+        "complement": "Z+T^2",
+        "extension": None,
+        "steps": [step],
+    }
+    for key, value in changes.items():
+        if key.startswith("step_"):
+            step[key[len("step_"):]] = value
+        else:
+            doc[key] = value
+    return doc
+
+
+def test_verify_replays_a_hand_written_certificate(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(_elementary_cert()))
+    assert run(capsys, ["verify", "--cert", str(cert_path)])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "changes, key",
+    [
+        ({"step_target": "W"}, "target"),
+        ({"step_kind": "bogus"}, "kind"),
+        ({"variables": ["Z", "T", "W"]}, "variables"),
+        ({"variables": ["T", "T"]}, "variables"),
+        ({"step_kind": "linear", "step_matrix": [["1", "0"]], "step_translation": ["0", "0"]}, "matrix"),
+        ({"step_kind": "linear", "step_matrix": [["1", "0"], ["0", "1"]], "step_translation": ["0"]}, "translation"),
+    ],
+    ids=["target-W", "kind-bogus", "three-variables", "repeated-variable", "matrix-1x2", "translation-1"],
+)
+def test_verify_certificate_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path, changes, key):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(_elementary_cert(**changes)))
+    assert cli.main(["verify", "--cert", str(cert_path)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: key {key!r} in certificate")
 
 
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rect4.fields import QQ, GF, extend, rational_function_field
+from rect4.fields import QQ, GF, Embedding, extend, rational_function_field
 from rect4.polynomials import (
     MultiPoly,
     PolynomialError,
@@ -12,7 +12,7 @@ from rect4.polynomials import (
     univariate_gcd,
 )
 
-from conftest import random_poly, zt_vars
+from conftest import XZT, _pool_element, naive_substitute, random_poly, zt_vars
 
 XY = ("X", "Y")
 
@@ -85,6 +85,71 @@ def test_substitute_promotes_to_extension():
     assert spec.field == K
     i_const = MultiPoly.constant(K, XZT, K.generator())
     assert spec == Z.map_coefficients(lambda c: K.from_base(c), K) + i_const * T.map_coefficients(lambda c: K.from_base(c), K)
+
+
+def test_substitute_simultaneous_bindings_with_bound_images(rng):
+    for field in (QQ, GF(5)):
+        Z, T = zt_vars(field)
+        for images in ({"Z": T, "T": Z}, {"Z": Z + T**3, "T": T + Z}):
+            for _ in range(10):
+                f = random_poly(field, ("Z", "T"), rng, max_deg=4, n_terms=6)
+                assert f.substitute(images) == naive_substitute(f, images)
+
+
+def _promotion_cases():
+    Qi = extend(QQ, [1, 0, 1], "i")
+    F2s = rational_function_field(2)
+    F2sb = extend(F2s, [F2s.parameter(), 0, 1], "b")
+    return [(QQ, Qi), (F2s, F2sb)]
+
+
+@pytest.mark.parametrize("base, K", _promotion_cases(), ids=lambda f: str(f))
+def test_substitute_promotes_into_the_binding_field(base, K, rng):
+    up = Embedding(base, K)
+    g = K.generator()
+    X, Z, T = (MultiPoly.variable(K, XZT, v) for v in XZT)
+    Z0, T0 = (MultiPoly.variable(base, XZT, v) for v in ("Z", "T"))
+    for _ in range(6):
+        terms = {
+            tuple(rng.randint(0, 3) for _ in XZT): _pool_element(base, rng, (-3, -1, 1, 2))
+            for _ in range(5)
+        }
+        f = MultiPoly.from_terms(base, XZT, terms.items())
+        f_K = f.map_coefficients(up, K)
+        for images in (
+            {"X": g},
+            {"X": Z * T + MultiPoly.constant(K, XZT, g), "Z": T},
+            {"X": Z0 + T0, "Z": X.scale(g) + 1, "T": Z * Z},
+        ):
+            got = f.substitute(images)
+            assert got.field == K
+            expected = naive_substitute(
+                f_K,
+                {
+                    v: im.map_coefficients(up, K) if isinstance(im, MultiPoly)
+                    else MultiPoly.constant(K, XZT, im)
+                    for v, im in images.items()
+                },
+            )
+            assert got == expected
+
+
+def test_substitute_ints_zero_and_unbound_variables(rng):
+    X, Z, T = (MultiPoly.variable(QQ, XZT, v) for v in XZT)
+    for _ in range(10):
+        f = random_poly(QQ, XZT, rng, max_deg=4, n_terms=6)
+        assert f.substitute({"X": 2, "T": -1}) == naive_substitute(
+            f, {"X": MultiPoly.constant(QQ, XZT, 2), "T": MultiPoly.constant(QQ, XZT, -1)}
+        )
+        assert f.substitute({"X": 0}) == naive_substitute(f, {"X": MultiPoly.zero(QQ, XZT)})
+        # Z and T are unbound: only X moves
+        assert f.substitute({"X": Z + T}) == naive_substitute(f, {"X": Z + T})
+        assert f.substitute({}) == f
+    zero = MultiPoly.zero(QQ, XZT)
+    assert zero.substitute({"X": Z, "T": 3}) == zero
+    K = extend(QQ, [1, 0, 1], "i")
+    promoted = zero.substitute({"X": K.generator()})
+    assert promoted.is_zero() and promoted.field == K
 
 
 def test_partial_derivatives():

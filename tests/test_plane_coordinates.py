@@ -23,6 +23,7 @@ from rect4.verifier import verify_plane_pair
 from conftest import (
     ZT,
     _pool_element,
+    naive_substitute,
     random_coordinate,
     random_poly,
     random_tame_steps,
@@ -238,7 +239,7 @@ def test_complement_rejects_stale_certificate():
         complement(Z + T**3, r.certificate)
 
 
-# -- TameStep.apply against the generic substitution ---------------------------
+# -- TameStep.apply against the expanded substitution ----------------------------
 
 
 def reference_images(step, vars):
@@ -270,7 +271,7 @@ def random_field_poly(field, rng, max_deg=4, n_terms=6):
 
 
 def assert_apply_matches_substitute(step, poly):
-    assert step.apply(poly) == poly.substitute(reference_images(step, poly.vars))
+    assert step.apply(poly) == naive_substitute(poly, reference_images(step, poly.vars))
 
 
 TAME_FIELDS = [
@@ -395,6 +396,19 @@ def test_high_degree_leading_form_finishes():
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "rect4.cli", "analyze", "X", "Z^2000+T^2000+1", "Q"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "coordinate=reject" in proc.stdout
+
+
+def test_high_power_of_a_linear_form_finishes():
+    # the shear Z -> Z - T turns (Z+T)^200 into Z^200; evaluated with the
+    # image of Z outermost it costs O(d^2) term operations, not O(d^3)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rect4.cli", "analyze", "X", "(Z+T)^200+1", "Q"],
         capture_output=True, text=True, env=env, timeout=10,
     )
     assert proc.returncode == 1, proc.stderr
