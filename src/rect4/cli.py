@@ -93,12 +93,22 @@ def certificate_to_json(cert, f):
     }
 
 
-def _key(doc, key, what):
-    """``doc[key]``; a missing key is a CliError naming it."""
+_JSON_TYPES = {str: "a string", list: "a list"}
+
+
+def _key(doc, key, what, kind):
+    """``doc[key]``, which must have the JSON type ``kind`` (``str`` or
+    ``list``); a document that is not an object, a missing key or a value of
+    another type is a CliError naming the key."""
+    if not isinstance(doc, dict):
+        raise CliError(f"{what} must be a JSON object with key {key!r}")
     try:
-        return doc[key]
+        value = doc[key]
     except KeyError:
         raise CliError(f"missing key {key!r} in {what}") from None
+    if not isinstance(value, kind):
+        raise CliError(f"key {key!r} in {what} must be {_JSON_TYPES[kind]}")
+    return value
 
 
 def _pair(value, key, what):
@@ -108,32 +118,37 @@ def _pair(value, key, what):
     return value
 
 
+def _strings(values, key, what):
+    """``values`` when every entry is a string; else a CliError naming the key."""
+    if not all(isinstance(v, str) for v in values):
+        raise CliError(f"key {key!r} in {what} must hold strings only")
+    return values
+
+
 def certificate_from_json(doc):
-    field = parse_field_spec(_key(doc, "field", "certificate"))
-    vars = tuple(_pair(_key(doc, "variables", "certificate"), "variables", "certificate"))
-    if not all(isinstance(v, str) for v in vars) or vars[0] == vars[1]:
+    field = parse_field_spec(_key(doc, "field", "certificate", str))
+    vars = _pair(_key(doc, "variables", "certificate", list), "variables", "certificate")
+    vars = tuple(_strings(vars, "variables", "certificate"))
+    if vars[0] == vars[1]:
         raise CliError("key 'variables' in certificate must name two distinct variables")
+
+    def constants(value, key):
+        return tuple(
+            parse_polynomial(entry, field, vars).constant_value()
+            for entry in _strings(_pair(value, key, "certificate step"), key, "certificate step")
+        )
+
     steps = []
-    for s in _key(doc, "steps", "certificate"):
-        kind = _key(s, "kind", "certificate step")
+    for s in _key(doc, "steps", "certificate", list):
+        kind = _key(s, "kind", "certificate step", str)
         if kind == "linear":
-            mat = tuple(
-                tuple(
-                    parse_polynomial(entry, field, vars).constant_value()
-                    for entry in _pair(row, "matrix", "certificate step")
-                )
-                for row in _pair(_key(s, "matrix", "certificate step"), "matrix", "certificate step")
-            )
-            tr = tuple(
-                parse_polynomial(entry, field, vars).constant_value()
-                for entry in _pair(
-                    _key(s, "translation", "certificate step"), "translation", "certificate step"
-                )
-            )
+            rows = _pair(_key(s, "matrix", "certificate step", list), "matrix", "certificate step")
+            mat = tuple(constants(row, "matrix") for row in rows)
+            tr = constants(_key(s, "translation", "certificate step", list), "translation")
             steps.append(TameStep("linear", field, matrix=mat, translation=tr))
         elif kind == "elementary":
-            shift = parse_polynomial(_key(s, "shift", "certificate step"), field, vars)
-            target = _key(s, "target", "certificate step")
+            shift = parse_polynomial(_key(s, "shift", "certificate step", str), field, vars)
+            target = _key(s, "target", "certificate step", str)
             if target not in vars:
                 raise CliError(
                     f"key 'target' in certificate step must be one of {list(vars)}, not {target!r}"
@@ -144,8 +159,8 @@ def certificate_from_json(doc):
                 f"key 'kind' in certificate step must be 'linear' or 'elementary', not {kind!r}"
             )
     cert = CoordinateCertificate(field, vars, steps)
-    cert.complement = parse_polynomial(_key(doc, "complement", "certificate"), field, vars)
-    f = parse_polynomial(_key(doc, "f", "certificate"), field, vars)
+    cert.complement = parse_polynomial(_key(doc, "complement", "certificate", str), field, vars)
+    f = parse_polynomial(_key(doc, "f", "certificate", str), field, vars)
     return cert, f
 
 
@@ -342,8 +357,9 @@ def _cmd_verify(args):
     if args.cert:
         with open(args.cert) as fh:
             doc = json.load(fh)
-        if "certificates" in doc:
-            certs = [c for c in doc["certificates"] if c is not None]
+        if isinstance(doc, dict) and "certificates" in doc:
+            bundle = _key(doc, "certificates", "certificate bundle", list)
+            certs = [c for c in bundle if c is not None]
             if not certs:
                 raise CliError("certificate bundle contains no certificates")
         else:
@@ -366,11 +382,12 @@ def _cmd_verify(args):
     if args.claim_file:
         with open(args.claim_file) as fh:
             claim_doc = json.load(fh)
-        field = parse_field_spec(_key(claim_doc, "field", "claim document"))
-        variables = tuple(_key(claim_doc, "variables", "claim document"))
+        what = "claim document"
+        field = parse_field_spec(_key(claim_doc, "field", what, str))
+        variables = tuple(_strings(_key(claim_doc, "variables", what, list), "variables", what))
         polys = [
             parse_polynomial(p, field, variables)
-            for p in _key(claim_doc, "claims", "claim document")
+            for p in _strings(_key(claim_doc, "claims", what, list), "claims", what)
         ]
     else:
         if not args.field or not args.vars or not args.polys:

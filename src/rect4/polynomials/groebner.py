@@ -3,11 +3,23 @@
 Produces reduced (monic, auto-reduced) bases; ideal membership is decided by
 :func:`normal_form`.  Default order is graded reverse lexicographic;
 elimination uses a block order.
+
+:func:`groebner_basis` keeps its pending pairs in a heap keyed by the order
+key of their lcm, computed once when the pair is made (normal selection:
+the smallest lcm first), next to the set of live pairs that the chain
+criterion reads.  Each basis element is made monic and put in the form that
+:func:`~rect4.polynomials.multipoly.heap_divide` reads once, when it enters
+the basis; every later reduction and the final interreduction run on those
+prepared forms.  A reduction that leaves a nonzero constant ends the
+computation at once: the ideal then contains a unit, so it is the whole
+ring, whose reduced basis is ``[1]`` whatever the other pairs would add.
 """
 
 from __future__ import annotations
 
-from .multipoly import GREVLEX, MultiPoly, PolynomialError, add_multiple, heap_divide
+from heapq import heappop, heappush
+
+from .multipoly import GREVLEX, MultiPoly, PolynomialError, add_multiple, heap_divide, prepare_divisor
 
 
 def _lcm(e1, e2):
@@ -27,7 +39,10 @@ def normal_form(f, basis, order=GREVLEX):
     """
     if not basis:
         return f
-    _, rem = heap_divide(f, basis, order.descending_key)
+    key = order.descending_key
+    for g in basis:
+        f._check_compatible(g)
+    _, rem = heap_divide(f, [prepare_divisor(g, key) for g in basis], key)
     return MultiPoly(f.field, f.vars, rem)
 
 
@@ -55,16 +70,31 @@ def groebner_basis(generators, order=GREVLEX):
         raise PolynomialError("empty or zero generator list")
     for g in gens:
         g._check_compatible(gens[0])
-    basis = []
-    for g in gens:
-        r = normal_form(g, basis, order)
-        if not r.is_zero():
-            basis.append(r.monic(order))
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    leads = [g.leading_monomial(order) for g in basis]
+    field, vars = gens[0].field, gens[0].vars
+    key = order.descending_key
+    basis, prepared, leads = [], [], []
+    queue, live = [], set()  # pending pairs: (order key of lcm, i, j, lcm), (i, j)
 
-    def chain_criterion(i, j):
-        lcm_ij = _lcm(leads[i], leads[j])
+    def enter(f):
+        """Reduce f by the basis and append a nonzero remainder, monic, with
+        its pairs; True when the remainder is a nonzero constant."""
+        _, rem = heap_divide(f, prepared, key)
+        if not rem:
+            return False
+        r = MultiPoly(field, vars, rem)
+        if r.is_constant():
+            return True
+        new = len(basis)
+        basis.append(r.monic(order))
+        prepared.append(prepare_divisor(basis[new], key))
+        leads.append(prepared[new][0])
+        for k in range(new):
+            lcm = _lcm(leads[k], leads[new])
+            heappush(queue, (order.key(lcm), k, new, lcm))
+            live.add((k, new))
+        return False
+
+    def chain_criterion(i, j, lcm_ij):
         for k in range(len(basis)):
             if k in (i, j):
                 continue
@@ -72,47 +102,36 @@ def groebner_basis(generators, order=GREVLEX):
                 continue
             ik = (min(i, k), max(i, k))
             jk = (min(j, k), max(j, k))
-            if ik not in pairs and jk not in pairs:
+            if ik not in live and jk not in live:
                 return True
         return False
 
-    while pairs:
-        # normal selection: smallest lcm in the order
-        i, j = min(pairs, key=lambda ij: order.key(_lcm(leads[ij[0]], leads[ij[1]])))
-        pairs.discard((i, j))
-        lcm_ij = _lcm(leads[i], leads[j])
+    for g in gens:
+        if enter(g):
+            return [MultiPoly.one(field, vars)]
+    while queue:
+        _, i, j, lcm_ij = heappop(queue)
+        live.discard((i, j))
         if lcm_ij == tuple(a + b for a, b in zip(leads[i], leads[j])):
             continue  # coprime leading terms
-        if chain_criterion(i, j):
+        if chain_criterion(i, j, lcm_ij):
             continue
-        s = s_polynomial(basis[i], basis[j], order)
-        r = normal_form(s, basis, order)
-        if r.is_zero():
-            continue
-        r = r.monic(order)
-        basis.append(r)
-        leads.append(r.leading_monomial(order))
-        new_idx = len(basis) - 1
-        for k in range(new_idx):
-            pairs.add((k, new_idx))
+        if enter(s_polynomial(basis[i], basis[j], order)):
+            return [MultiPoly.one(field, vars)]
 
     # minimalize: a divisor monomial is never larger in a monomial order, so
     # processing leads in ascending order and keeping the non-divisible ones
     # yields the minimal generating set
-    indices = sorted(range(len(basis)), key=lambda i: order.key(leads[i]))
     keep = []
-    for i in indices:
+    for i in sorted(range(len(basis)), key=lambda i: order.key(leads[i])):
         if not any(_divides_exp(leads[j], leads[i]) for j in keep):
             keep.append(i)
-    minimal = [basis[i] for i in keep]
-    # interreduce
+    # interreduce, largest lead first: each remainder keeps its monic lead,
+    # which no other lead of a minimal basis divides
     reduced = []
-    for i, g in enumerate(minimal):
-        others = [minimal[j] for j in range(len(minimal)) if j != i]
-        r = normal_form(g, others, order)
-        if not r.is_zero():
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
+    for i in reversed(keep):
+        _, rem = heap_divide(basis[i], [prepared[j] for j in keep if j != i], key)
+        reduced.append(MultiPoly(field, vars, rem))
     return reduced
 
 

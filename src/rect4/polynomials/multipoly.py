@@ -12,8 +12,10 @@ Three kernels on raw terms carry the arithmetic: :func:`add_multiple`
 (``out += c * x^shift * p``); :func:`_nested_horner`, the substitution behind
 :meth:`MultiPoly.substitute` and so behind every tame step; and
 :func:`heap_divide`, a division over a heap of monomials (Yan, *The geobucket
-data structure for polynomials*, 1998) that serves ``groebner.normal_form``,
-:func:`exact_divide` and :func:`divmod_in_variable`.
+data structure for polynomials*, 1998) by divisors that :func:`prepare_divisor`
+has put in the form it reads.  It serves ``groebner.normal_form``, the
+reductions inside ``groebner.groebner_basis`` (which prepares each basis
+element once), :func:`exact_divide` and :func:`divmod_in_variable`.
 """
 
 from __future__ import annotations
@@ -491,30 +493,42 @@ def _nested_horner(field, terms, images):
     return acc
 
 
-def heap_divide(f, divisors, key, exact=False):
+def prepare_divisor(g, key):
+    """The form of a divisor that :func:`heap_divide` reads: (lead exponent,
+    inverse of the lead coefficient or None when it is one, negated tail as
+    a list of raw terms).
+
+    ``key`` is the ``descending_key`` of a monomial order; it picks the
+    leading monomial.
+    """
+    if g.is_zero():
+        raise PolynomialError("division by the zero polynomial")
+    field = g.field
+    neg = field.raw_neg
+    ge = min(g.terms, key=key)
+    lc = g.terms[ge]
+    inv = None if lc == field.raw_one() else field.raw_inv(lc)
+    return ge, inv, [(e, neg(c)) for e, c in g.terms.items() if e != ge]
+
+
+def heap_divide(f, prepared, key, exact=False):
     """Division of f by a list of divisors, on raw coefficients.
 
-    ``key`` is the ``descending_key`` of a monomial order: its ascending order
-    is the descending monomial order, and it picks each divisor's leading
-    monomial.  Each step takes the largest monomial left and reduces it by
-    the first divisor whose leading monomial divides it, or moves it to the
-    remainder; with ``exact`` such a monomial raises :class:`PolynomialError`
-    instead.  The work polynomial is a dict with a heap of its monomials; a
-    monomial that cancels stays in the heap and is skipped when popped.
+    ``prepared`` holds each divisor as :func:`prepare_divisor` returns it,
+    with the same ``key``, the ``descending_key`` of a monomial order: its
+    ascending order is the descending monomial order.  Each step takes the
+    largest monomial left and reduces it by the first divisor whose leading
+    monomial divides it, or moves it to the remainder; with ``exact`` such a
+    monomial raises :class:`PolynomialError` instead.  The work polynomial is
+    a dict with a heap of its monomials; a monomial that cancels stays in the
+    heap and is skipped when popped.
 
     Returns ``(quotients, remainder)`` as raw term dicts, one quotient per
     divisor.
     """
     field = f.field
-    add, mul, neg, is_zero = field.raw_add, field.raw_mul, field.raw_neg, field.raw_is_zero
-    prepared = []  # (lead exponent, 1/lead coefficient, negated tail, quotient)
-    for g in divisors:
-        f._check_compatible(g)
-        if g.is_zero():
-            raise PolynomialError("division by the zero polynomial")
-        ge = min(g.terms, key=key)
-        tail = [(e, neg(c)) for e, c in g.terms.items() if e != ge]
-        prepared.append((ge, field.raw_inv(g.terms[ge]), tail, {}))
+    add, mul, is_zero = field.raw_add, field.raw_mul, field.raw_is_zero
+    quotients = [{} for _ in prepared]
     work = dict(f.terms)
     heap = [(key(e), e) for e in work]
     heapify(heap)
@@ -524,10 +538,10 @@ def heap_divide(f, divisors, key, exact=False):
         wc = work.pop(we, None)
         if wc is None:
             continue
-        for ge, inv, tail, quo in prepared:
+        for (ge, inv, tail), quo in zip(prepared, quotients):
             if all([a >= b for a, b in zip(we, ge)]):
                 shift = tuple([a - b for a, b in zip(we, ge)])
-                q = quo[shift] = mul(wc, inv)
+                q = quo[shift] = wc if inv is None else mul(wc, inv)
                 for te, tc in tail:
                     m = tuple([a + b for a, b in zip(shift, te)])
                     v = mul(q, tc)
@@ -546,7 +560,7 @@ def heap_divide(f, divisors, key, exact=False):
             if exact:
                 raise PolynomialError("polynomial is not exactly divisible")
             rem[we] = wc
-    return [d[3] for d in prepared], rem
+    return quotients, rem
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +570,9 @@ def heap_divide(f, divisors, key, exact=False):
 
 def exact_divide(f, g):
     """Quotient f/g when g divides f exactly; raises otherwise."""
-    (quo,), _ = heap_divide(f, [g], GREVLEX.descending_key, exact=True)
+    f._check_compatible(g)
+    key = GREVLEX.descending_key
+    (quo,), _ = heap_divide(f, [prepare_divisor(g, key)], key, exact=True)
     return MultiPoly(f.field, f.vars, quo)
 
 
@@ -580,12 +596,15 @@ def divmod_in_variable(f, g, var):
         raise PolynomialError(
             f"divisor's leading coefficient in {var!r} is not invertible"
         )
-    # a monomial order that ranks the degree in var first: the divisor's
-    # leading monomial is var^dg, which divides exactly the monomials of
-    # degree >= dg in var
-    (quo,), rem = heap_divide(
-        f, [g], lambda e: (-e[i],) + GREVLEX.descending_key(e)
-    )
+    f._check_compatible(g)
+
+    def key(e):
+        # a monomial order that ranks the degree in var first: the divisor's
+        # leading monomial is var^dg, which divides exactly the monomials of
+        # degree >= dg in var
+        return (-e[i],) + GREVLEX.descending_key(e)
+
+    (quo,), rem = heap_divide(f, [prepare_divisor(g, key)], key)
     return MultiPoly(f.field, f.vars, quo), MultiPoly(f.field, f.vars, rem)
 
 

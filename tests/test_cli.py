@@ -313,6 +313,43 @@ def test_verify_certificate_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path
     assert capsys.readouterr().err.startswith(f"error: key {key!r} in certificate")
 
 
+def _claim_doc(**changes):
+    doc = json.loads((CORPUS / "claims" / "insep_binomial_quadric_claim.json").read_text())
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "option, doc, key",
+    [
+        ("--cert", [_elementary_cert()], "field"),
+        ("--cert", _elementary_cert(steps=5), "steps"),
+        ("--cert", _elementary_cert(steps=["elementary"]), "kind"),
+        ("--cert", _elementary_cert(step_shift=2), "shift"),
+        ("--cert", _elementary_cert(field=5), "field"),
+        ("--cert", {"certificates": 5}, "certificates"),
+        ("--claim-file", [_claim_doc()], "field"),
+        ("--claim-file", _claim_doc(field=5), "field"),
+    ],
+    ids=[
+        "cert-top-level-list",
+        "cert-steps-5",
+        "cert-step-string",
+        "cert-shift-2",
+        "cert-field-5",
+        "bundle-certificates-5",
+        "claim-top-level-list",
+        "claim-field-5",
+    ],
+)
+def test_verify_document_of_the_wrong_json_type_is_a_usage_error(capsys, tmp_path, option, doc, key):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", option, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+
+
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     def broken(doc):
         raise KeyError("internal")

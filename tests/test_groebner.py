@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from rect4.fields import GF, QQ, extend
+from rect4.exprparse import parse_polynomial
+from rect4.fields import GF, QQ, extend, rational_function_field
 from rect4.polynomials import (
     GREVLEX,
     LEX,
@@ -16,8 +17,9 @@ from rect4.polynomials import (
     normal_form,
     s_polynomial,
 )
+from rect4.polynomials import groebner
 
-from conftest import random_poly
+from conftest import _pool_element, random_poly
 
 XY = ("X", "Y")
 ZT = ("Z", "T")
@@ -219,3 +221,117 @@ def test_groebner_basis_matches_sympy(field, p, order, name):
         assert all(g.leading_term(order)[1].is_one() for g in ours)
         nontrivial += len(ours) > 1
     assert nontrivial >= 4
+
+
+# -- an independent Buchberger reference ---------------------------------------
+
+F2S = rational_function_field(2)
+QI = extend(QQ, [1, 0, 1], "i")
+REFERENCE_FIELDS = [QQ, GF(5), QI, F2S]
+
+
+def _lead(g, order):
+    return max(g.terms.items(), key=lambda t: order.key(t[0]))
+
+
+def _monomial(field, vars, expv, raw_coeff):
+    return MultiPoly(field, vars, {expv: raw_coeff})
+
+
+def reference_groebner_basis(gens, order):
+    """Reduced Groebner basis by the textbook loop: every pair of the growing
+    basis, no criterion and no early stop, each S-polynomial reduced by
+    :func:`reference_normal_form`; then the elements whose leading monomial
+    another one divides are dropped and each tail is reduced by the rest."""
+    field, vars = gens[0].field, gens[0].vars
+    basis = [g for g in gens if not g.is_zero()]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        (ei, ci), (ej, cj) = _lead(basis[i], order), _lead(basis[j], order)
+        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
+        mi = _monomial(field, vars, tuple(a - b for a, b in zip(lcm, ei)), field.raw_inv(ci))
+        mj = _monomial(field, vars, tuple(a - b for a, b in zip(lcm, ej)), field.raw_inv(cj))
+        r = reference_normal_form(mi * basis[i] - mj * basis[j], basis, order)
+        if not r.is_zero():
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(r)
+
+    def divides(g, h):
+        return all(a <= b for a, b in zip(_lead(g, order)[0], _lead(h, order)[0]))
+
+    minimal = list(basis)
+    while True:
+        redundant = [g for g in minimal if any(h is not g and divides(h, g) for h in minimal)]
+        if not redundant:
+            break
+        minimal.remove(redundant[0])
+    reduced = []
+    for g in minimal:
+        e, c = _lead(g, order)
+        lead = _monomial(field, vars, e, c)
+        tail = reference_normal_form(g - lead, [h for h in minimal if h is not g], order)
+        reduced.append((lead + tail).scale(field.element(field.raw_inv(c))))
+    return sorted(reduced, key=lambda g: order.key(_lead(g, order)[0]), reverse=True)
+
+
+def _random_coefficient_poly(field, vars, rng, max_deg, n_terms):
+    """A sum of ``n_terms`` random terms of total degree at most ``max_deg``,
+    with the generator of an extension or function field mixed into the
+    coefficients now and then."""
+    monomials = [e for e in itertools.product(range(max_deg + 1), repeat=len(vars)) if sum(e) <= max_deg]
+    return MultiPoly.from_terms(
+        field,
+        vars,
+        [(rng.choice(monomials), _pool_element(field, rng, (-3, -2, -1, 1, 2, 3))) for _ in range(n_terms)],
+    )
+
+
+def _reference_cases(field, seed):
+    """Seeded generator sets: two or three random polynomials in X, Y, Z,
+    and (f, f_Y, f_Z) for a random f in Y and Z, most of them unit ideals."""
+    rng = random.Random(seed)
+    cases = []
+    for n_gens in (2, 3, 2, 3, 2, 3):
+        cases.append([_random_coefficient_poly(field, XYZ, rng, 2, 3) for _ in range(n_gens)])
+    for _ in range(10):
+        # a constant term, in most draws, keeps the origin off the curve
+        f = (_random_coefficient_poly(field, ("Y", "Z"), rng, 4, 4) + 1).with_vars(XYZ)
+        cases.append([f, f.partial_derivative("Y"), f.partial_derivative("Z")])
+    return [gens for gens in ([g for g in c if not g.is_zero()] for c in cases) if gens]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
+def test_groebner_basis_matches_the_reference_buchberger(field, order):
+    units = 0
+    for gens in _reference_cases(field, 41):
+        ours = groebner_basis(gens, order)
+        assert ours == reference_groebner_basis(gens, order), [str(g) for g in gens]
+        units += ours == [MultiPoly.one(field, XYZ)]
+    assert units >= 5
+
+
+@pytest.mark.parametrize(
+    "f_text, s_polynomials",
+    # for the first f the third S-polynomial, S(Z^2-4, Z-8) = 8*Z-4, reduces
+    # to a nonzero constant while the pair (Z*T^2, Z-8) is still pending; a
+    # Buchberger without the stop goes on to reduce its S-polynomial 8*T^2
+    # to zero, 4 or 5 calls in all by how ties in the selection fall.  For
+    # the second f, f_T = 3 is a unit before any pair is made (1 call
+    # without the stop)
+    [("-Z*T^3+Z^2-Z+4", 3), ("2*Z^2+3*T", 0)],
+)
+def test_a_constant_remainder_ends_the_basis_computation(monkeypatch, f_text, s_polynomials):
+    f = parse_polynomial(f_text, QQ, ZT)
+    calls = []
+    real = groebner.s_polynomial
+
+    def counting(a, b, order=GREVLEX):
+        calls.append((a, b))
+        return real(a, b, order)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counting)
+    gens = [f, f.partial_derivative("Z"), f.partial_derivative("T")]
+    assert groebner_basis(gens) == [MultiPoly.one(QQ, ZT)]
+    assert len(calls) == s_polynomials
