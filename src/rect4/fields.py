@@ -2,7 +2,8 @@
 
 Supported fields:
 
-* ``RationalField``            -- the rationals, elements are ``fractions.Fraction``
+* ``RationalField``            -- the rationals; an element is an ``int`` when
+  it is integral and a ``fractions.Fraction`` otherwise
 * ``PrimeField(p)``            -- integers mod a prime, elements are ints in ``[0, p)``
 * ``RationalFunctionField(p)`` -- one-parameter rational functions over a prime
   field; elements are coprime (numerator, denominator) pairs of dense
@@ -22,6 +23,7 @@ is safe to share between threads.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from . import dense
@@ -213,7 +215,14 @@ class FieldElement:
 
 
 class RationalField(Field):
-    """The field of rational numbers."""
+    """The field of rational numbers.
+
+    A raw element is an ``int`` when the value is integral and a
+    ``fractions.Fraction`` with denominator greater than one otherwise, never
+    a ``float`` or a ``bool``.  Sums and products of ints then stay in C
+    arithmetic; ``_canonical`` folds an integral ``Fraction`` result back to
+    its numerator.
+    """
 
     kind = "rationals"
 
@@ -221,33 +230,46 @@ class RationalField(Field):
         return 0
 
     def raw_zero(self):
-        return Fraction(0)
+        return 0
 
     def raw_one(self):
-        return Fraction(1)
+        return 1
 
     def raw_from_int(self, n):
-        return Fraction(n)
+        # a bool becomes 0 or 1; a Fraction or a float raises TypeError
+        return operator.index(n)
 
     def raw_add(self, a, b):
-        return a + b
+        r = a + b
+        return r if type(r) is int else _canonical(r)
 
     def raw_neg(self, a):
         return -a
 
     def raw_sub(self, a, b):
-        return a - b
+        r = a - b
+        return r if type(r) is int else _canonical(r)
 
     def raw_mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if type(r) is int else _canonical(r)
 
     def raw_inv(self, a):
-        if a == 0:
+        if not a:
             raise FieldError("division by zero")
-        return 1 / a
+        if type(a) is int:
+            return a if a == 1 or a == -1 else Fraction(1, a)
+        return _canonical(Fraction(a.denominator, a.numerator))
+
+    def raw_div(self, a, b):
+        if not b:
+            raise FieldError("division by zero")
+        # int / int would give a float
+        q = Fraction(a, b) if type(a) is int and type(b) is int else a / b
+        return _canonical(q)
 
     def raw_is_zero(self, a):
-        return a == 0
+        return not a
 
     def raw_str(self, a):
         return str(a)
@@ -265,6 +287,11 @@ class RationalField(Field):
         return "Q"
 
     __repr__ = __str__
+
+
+def _canonical(q):
+    """The raw rational ``q`` (a ``Fraction``) as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _is_prime(n):

@@ -480,7 +480,7 @@ def _factor_over_q(poly, var, rng):
                 (MultiPoly.from_dense(field, poly.vars, var, monic), mult)
             )
     factors.sort(key=lambda fm: (fm[0].total_degree(), str(fm[0])))
-    return Factorization(field.element(unit_value), factors, vars=poly.vars)
+    return Factorization(field.coerce(unit_value), factors, vars=poly.vars)
 
 
 def _factor_over_gfp(poly, var, rng):

@@ -123,7 +123,9 @@ class MultiPoly:
     @classmethod
     def from_terms(cls, field, vars, pairs):
         """Sum of (exponent, coefficient) pairs, each coefficient anything
-        ``field.coerce`` takes (a FieldElement, an int or a Fraction)."""
+        ``field.coerce`` takes (a FieldElement, an int or a Fraction).  Each
+        is stored as the field's canonical raw rep: over Q an int when it is
+        integral, so ``Fraction(6, 3)`` is stored as ``2``."""
         terms = {}
         for expv, c in pairs:
             c = field.coerce(c).rep

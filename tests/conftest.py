@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from rect4.fields import GF, QQ, extend, rational_function_field
+from rect4.fields import GF, QQ, ExtensionField, FieldElement, RationalField, extend, rational_function_field
 from rect4.polynomials import MultiPoly
 from rect4.plane_coordinates import TameStep
 
@@ -38,6 +39,51 @@ def naive_substitute(poly, images):
             term = term * images.get(v, MultiPoly.variable(field, vars, v)) ** k
         out = out + term
     return out
+
+
+def assert_canonical_rational(rep):
+    """A raw rational is an int exactly when it is integral: otherwise a
+    Fraction with a denominator above one, and never a float or a bool."""
+    assert type(rep) in (int, Fraction), f"raw rational {rep!r} is a {type(rep).__name__}"
+    if type(rep) is Fraction:
+        assert rep.denominator > 1, f"integral raw rational {rep!r} is not an int"
+
+
+def _field_rational_reps(field, rep):
+    if isinstance(field, RationalField):
+        yield rep
+    elif isinstance(field, ExtensionField):
+        for c in rep:
+            yield from _field_rational_reps(field.base, c)
+
+
+def rational_reps(obj):
+    """Every raw rational inside ``obj``: the coefficients of a MultiPoly,
+    the rep of a FieldElement (each entry of an extension tuple over Q) and
+    the minimal polynomial of an extension of Q.  Lists, tuples and objects
+    with a ``__dict__`` (tame steps, certificates, root data) are walked."""
+    if isinstance(obj, MultiPoly):
+        for c in obj.terms.values():
+            yield from _field_rational_reps(obj.field, c)
+    elif isinstance(obj, FieldElement):
+        yield from _field_rational_reps(obj.field, obj.rep)
+    elif isinstance(obj, ExtensionField):
+        for c in obj.minpoly:
+            yield from _field_rational_reps(obj.base, c)
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from rational_reps(x)
+    elif hasattr(obj, "__dict__"):
+        yield from rational_reps(list(vars(obj).values()))
+
+
+def assert_canonical_rationals(obj):
+    """Assert :func:`assert_canonical_rational` on every raw rational inside
+    ``obj`` and return them, so a caller can check that the walk saw some."""
+    reps = list(rational_reps(obj))
+    for rep in reps:
+        assert_canonical_rational(rep)
+    return reps
 
 
 def load_case(path):

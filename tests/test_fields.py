@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rect4.exprparse import parse_field_spec
 from rect4.fields import (
@@ -13,6 +15,8 @@ from rect4.fields import (
     extend,
     rational_function_field,
 )
+
+from conftest import assert_canonical_rational
 
 
 def random_element(field, rng):
@@ -69,6 +73,55 @@ def test_canonical_form_idempotent(field):
         # rebuilding from an arithmetic identity lands on the same rep
         y = x + field.zero()
         assert y.rep == x.rep
+
+
+def _raw_rational(q):
+    return q.numerator if q.denominator == 1 else q
+
+
+# canonical raw rationals: ints (small ones and +-1 often) and fractions,
+# some of them with a numerator or denominator past a machine word
+RAW_RATIONALS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(10**30), 10**30),
+    st.fractions(max_denominator=12).map(_raw_rational),
+    st.fractions(max_denominator=10**24).map(_raw_rational),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(a=RAW_RATIONALS, b=RAW_RATIONALS)
+def test_rational_raw_operations_match_fraction_arithmetic(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    results = [
+        (QQ.raw_add(a, b), fa + fb),
+        (QQ.raw_sub(a, b), fa - fb),
+        (QQ.raw_mul(a, b), fa * fb),
+        (QQ.raw_neg(a), -fa),
+    ]
+    if fb:
+        results += [(QQ.raw_div(a, b), fa / fb), (QQ.raw_inv(b), 1 / fb)]
+    else:
+        with pytest.raises(FieldError):
+            QQ.raw_div(a, b)
+        with pytest.raises(FieldError):
+            QQ.raw_inv(b)
+    for got, want in results:
+        assert got == want
+        assert_canonical_rational(got)
+    assert QQ.raw_is_zero(a) == (fa == 0)
+
+
+def test_rational_constructors_give_canonical_reps():
+    for rep in (QQ.raw_zero(), QQ.raw_one(), QQ.raw_from_int(7), QQ.raw_from_int(True)):
+        assert_canonical_rational(rep)
+    assert QQ.coerce(Fraction(6, 3)).rep == 2 and type(QQ.coerce(Fraction(6, 3)).rep) is int
+    assert QQ.coerce(Fraction(-1, 3)).rep == Fraction(-1, 3)
+    assert type(QQ.coerce(True).rep) is int
+    with pytest.raises(TypeError):
+        QQ.coerce(0.5)
+    with pytest.raises(TypeError):
+        QQ.from_int(Fraction(1, 2))
 
 
 def test_rational_examples():
