@@ -476,8 +476,7 @@ def _find_rational_root(a, field, seed):
     fact = univariate_factor(a, rng=random.Random(seed))
     for p, _ in fact.factors:
         if p.degree_in("X") == 1:
-            dense = p.to_dense("X")
-            return -dense[0]
+            return -p.constant_term()
     return None
 
 

@@ -165,7 +165,15 @@ def _named_constant(field, name):
 
 
 def parse_polynomial(text, field, vars):
-    """Parse ``text`` into a MultiPoly over ``field`` in exactly ``vars``."""
+    """Parse ``text`` into a MultiPoly over ``field`` in exactly ``vars``.
+
+    No variable may share its name with the generator or the parameter of
+    ``field``: a certificate could not then tell the variable from the
+    constant when it is replayed.
+    """
+    for name in vars:
+        if _named_constant(field, name) is not None:
+            raise ParseError(f"variable {name!r} is also the name of a constant of {field}")
     return _Parser(_tokenize(text), field, vars).parse()
 
 
@@ -197,7 +205,7 @@ def parse_field_spec(text):
         return base
     gen = m.group("gen")
     minpoly = parse_polynomial(m.group("minpoly"), base, (gen,))
-    coeffs = minpoly.to_dense(gen)
+    coeffs = [minpoly.coeff((k,)) for k in range(minpoly.degree_in(gen) + 1)]
     try:
         return extend(base, coeffs, gen)
     except FieldError as e:

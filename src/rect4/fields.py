@@ -945,7 +945,7 @@ def composite_extension(field, poly_coeffs, gen="g"):
         raise FieldError("composite extension polynomial must be monic")
 
     if not isinstance(field, ExtensionField):
-        L = extend(field, [field.element(c) for c in psi], gen)
+        L = extend(field, poly_coeffs, gen)
         return L, Embedding(field, L), L.generator()
 
     base = field.base

@@ -45,16 +45,13 @@ class FiltrationContext:
         ok, witness = domain_check(h)
         if not ok:
             raise FiltrationError(f"not an integral domain (common factor {witness})")
-        a = h.a
-        dense = a.to_dense("X")
-        d = 0
-        while d < len(dense) and dense[d].is_zero():
-            d += 1
+        dense = h.a.to_dense("X")
+        d = next(k for k, c in enumerate(dense) if not h.field.raw_is_zero(c))
         if d == 0:
             raise FiltrationError(
                 "a(0) must vanish; shift X so that 0 becomes a root of a"
             )
-        alpha = MultiPoly.from_dense(h.field, a.vars, "X", dense[d:])
+        alpha = MultiPoly.from_raw_dense(h.field, h.a.vars, "X", dense[d:])
         f0 = h.F.substitute({"X": h.field.zero()}).with_vars(("Z", "T"))
         if f0.is_zero():
             raise FiltrationError("F(0,Z,T) must be nonzero")
@@ -124,7 +121,9 @@ def to_normal_form(p, ctx):
     field = ctx.field
     a = ctx.hyperplane.a.with_vars(("X", "Z", "T"))
     F = ctx.hyperplane.F.with_vars(("X", "Z", "T"))
-    coeffs = [c.with_vars(("X", "Z", "T")) for c in p.as_univariate("Y")]
+    coeffs = [MultiPoly.zero(field, ("X", "Z", "T"))] * (p.degree_in("Y") + 1)
+    for (k,), c in p.coefficients(("Y",)).items():
+        coeffs[k] = c.with_vars(("X", "Z", "T"))
     i = len(coeffs) - 1
     while i >= 1:
         q, r = divmod_in_variable(coeffs[i], a, "X")

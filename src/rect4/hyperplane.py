@@ -171,24 +171,17 @@ def normalize(h):
 def domain_check(h):
     """(is_domain, witness): the quotient is a domain iff gcd(a, F) = 1.
 
-    The gcd lives in k[X]: it is the gcd of a with all X-coefficient
-    polynomials of F, and deciding it over the base field settles it over the
-    algebraic closure as well.
+    The gcd lives in k[X]: it is the gcd of a with every X-polynomial
+    coefficient of ``F.coefficients(("Z", "T"))``, folded in one pass over
+    the terms of F that stops at the first constant gcd, so the cost follows
+    the number of terms of F and not its degree.  Deciding the gcd over the
+    base field settles it over the algebraic closure as well.
     """
-    acc = h.a.with_vars(h.F.vars)
-    g = acc
-    fz = h.F.as_univariate("Z")
-    coeffs = []
-    for cz in fz:
-        coeffs.extend(cz.as_univariate("T"))
-    for c in coeffs:
-        if c.is_zero():
-            continue
+    g = h.a.with_vars(h.F.vars)
+    for c in h.F.coefficients(("Z", "T")).values():
         g = univariate_gcd(g, c, "X")
         if g.is_constant():
             return True, None
-    if g.is_constant():
-        return True, None
     return False, g
 
 
@@ -216,7 +209,7 @@ def root_data(h, rng=None):
             raise HyperplaneError("base field may not already be an extension")
         else:
             gen = fresh_generator_name(field, "g" if field.characteristic() == 0 else "b")
-            K = ExtensionField(field, tuple(c.rep for c in p.to_dense("X")), gen)
+            K = ExtensionField(field, p.to_dense("X"), gen)
         spec = _at_root(h.F, p, K)
         if spec.is_zero():
             raise HyperplaneError(
@@ -235,15 +228,11 @@ def root_data(h, rng=None):
     return data, fact.complete
 
 
-def _restrict_to_plane(spec):
-    return spec.with_vars(("Z", "T"))
-
-
 def _at_root(poly, p, K):
     """poly(lambda, Z, T) in K[Z,T] for a base-field poly in (X, Z, T), where
     lambda is the root of the monic factor p that generates K."""
-    lam = -p.to_dense("X")[0] if K == poly.field else K.generator()
-    return _restrict_to_plane(poly.substitute({"X": lam}))
+    lam = -p.constant_term() if K == poly.field else K.generator()
+    return poly.substitute({"X": lam}).with_vars(("Z", "T"))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +438,7 @@ def analyze(h, degree_bound=None, rng=None):
         rd.multiplicity > 1 and rd.separable for rd in data
     )
     if f_free_of_x and separable_multiple:
-        base_f = _restrict_to_plane(hn.F)
+        base_f = hn.F.with_vars(("Z", "T"))
         base_result = vartest(base_f)
         if not base_result.accepted:
             report.verdict = VERDICT_NOT_RECTIFIABLE

@@ -264,9 +264,9 @@ def linear_fastpath(f):
     zn, tn = f.vars
     if f.degree_in(tn) > 1:
         return None
-    coeffs = f.as_univariate(tn)
-    a0 = coeffs[0] if coeffs else MultiPoly.zero(f.field, f.vars)
-    a1 = coeffs[1] if len(coeffs) > 1 else MultiPoly.zero(f.field, f.vars)
+    coeffs = f.coefficients((tn,))
+    zero = MultiPoly.zero(f.field, f.vars)
+    a0, a1 = coeffs.get((0,), zero), coeffs.get((1,), zero)
     if a1.is_zero():
         if f.degree_in(zn) == 1:
             cert = _finish(f, [], f.field, None, (zn, tn))

@@ -39,6 +39,7 @@ from .factor import FactorizationError, univariate_factor
 from .multipoly import (
     MultiPoly,
     PolynomialError,
+    content_free_part,
     divides,
     exact_divide,
     univariate_gcd,
@@ -91,8 +92,6 @@ def bivariate_irreducible(f, zvar, tvar, bound=DEFAULT_DEGREE_BOUND):
     for main in (tvar, zvar):
         other = zvar if main == tvar else tvar
         if f.degree_in(main) > 0 and f.degree_in(other) > 0:
-            from .multipoly import content_free_part
-
             content, prim = content_free_part(f, (main,))
             if not content.is_constant():
                 return IrreducibilityResult("reducible", witness=content)
@@ -255,8 +254,13 @@ def kronecker_factor(f, zvar, tvar):
 # ---------------------------------------------------------------------------
 
 
+def _lead_in(f, var):
+    """The coefficient of the highest power of ``var`` in f."""
+    return f.coefficients((var,))[(f.degree_in(var),)]
+
+
 def _content_in(f, main_var, coeff_var):
-    coeffs = [c for c in f.as_univariate(main_var) if not c.is_zero()]
+    coeffs = list(f.coefficients((main_var,)).values())
     g = coeffs[0]
     for c in coeffs[1:]:
         g = univariate_gcd(g, c, coeff_var)
@@ -297,7 +301,7 @@ def bivariate_gcd(f, g, main_var, coeff_var):
     prim = a
     if not prim.is_constant():
         # normalize: make the leading main_var coefficient monic if constant
-        lead = prim.as_univariate(main_var)[-1]
+        lead = _lead_in(prim, main_var)
         if lead.is_constant():
             prim = prim.scale(lead.constant_value().inv())
     else:
@@ -307,12 +311,12 @@ def bivariate_gcd(f, g, main_var, coeff_var):
 
 def _pseudo_remainder(a, b, main_var):
     db = b.degree_in(main_var)
-    lb = b.as_univariate(main_var)[-1]
+    lb = _lead_in(b, main_var)
     r = a
     iv = a.vars.index(main_var)
     while not r.is_zero() and r.degree_in(main_var) >= db:
         dr = r.degree_in(main_var)
-        lr = r.as_univariate(main_var)[-1]
+        lr = _lead_in(r, main_var)
         shift_exp = [0] * len(a.vars)
         shift_exp[iv] = dr - db
         shift = MultiPoly(a.field, a.vars, {tuple(shift_exp): a.field.raw_one()})

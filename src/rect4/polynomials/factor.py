@@ -22,7 +22,7 @@ from ..fields import (
     RationalField,
     RationalFunctionField,
 )
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, PolynomialError
 
 
 class FactorizationError(Exception):
@@ -441,11 +441,10 @@ def univariate_factor(poly, rng=None, var=None):
     if poly.is_zero():
         raise FactorizationError("cannot factor the zero polynomial")
     field = poly.field
-    used = [v for v in poly.vars if poly.involves(v)]
-    if len(used) > 1:
-        raise FactorizationError("polynomial is not univariate")
-    if var is None:
-        var = used[0] if used else poly.vars[0]
+    try:
+        var = poly.univariate_var(var)
+    except PolynomialError as exc:
+        raise FactorizationError(str(exc)) from None
     rng = rng or random.Random(20240901)
 
     if isinstance(field, RationalField):
@@ -463,8 +462,8 @@ def _factor_over_q(poly, var, rng):
     coeffs = poly.to_dense(var)
     den_lcm = 1
     for c in coeffs:
-        den_lcm = den_lcm * c.rep.denominator // math.gcd(den_lcm, c.rep.denominator)
-    ints = [int(c.rep * den_lcm) for c in coeffs]
+        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    ints = [int(c * den_lcm) for c in coeffs]
     prim, content = _zprimitive(_ztrim(ints))
     unit_value = Fraction(content, den_lcm)
     field = poly.field
@@ -486,10 +485,9 @@ def _factor_over_q(poly, var, rng):
 def _factor_over_gfp(poly, var, rng):
     field = poly.field
     p = field.p
-    coeffs = [c.rep for c in poly.to_dense(var)]
-    unit, dense_factors = factor_mod_p(coeffs, p, rng)
+    unit, dense_factors = factor_mod_p(poly.to_dense(var), p, rng)
     factors = [
-        (MultiPoly.from_dense(field, poly.vars, var, f), m)
+        (MultiPoly.from_raw_dense(field, poly.vars, var, f), m)
         for f, m in dense_factors
     ]
     return Factorization(field.element(unit), factors, vars=poly.vars)
@@ -500,9 +498,9 @@ def _factor_over_rff(poly, var):
     field = poly.field
 
     def as_poly(reps):
-        return MultiPoly.from_dense(field, poly.vars, var, [field.element(c) for c in reps])
+        return MultiPoly.from_raw_dense(field, poly.vars, var, reps)
 
-    coeffs = [c.rep for c in poly.to_dense(var)]
+    coeffs = poly.to_dense(var)
     # strip X-monomial content
     low = 0
     while field.raw_is_zero(coeffs[low]):
@@ -592,8 +590,7 @@ def certify_irreducible_univariate(field, dense_reps, varname="g"):
             "irreducibility could not be certified over "
             f"{field} (unsupported pattern)"
         )
-    elems = [field.element(r) for r in dense_reps]
-    fact = univariate_factor(MultiPoly.from_dense(field, (varname,), varname, elems))
+    fact = univariate_factor(MultiPoly.from_raw_dense(field, (varname,), varname, dense_reps))
     f0, m0 = fact.factors[0]
     if len(fact.factors) == 1 and m0 == 1:
         return None

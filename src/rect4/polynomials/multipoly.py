@@ -4,9 +4,12 @@ A :class:`MultiPoly` stores a field, an ordered tuple of variable names and a
 dict mapping exponent tuples to nonzero raw coefficients, in the
 representation of the field's ``raw_*`` interface.  Arithmetic runs on the raw
 coefficients; :class:`~rect4.fields.FieldElement` is the public boundary only:
-constructors such as :meth:`MultiPoly.constant` take elements or ints, and
-readers such as :meth:`MultiPoly.coeff` return elements.  Values are treated
-as immutable; all operations return new polynomials.
+constructors such as :meth:`MultiPoly.from_dense` take elements or ints, and
+readers such as :meth:`MultiPoly.coeff` return elements.  The two views stay
+raw: :meth:`MultiPoly.coefficients` (sparse, the nonzero coefficients in some
+variables) and :meth:`MultiPoly.to_dense` (the raw tuple that
+:mod:`rect4.dense` reads; :meth:`MultiPoly.from_raw_dense` inverts it).
+Values are treated as immutable; all operations return new polynomials.
 
 Three kernels on raw terms carry the arithmetic: :func:`add_multiple`
 (``out += c * x^shift * p``); :func:`_nested_horner`, the substitution behind
@@ -376,38 +379,55 @@ class MultiPoly:
             out[tuple(ne)] = c
         return MultiPoly(self.field, new_vars, out)
 
-    # -- univariate views ---------------------------------------------------------
-    def as_univariate(self, var):
-        """Dense list of coefficient polynomials in the remaining variables."""
-        i = self._var_index(var)
-        return [MultiPoly(self.field, self.vars, b) for b in _split_by_degree(self.terms, i)]
+    # -- coefficient views ---------------------------------------------------------
+    def coefficients(self, vars):
+        """{exponents in ``vars``: coefficient}, each coefficient a polynomial
+        in the same variables free of ``vars``; only nonzero coefficients
+        appear, so the cost follows the terms, not the degree."""
+        idx = [self._var_index(v) for v in vars]
+        buckets = {}
+        for e, c in self.terms.items():
+            rest = list(e)
+            for i in idx:
+                rest[i] = 0
+            buckets.setdefault(tuple([e[i] for i in idx]), {})[tuple(rest)] = c
+        return {k: MultiPoly(self.field, self.vars, b) for k, b in buckets.items()}
 
-    def to_dense(self, var=None):
-        """Dense FieldElement coefficient list for a univariate polynomial."""
+    def univariate_var(self, var=None):
+        """The variable this polynomial is univariate in: ``var``, checked,
+        or the one variable it involves (the first variable when constant)."""
         used = [v for v in self.vars if self.involves(v)]
         if var is None:
             if len(used) > 1:
                 raise PolynomialError("polynomial is not univariate")
-            var = used[0] if used else self.vars[0]
-        elif any(u != var for u in used):
+            return used[0] if used else self.vars[0]
+        if any(u != var for u in used):
             raise PolynomialError(f"polynomial involves variables besides {var!r}")
+        return var
+
+    def to_dense(self, var=None):
+        """Raw dense view: the tuple of raw coefficients in ``var`` (see
+        :meth:`univariate_var`), low degree first, with no trailing zero, as
+        :mod:`rect4.dense` reads it; ``()`` for zero."""
+        var = self.univariate_var(var)
         i = self._var_index(var)
-        deg = self.degree_in(var)
-        out = [self.field.zero()] * (deg + 1) if deg >= 0 else []
+        out = [self.field.raw_zero()] * (self.degree_in(var) + 1)
         for e, c in self.terms.items():
-            out[e[i]] = self.field.element(c)
-        return out
+            out[e[i]] = c
+        return tuple(out)
+
+    @classmethod
+    def from_raw_dense(cls, field, vars, var, reps):
+        """Inverse of :meth:`to_dense`: the polynomial in ``var`` with the
+        canonical raw coefficients ``reps``, low degree first."""
+        vars = tuple(vars)
+        i, pad = vars.index(var), (0,) * (len(vars) - 1)
+        return cls(field, vars, {pad[:i] + (k,) + pad[i:]: c for k, c in enumerate(reps)})
 
     @classmethod
     def from_dense(cls, field, vars, var, coeffs):
-        vars = tuple(vars)
-        i = vars.index(var)
-        terms = {}
-        for k, c in enumerate(coeffs):
-            e = [0] * len(vars)
-            e[i] = k
-            terms[tuple(e)] = field.coerce(c).rep
-        return cls(field, vars, terms)
+        """:meth:`from_raw_dense` on coefficients that ``field.coerce`` takes."""
+        return cls.from_raw_dense(field, vars, var, [field.coerce(c).rep for c in coeffs])
 
     # -- printing ---------------------------------------------------------------
     def __str__(self):
@@ -611,52 +631,34 @@ def divmod_in_variable(f, g, var):
 
 
 def univariate_gcd(f, g, var=None):
-    """Monic gcd of two polynomials that are univariate in a common variable."""
+    """Monic gcd of two polynomials that are univariate in a common variable;
+    1 at once when either is a nonzero constant."""
     if f.is_zero():
         return g.monic() if not g.is_zero() else g
     if g.is_zero():
         return f.monic()
-    if var is None:
-        used = {v for v in f.vars if f.involves(v)} | {
-            v for v in g.vars if g.involves(v)
-        }
-        if len(used) > 1:
-            raise PolynomialError("gcd arguments are not univariate")
-        var = used.pop() if used else f.vars[0]
-    field = f.field
-    if g.field != field:
+    if g.field != f.field:
         raise FieldMismatch("polynomials over different fields")
-    a = [c.rep for c in f.to_dense(var)]
-    b = [c.rep for c in g.to_dense(var)]
-    return MultiPoly.from_dense(
-        field, f.vars, var, [field.element(c) for c in dense.gcd(field, a, b)]
+    if f.is_constant() or g.is_constant():
+        return MultiPoly.one(f.field, f.vars)
+    var = f.univariate_var(var)
+    field = f.field
+    return MultiPoly.from_raw_dense(
+        field, f.vars, var, dense.gcd(field, f.to_dense(var), g.to_dense(var))
     )
 
 
 def content_free_part(f, main_vars):
     """Split f = content * primitive w.r.t. the given main variables.
 
-    The content is the gcd of the coefficients of f seen as a polynomial in
-    ``main_vars``; those coefficients must involve at most one remaining
-    variable.  Returns (content, primitive), with a monic content when it is
-    nonconstant and content 1 for f = 0 or unit-content inputs.
+    The content is the gcd of the nonzero coefficients of
+    ``f.coefficients(main_vars)``, which must involve at most one remaining
+    variable; a constant coefficient ends the gcd at once.  Returns (content,
+    primitive), with a monic content when it is nonconstant and content 1 for
+    f = 0 or unit-content inputs.
     """
-    if isinstance(main_vars, str):
-        main_vars = (main_vars,)
-    main_idx = [f._var_index(v) for v in main_vars]
-    if f.is_zero():
-        return MultiPoly.one(f.field, f.vars), f
-    buckets = {}
-    for e, c in f.terms.items():
-        key = tuple(e[i] if i in main_idx else 0 for i in range(len(e)))
-        coeff_e = tuple(0 if i in main_idx else e[i] for i in range(len(e)))
-        buckets.setdefault(key, {})[coeff_e] = c
-    coeffs = [MultiPoly(f.field, f.vars, b) for b in buckets.values()]
-    used = set()
-    for c in coeffs:
-        for v in c.vars:
-            if c.involves(v):
-                used.add(v)
+    coeffs = list(f.coefficients(main_vars).values())
+    used = {v for c in coeffs for v in c.vars if c.involves(v)}
     if not used:
         return MultiPoly.one(f.field, f.vars), f
     if len(used) > 1:

@@ -1,4 +1,9 @@
+import os
+import pathlib
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +14,25 @@ from rect4.plane_coordinates import TameStep
 
 ZT = ("Z", "T")
 XZT = ("X", "Z", "T")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_cli_capped(*argv, seconds=10, memory_mb=1024):
+    """``python -m rect4.cli *argv`` on this tree's ``src`` in a subprocess,
+    stopped after ``seconds`` of wall time (``subprocess.TimeoutExpired``)
+    and held to ``memory_mb`` of address space, so an input that blows up
+    fails its test instead of exhausting the machine.  Returns the
+    ``CompletedProcess`` with text output."""
+
+    def cap_memory():
+        limit = memory_mb * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "rect4.cli", *argv],
+        capture_output=True, text=True, timeout=seconds, preexec_fn=cap_memory,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
 
 
 def zt_vars(field):

@@ -70,6 +70,38 @@ def test_field_spec_round_trip():
         assert again == field
 
 
+@pytest.mark.parametrize(
+    "field,vars",
+    [
+        ("F2(Z)", ("X", "Z", "T")),
+        ("Q[T]/(T^2+1)", ("Z", "T")),
+        ("F2(s)[b]/(b^2+s)", ("Z", "b")),
+        ("F2(s)[b]/(b^2+s)", ("s", "T")),
+    ],
+)
+def test_variable_named_like_a_field_constant_is_a_parse_error(field, vars):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("1", parse_field_spec(field), vars)
+    assert "is also the name of a constant" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["analyze", "X+Z", "X*T+Z^2", "F2(Z)"], "Z"),
+        (["vartest", "Z+T", "Q[T]/(T^2+1)"], "T"),
+        (["verify", "--field", "F2(Y)", "--vars", "X,Y,Z,T", "X", "Y", "Z", "T"], "Y"),
+    ],
+)
+def test_variable_named_like_a_field_constant_is_a_usage_error(capsys, argv, name):
+    # a would read Z as the parameter and F as the variable, and the
+    # certificates printed for such a run could not be replayed
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"variable {name!r} is also the name of a constant" in captured.err
+
+
 def test_bad_field_specs():
     for spec in ("Q(s)", "F4", "Z", "Q[i]/(i^2-1)", "F2(s)[s]/(s^2+s+1)"):
         with pytest.raises(ParseError):

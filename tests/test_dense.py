@@ -116,14 +116,14 @@ def test_univariate_gcd_matches_sympy(field, p):
     rng = random.Random(2000 + (p or 0))
 
     def poly(coeffs):
-        return MultiPoly.from_dense(field, ("X",), "X", [field.element(c) for c in coeffs])
+        return MultiPoly.from_dense(field, ("X",), "X", coeffs)
 
     for _ in range(25):
         common = to_sympy(random_dense(p, rng, rng.randint(0, 3)), p)
         A = common * to_sympy(random_dense(p, rng, rng.randint(0, 4)), p)
         B = common * to_sympy(random_dense(p, rng, rng.randint(0, 4)), p)
         g = univariate_gcd(poly(from_sympy(A, p)), poly(from_sympy(B, p)), "X")
-        assert tuple(c.rep for c in g.to_dense("X")) == from_sympy(A.gcd(B).monic(), p)
+        assert g.to_dense("X") == from_sympy(A.gcd(B).monic(), p)
 
 
 @pytest.mark.parametrize("field,p", FIELDS, ids=FIELD_IDS)

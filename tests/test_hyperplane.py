@@ -20,7 +20,7 @@ from rect4.hyperplane import (
 )
 from rect4.verifier import verify_plane_pair
 
-from conftest import XZT, a_var, xzt_vars
+from conftest import XZT, a_var, run_cli_capped, xzt_vars
 
 V4 = ("X", "Y", "Z", "T")
 
@@ -68,7 +68,7 @@ def test_normalize_idempotent_and_specialization_commutes(rng):
         data_n, _ = root_data(hn)
         for rd in data_n:
             if rd.residue_field == QQ:
-                lam = -rd.factor.to_dense("X")[0]
+                lam = QQ.element(-rd.factor.to_dense("X")[0])
                 direct = F.substitute({"X": lam}).with_vars(("Z", "T"))
                 assert direct == rd.specialization
 
@@ -114,7 +114,7 @@ def test_domain_agrees_with_per_root_splitting_oracle(rng):
         expected = True
         for p, _m in univariate_factor(a).factors:
             if p.degree_in("X") == 1:
-                lam = -p.to_dense("X")[0]
+                lam = QQ.element(-p.to_dense("X")[0])
                 spec = F.substitute({"X": lam})
             else:
                 K = extend_field(QQ, p.to_dense("X"), "g")
@@ -124,6 +124,22 @@ def test_domain_agrees_with_per_root_splitting_oracle(rng):
                 expected = False
                 break
         assert got == expected, f"a={a}, F={F}"
+
+
+@pytest.mark.parametrize(
+    "a,F,field,code,line",
+    [
+        ("X", "Z^10000000+T^2", "Q", 1, "verdict:   NotRectifiable"),
+        ("X", "X*Z^10000000+X*T", "Q", 3, "common factor: X"),
+        ("X^2+1", "Z^10000000*T^2+T^3", "F5", 2, "verdict:   Inconclusive"),
+    ],
+)
+def test_degree_ten_million_finishes(a, F, field, code, line):
+    # the domain check and the contents read sparse coefficient views, whose
+    # cost follows the two terms of F, not its degree
+    proc = run_cli_capped("analyze", a, F, field)
+    assert proc.returncode == code, proc.stderr
+    assert line in proc.stdout.splitlines()
 
 
 # -- root data -------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rect4.fields import QQ, GF, Embedding, extend, rational_function_field
 from rect4.polynomials import (
@@ -181,6 +183,66 @@ def test_univariate_gcd():
     g = univariate_gcd((X - 1) * (X + 2) ** 2, (X + 2) * (X - 3))
     assert g == X + 2
     assert univariate_gcd(X + 1, X - 1).is_constant()
+    three = MultiPoly.constant(QQ, ("X",), 3)
+    for f, g in ((X**5 + 1, three), (three, X**5 + 1), (three, three)):
+        assert univariate_gcd(f, g) == 1
+    assert univariate_gcd(X * 2, MultiPoly.zero(QQ, ("X",))) == X
+
+
+def _extra_constant(field):
+    """The generator or parameter of ``field``, else zero."""
+    for name in ("generator", "parameter"):
+        if hasattr(field, name):
+            return getattr(field, name)()
+    return field.zero()
+
+
+VIEW_FIELDS = [QQ, GF(5), rational_function_field(2), extend(QQ, [1, 0, 1], "i")]
+EXPONENTS = st.tuples(*[st.integers(0, 4)] * 3)
+
+
+@st.composite
+def polys_and_views(draw):
+    """(f over a field of VIEW_FIELDS in X, Z, T; a variable subset in some
+    order; a variable u; f with every variable but u set to 1)."""
+    field = draw(st.sampled_from(VIEW_FIELDS))
+    extra = _extra_constant(field)
+    terms = draw(st.lists(st.tuples(EXPONENTS, st.integers(-3, 3), st.booleans()), max_size=8))
+    f = MultiPoly.from_terms(
+        field, XZT, [(e, field.from_int(k) + (extra if j else field.zero())) for e, k, j in terms]
+    )
+    vars = tuple(draw(st.lists(st.sampled_from(XZT), unique=True, max_size=3)))
+    u = draw(st.sampled_from(XZT))
+    return f, vars, u, f.substitute({v: 1 for v in XZT if v != u})
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=polys_and_views())
+def test_coefficient_views_rebuild_the_polynomial(case):
+    f, vars, u, g = case
+    field = f.field
+    idx = [XZT.index(v) for v in vars]
+    coeffs = f.coefficients(vars)
+    assert set(coeffs) == {tuple(e[i] for i in idx) for e in f.terms}
+    total = MultiPoly.zero(field, XZT)
+    for key, c in coeffs.items():
+        assert not c.is_zero() and not any(c.involves(v) for v in vars)
+        monomial = MultiPoly.one(field, XZT)
+        for v, k in zip(vars, key):
+            monomial = monomial * MultiPoly.variable(field, XZT, v) ** k
+        total = total + c * monomial
+    assert total == f
+
+    reps = g.to_dense(u)
+    assert len(reps) == g.degree_in(u) + 1  # () for zero
+    assert not reps or not field.raw_is_zero(reps[-1])
+    assert MultiPoly.zero(field, XZT).to_dense(u) == ()
+    assert MultiPoly.from_raw_dense(field, XZT, u, reps) == g
+    if g.involves(u):
+        assert g.to_dense() == reps
+    if len([v for v in XZT if f.involves(v)]) > 1:
+        with pytest.raises(PolynomialError):
+            f.to_dense()
 
 
 def test_printing_roundtrip_through_parser():

@@ -1,8 +1,4 @@
-import os
-import pathlib
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -27,6 +23,7 @@ from conftest import (
     random_coordinate,
     random_poly,
     random_tame_steps,
+    run_cli_capped,
     zt_vars,
 )
 
@@ -392,12 +389,7 @@ def test_power_of_linear_matches_the_expanded_power(field, max_e):
 def test_high_degree_leading_form_finishes():
     # Z^2000 + T^2000 is not a power of a linear form; the check must say so
     # in O(D) steps, without expanding (W - rho)^2000 in O(D^2)
-    root = pathlib.Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rect4.cli", "analyze", "X", "Z^2000+T^2000+1", "Q"],
-        capture_output=True, text=True, env=env, timeout=10,
-    )
+    proc = run_cli_capped("analyze", "X", "Z^2000+T^2000+1", "Q")
     assert proc.returncode == 1, proc.stderr
     assert "coordinate=reject" in proc.stdout
 
@@ -405,11 +397,6 @@ def test_high_degree_leading_form_finishes():
 def test_high_power_of_a_linear_form_finishes():
     # the shear Z -> Z - T turns (Z+T)^200 into Z^200; evaluated with the
     # image of Z outermost it costs O(d^2) term operations, not O(d^3)
-    root = pathlib.Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rect4.cli", "analyze", "X", "(Z+T)^200+1", "Q"],
-        capture_output=True, text=True, env=env, timeout=10,
-    )
+    proc = run_cli_capped("analyze", "X", "(Z+T)^200+1", "Q")
     assert proc.returncode == 1, proc.stderr
     assert "coordinate=reject" in proc.stdout
