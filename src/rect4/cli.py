@@ -38,9 +38,9 @@ from .hyperplane import (
     HyperplaneError,
     analyze,
 )
-from .plane_coordinates import CoordinateCertificate, TameStep, vartest
+from .plane_coordinates import CoordinateCertificate, TameStep, certificate_fault, vartest
 from .polynomials import FactorizationError, MultiPoly, PolynomialError, univariate_factor
-from .verifier import CoordinateClaim, VerifierError, replay_inverses, verify_coordinate_system, verify_plane_pair
+from .verifier import CoordinateClaim, VerifierError, replay_inverses, verify_coordinate_system
 
 SCHEMA_REPORT = "rect4-report-v1"
 SCHEMA_CERT = "rect4-certificate-v1"
@@ -168,12 +168,8 @@ def replay_certificate(doc):
     """Re-check a serialized certificate: composite maps T to f and the pair
     (f, complement) passes the Groebner verifier."""
     cert, f = certificate_from_json(doc)
-    zn, tn = cert.variables
-    if cert.image_of_variable(tn) != f:
-        return False, "composite does not reproduce f"
-    if not verify_plane_pair(f, cert.complement):
-        return False, "complement fails the elimination verifier"
-    return True, None
+    fault = certificate_fault(f, cert)
+    return fault is None, fault
 
 
 # ---------------------------------------------------------------------------

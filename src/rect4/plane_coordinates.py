@@ -488,21 +488,32 @@ def _wrap_accept(f, cert, field0):
 # ---------------------------------------------------------------------------
 
 
-def complement(f, certificate):
-    """The partner polynomial g with K[f, g] = K[Z, T], from the certificate."""
-    zn, tn = certificate.variables
-    expected = certificate.image_of_variable(tn)
-    promoted = f
+def certificate_fault(f, certificate):
+    """Why ``certificate`` does not certify f as a coordinate, or None.
+
+    Its composite must map T to f (read in the certificate's field), and f
+    with the stored complement must pass the Groebner verifier.
+    """
+    image = certificate.image_of_variable(certificate.variables[1])
     if certificate.field != f.field:
         emb = certificate.embedding
         if emb is None or emb.src != f.field:
-            raise PlaneCoordinateError("certificate field mismatch")
-        promoted = f.map_coefficients(emb, certificate.field)
-    if expected != promoted.with_vars(expected.vars):
-        raise PlaneCoordinateError("stale certificate: composite does not map T to f")
-    g = certificate.image_of_variable(zn)
+            return "certificate field mismatch"
+        f = f.map_coefficients(emb, certificate.field)
+    f = f.with_vars(image.vars)
+    if image != f:
+        return "composite does not reproduce f"
     from .verifier import verify_plane_pair
 
-    if not verify_plane_pair(promoted.with_vars(expected.vars), g):
-        raise PlaneCoordinateError("certificate complement failed verification")
-    return g
+    if not verify_plane_pair(f, certificate.complement):
+        return "complement fails the elimination verifier"
+    return None
+
+
+def complement(f, certificate):
+    """The partner polynomial g with K[f, g] = K[Z, T]: the certificate's
+    stored complement, once :func:`certificate_fault` finds no fault."""
+    fault = certificate_fault(f, certificate)
+    if fault is not None:
+        raise PlaneCoordinateError(f"certificate refused: {fault}")
+    return certificate.complement

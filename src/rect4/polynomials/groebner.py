@@ -4,15 +4,22 @@ Produces reduced (monic, auto-reduced) bases; ideal membership is decided by
 :func:`normal_form`.  Default order is graded reverse lexicographic;
 elimination uses a block order.
 
-:func:`groebner_basis` keeps its pending pairs in a heap keyed by the order
-key of their lcm, computed once when the pair is made (normal selection:
-the smallest lcm first), next to the set of live pairs that the chain
-criterion reads.  Each basis element is made monic and put in the form that
-:func:`~rect4.polynomials.multipoly.heap_divide` reads once, when it enters
-the basis; every later reduction and the final interreduction run on those
-prepared forms.  A reduction that leaves a nonzero constant ends the
-computation at once: the ideal then contains a unit, so it is the whole
-ring, whose reduced basis is ``[1]`` whatever the other pairs would add.
+:func:`groebner_basis` enters the generators in ascending order of their
+leading monomials, so each one is reduced by the smaller ones before it makes
+pairs: in the referee's ideal (U1 - f, U2 - g) the complement g usually has
+the smaller lead and reduces U1 - f, and in a Jacobian ideal (f, f_Z, f_T)
+the derivatives reduce f.  Pending pairs wait in a heap keyed by the order
+key of their lcm, computed once when the pair is made (normal selection: the
+smallest lcm first), next to the set of live pairs that the chain criterion
+reads.  Each basis element is only top-reduced when it enters
+(``heap_divide(..., top=True)``), since Buchberger needs its leading
+monomial irreducible, not its tail; it is made monic and put in the form that
+:func:`~rect4.polynomials.multipoly.heap_divide` reads once.  Every later
+reduction runs on those prepared forms, and so does the final
+interreduction, the one place where tails are reduced.  A reduction that
+leaves a nonzero constant ends the computation at once: the ideal then
+contains a unit, so it is the whole ring, whose reduced basis is ``[1]``
+whatever the other pairs would add.
 """
 
 from __future__ import annotations
@@ -76,9 +83,14 @@ def groebner_basis(generators, order=GREVLEX):
     queue, live = [], set()  # pending pairs: (order key of lcm, i, j, lcm), (i, j)
 
     def enter(f):
-        """Reduce f by the basis and append a nonzero remainder, monic, with
-        its pairs; True when the remainder is a nonzero constant."""
-        _, rem = heap_divide(f, prepared, key)
+        """Top-reduce f by the basis and append a nonzero remainder, monic,
+        with its pairs; True when the remainder is a nonzero constant.
+
+        Only the leading monomial is reduced: the tail stays as the division
+        left it until the final interreduction.  A top-reduced remainder is a
+        nonzero constant exactly when the full remainder is one, since both
+        share the first monomial that no basis lead divides."""
+        _, rem = heap_divide(f, prepared, key, top=True)
         if not rem:
             return False
         r = MultiPoly(field, vars, rem)
@@ -106,7 +118,8 @@ def groebner_basis(generators, order=GREVLEX):
                 return True
         return False
 
-    for g in gens:
+    # smallest lead first; the sort is stable, so equal leads keep their order
+    for g in sorted(gens, key=lambda g: key(g.leading_monomial(order)), reverse=True):
         if enter(g):
             return [MultiPoly.one(field, vars)]
     while queue:

@@ -533,7 +533,7 @@ def prepare_divisor(g, key):
     return ge, inv, [(e, neg(c)) for e, c in g.terms.items() if e != ge]
 
 
-def heap_divide(f, prepared, key, exact=False):
+def heap_divide(f, prepared, key, exact=False, top=False):
     """Division of f by a list of divisors, on raw coefficients.
 
     ``prepared`` holds each divisor as :func:`prepare_divisor` returns it,
@@ -541,12 +541,15 @@ def heap_divide(f, prepared, key, exact=False):
     ascending order is the descending monomial order.  Each step takes the
     largest monomial left and reduces it by the first divisor whose leading
     monomial divides it, or moves it to the remainder; with ``exact`` such a
-    monomial raises :class:`PolynomialError` instead.  The work polynomial is
-    a dict with a heap of its monomials; a monomial that cancels stays in the
-    heap and is skipped when popped.
+    monomial raises :class:`PolynomialError` instead, and with ``top`` it
+    ends the division: the remainder is then that monomial plus the rest of
+    the work, a top-reduction whose leading monomial no divisor lead divides
+    and whose full reduction is the full remainder of f.  The work polynomial
+    is a dict with a heap of its monomials; a monomial that cancels stays in
+    the heap and is skipped when popped.
 
     Returns ``(quotients, remainder)`` as raw term dicts, one quotient per
-    divisor.
+    divisor; f minus the sum of quotient times divisor is the remainder.
     """
     field = f.field
     add, mul, is_zero = field.raw_add, field.raw_mul, field.raw_is_zero
@@ -581,6 +584,8 @@ def heap_divide(f, prepared, key, exact=False):
         else:
             if exact:
                 raise PolynomialError("polynomial is not exactly divisible")
+            if top:
+                return quotients, {we: wc, **work}
             rem[we] = wc
     return quotients, rem
 

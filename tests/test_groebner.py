@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from rect4.polynomials import (
     s_polynomial,
 )
 from rect4.polynomials import groebner
+from rect4.polynomials.multipoly import heap_divide, prepare_divisor
 
 from conftest import _pool_element, random_poly
 
@@ -301,26 +303,73 @@ def _reference_cases(field, seed):
     return [gens for gens in ([g for g in c if not g.is_zero()] for c in cases) if gens]
 
 
+@functools.cache
+def _reference_bases(field, order):
+    """The seeded generator sets with their reference bases."""
+    return [(gens, reference_groebner_basis(gens, order)) for gens in _reference_cases(field, 41)]
+
+
 @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
 def test_groebner_basis_matches_the_reference_buchberger(field, order):
     units = 0
-    for gens in _reference_cases(field, 41):
+    for gens, want in _reference_bases(field, order):
         ours = groebner_basis(gens, order)
-        assert ours == reference_groebner_basis(gens, order), [str(g) for g in gens]
+        assert ours == want, [str(g) for g in gens]
         units += ours == [MultiPoly.one(field, XYZ)]
     assert units >= 5
 
 
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
+def test_groebner_basis_does_not_depend_on_the_generator_order(field, order):
+    # groebner_basis sorts the generators by leading monomial, stably; the
+    # reversed and shuffled lists also reorder generators with equal leads
+    rng = random.Random(43)
+    for gens, want in _reference_bases(field, order):
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        for permuted in (gens[::-1], shuffled):
+            assert groebner_basis(permuted, order) == want, [str(g) for g in permuted]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
+def test_top_reduction_leaves_an_irreducible_lead_and_the_same_remainder(field, order):
+    rng = random.Random(19)
+    key = order.descending_key
+    partial = 0
+    for _ in range(30):
+        divisors = [_random_coefficient_poly(field, XYZ, rng, 2, 3) for _ in range(rng.randint(2, 4))]
+        divisors = [g for g in divisors if not g.is_zero()]
+        f = _random_coefficient_poly(field, XYZ, rng, 4, 8)
+        prepared = [prepare_divisor(g, key) for g in divisors]
+        quotients, top = heap_divide(f, prepared, key, top=True)
+        rem = MultiPoly(field, XYZ, top)
+        combination = MultiPoly.zero(field, XYZ)
+        for q, g in zip(quotients, divisors):
+            combination = combination + MultiPoly(field, XYZ, q) * g
+        assert f - combination == rem
+        if top:
+            lead = rem.leading_monomial(order)
+            assert not any(all(a >= b for a, b in zip(lead, ge)) for ge, _, _ in prepared)
+        full = normal_form(f, divisors, order)
+        assert normal_form(rem, divisors, order) == full
+        partial += rem != full
+    # in most draws the top-reduced tail still holds reducible monomials
+    assert partial >= 10
+
+
 @pytest.mark.parametrize(
     "f_text, s_polynomials",
-    # for the first f the third S-polynomial, S(Z^2-4, Z-8) = 8*Z-4, reduces
-    # to a nonzero constant while the pair (Z*T^2, Z-8) is still pending; a
-    # Buchberger without the stop goes on to reduce its S-polynomial 8*T^2
-    # to zero, 4 or 5 calls in all by how ties in the selection fall.  For
-    # the second f, f_T = 3 is a unit before any pair is made (1 call
-    # without the stop)
-    [("-Z*T^3+Z^2-Z+4", 3), ("2*Z^2+3*T", 0)],
+    # the generators enter smallest lead first.  For the first f, f_Z =
+    # -T^3+2*Z-1 reduces f to -Z^2+4 before any pair is made; the second
+    # S-polynomial, S(Z^2-4, Z-8) = 8*Z-4, reduces to a nonzero constant
+    # while the pair (Z*T^2, Z-8) is still pending, and a Buchberger without
+    # the stop goes on to reduce its S-polynomial 8*T^2 to zero (3 calls).
+    # For the second f, f_T = 3 is a unit and enters first, so no pair is
+    # made, with or without the stop
+    [("-Z*T^3+Z^2-Z+4", 2), ("2*Z^2+3*T", 0)],
 )
 def test_a_constant_remainder_ends_the_basis_computation(monkeypatch, f_text, s_polynomials):
     f = parse_polynomial(f_text, QQ, ZT)

@@ -236,6 +236,16 @@ def test_complement_rejects_stale_certificate():
         complement(Z + T**3, r.certificate)
 
 
+def test_complement_rejects_a_wrong_stored_complement():
+    # the composite still maps T to f, but K[f, Z^2] is not K[Z, T]
+    Z, T = zt_vars(QQ)
+    f = Z + T * T
+    cert = vartest(f).certificate
+    cert.complement = Z * Z
+    with pytest.raises(PlaneCoordinateError, match="elimination verifier"):
+        complement(f, cert)
+
+
 # -- TameStep.apply against the expanded substitution ----------------------------
 
 
