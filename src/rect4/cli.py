@@ -11,11 +11,17 @@ Exit codes are the stable interface:
 ``--json`` renders machine-readable reports (schema shipped with the
 package); ``--cert-out`` persists coordinate certificates, replayable with
 ``verify --cert``.
+
+:func:`main` may be called many times in one process.  It builds its
+argument parser on the first call and reuses it afterwards, since the
+parser does not depend on the input; importing this module builds nothing.
+:func:`build_parser` returns a fresh parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -508,6 +514,8 @@ def _add_common(p):
 
 
 def build_parser():
+    """A new parser for the ``rect4`` command line; each subcommand sets
+    ``func`` to its handler."""
     ap = argparse.ArgumentParser(
         prog="rect4",
         description=(
@@ -554,8 +562,17 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser :func:`main` uses: built on the first call, then reused.
+    Parsing leaves no state in it.  The ``_cmd_*`` handlers it dispatches to
+    look up what they call (``replay_certificate``, ``analyze``, ...) when
+    they run, so a module name replaced after the build is still seen."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

@@ -373,6 +373,11 @@ class RationalFunctionField(Field):
 
     Elements are pairs ``(num, den)`` of dense coefficient tuples over F_p
     with ``den`` monic and ``gcd(num, den) = 1``; zero is ``((), (1,))``.
+    This rep is unique, so equal elements have equal reps.  Most fractions
+    that arithmetic forms have a constant denominator (every polynomial in s
+    has ``den == (1,)``); those are reduced without a gcd (see
+    :meth:`_normalize`), and equal denominators are added without cross
+    products.
     """
 
     kind = "rational-function-field"
@@ -386,10 +391,19 @@ class RationalFunctionField(Field):
         return self.p
 
     def _normalize(self, num, den):
+        """The rep of ``num / den`` for dense tuples ``num`` and ``den != ()``:
+        both divided by their gcd, then by the leading coefficient of ``den``.
+        A constant ``den = (c,)`` has gcd 1 with any ``num``, so it skips the
+        gcd and returns ``(num / c, (1,))``, the rep the gcd path gives."""
         if not den:
             raise FieldError("zero denominator")
         if not num:
             return ((), (self.base.raw_one(),))
+        if len(den) == 1:
+            c = den[0]
+            if c != 1:
+                num = dense.scale(self.base, num, self.base.raw_inv(c))
+            return (num, (1,))
         g = dense.gcd(self.base, num, den)
         if len(g) > 1:
             num, _ = dense.divmod(self.base, num, g)
@@ -418,6 +432,8 @@ class RationalFunctionField(Field):
 
     def raw_add(self, a, b):
         (na, da), (nb, db) = a, b
+        if da == db:
+            return self._normalize(dense.add(self.base, na, nb), da)
         num = dense.add(
             self.base,
             dense.mul(self.base, na, db),

@@ -7,7 +7,7 @@ from rect4 import cli
 from rect4.exprparse import ParseError, parse_field_spec, parse_polynomial
 from rect4.fields import QQ, rational_function_field
 
-from conftest import load_case
+from conftest import load_case, run_cli_capped
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -390,6 +390,33 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     cert = CORPUS / "claims" / "insep_binomial_quadric_claim.json"
     with pytest.raises(KeyError):
         cli.main(["verify", "--cert", str(cert)])
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    # main builds its parser once per process; errors, --help and commands
+    # run one after another in this process must print what a fresh process
+    # prints for each, and a command repeated after the others must too
+    monkeypatch.setenv("COLUMNS", "80")  # the --help layout, in both runs
+    case = load_case(CORPUS / "insep_binomial_quadric.case")
+    analyze = ["analyze", case["a"], case["F"], case["field"], "--json"]
+    claim = str(CORPUS / "claims" / "insep_binomial_quadric_claim.json")
+    sequence = [
+        (["frobnicate"], 3),
+        (["--help"], 0),
+        (analyze, 0),
+        (["verify", "--claim-file", claim], 0),
+        (["analyze", "X^", "Z", "Q"], 3),
+        (analyze, 0),
+    ]
+    outs = []
+    for argv, want in sequence:
+        code, out = run(capsys, argv)
+        fresh = run_cli_capped(*argv, seconds=60)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        assert code == want, argv
+        outs.append(out)
+    assert outs[1].startswith("usage: rect4")
+    assert json.loads(outs[2])["verdict"] == "Rectifiable" and outs[5] == outs[2]
 
 
 def test_verify_positional_claim(capsys):

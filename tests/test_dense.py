@@ -1,10 +1,11 @@
 """Differential tests of the dense univariate arithmetic against sympy.
 
-Seeded random polynomials over Q, F5 and F7 go through the public entry
-points that run on the dense layer -- ``univariate_gcd``, algebraic-extension
-and F_p(s) field arithmetic, ``factor_mod_p`` -- and through ``rect4.dense``
-itself; every result is compared with ``sympy.Poly`` (``modulus=p`` over the
-prime fields).  sympy is a test-only dependency.
+Seeded random polynomials over Q, F5 and F7 (and F2, F3 for F_p(s) and the
+factoriser) go through the public entry points that run on the dense layer --
+``univariate_gcd``, algebraic-extension and F_p(s) field arithmetic,
+``factor_mod_p`` -- and through ``rect4.dense`` itself; every result is
+compared with ``sympy.Poly`` (``modulus=p`` over the prime fields).  sympy is
+a test-only dependency.
 """
 
 import ast
@@ -146,10 +147,11 @@ def test_extension_arithmetic_matches_sympy(field, p):
             assert trimmed((ea / eb).rep) == from_sympy((A * B.invert(M)).rem(M), p)
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_rational_function_arithmetic_matches_sympy(p):
     # F_p(s) elements are reduced fractions with a monic denominator
-    # (dense gcd and exact division over F_p)
+    # (dense gcd and exact division over F_p); a constant denominator skips
+    # the gcd, and equal denominators are added without cross products
     F = rational_function_field(p)
     rng = random.Random(4000 + p)
 
@@ -159,17 +161,40 @@ def test_rational_function_arithmetic_matches_sympy(p):
         lc_inv = pow(int(den.LC()) % p, -1, p)
         return (from_sympy(num * lc_inv, p), from_sympy(den.monic(), p))
 
+    def element(N, D):
+        return F.from_polynomial(from_sympy(N, p)) / F.from_polynomial(from_sympy(D, p))
+
     for _ in range(25):
         common = to_sympy(random_dense(p, rng, rng.randint(0, 2)), p)
         n1, d1, n2, d2 = (
             common * to_sympy(random_dense(p, rng, rng.randint(0, 4)), p) for _ in range(4)
         )
-        x1 = F.from_polynomial(from_sympy(n1, p)) / F.from_polynomial(from_sympy(d1, p))
-        x2 = F.from_polynomial(from_sympy(n2, p)) / F.from_polynomial(from_sympy(d2, p))
+        x1 = element(n1, d1)
+        x2 = element(n2, d2)
         assert x1.rep == reduced(n1, d1)
         assert (x1 * x2).rep == reduced(n1 * n2, d1 * d2)
         assert (x1 / x2).rep == reduced(n1 * d2, d1 * n2)
         assert x2.inv().rep == reduced(d2, n2)
+        assert (x1 + x2).rep == reduced(n1 * d2 + n2 * d1, d1 * d2)
+        assert (x1 - x2).rep == reduced(n1 * d2 - n2 * d1, d1 * d2)
+        assert (x1 - x1).rep == ((), (1,))
+
+    one = to_sympy((1,), p)
+    for _ in range(25):
+        # constant denominators: x / c and c / x for a constant c, possibly
+        # not 1 (from p = 3 on), and sums over one shared denominator
+        c = to_sympy(random_dense(p, rng, 0), p)
+        n, r, k = (to_sympy(random_dense(p, rng, rng.randint(0, 4)), p) for _ in range(3))
+        x = element(n, one)
+        assert (x / element(c, one)).rep == reduced(n, c)
+        assert element(n, c).rep == reduced(n, c)
+        assert (element(c, one) / x).rep == reduced(c, n)
+        assert F.from_polynomial(from_sympy(c, p)).inv().rep == reduced(one, c)
+        assert (element(n, c) + element(r, c)).rep == reduced(n + r, c)
+        # over d = g*h, the sum (g*r - n)/d + n/d reduces to r/h
+        g = to_sympy(random_dense(p, rng, rng.randint(1, 2)), p)
+        d = g * k
+        assert (element(g * r - n, d) + element(n, d)).rep == reduced(g * r, d)
 
 
 def _factor_inputs():
