@@ -4,9 +4,12 @@ A dense polynomial is a tuple of raw coefficient representations of a field,
 low degree first, with no trailing zeros; ``()`` is the zero polynomial.
 Every function takes the field descriptor first and touches coefficients only
 through its ``raw_*`` interface (see :class:`rect4.fields.Field`), so one
-implementation serves Q, F_p, F_p(s) and their algebraic extensions: the
-residue fields K[X]/(p), the F_p(s) field itself, the F_p factoriser and
-polynomial gcds.  Inputs may be lists or tuples; results are tuples.
+implementation serves polynomials over Q, F_p, F_p(s) and their algebraic
+extensions: the F_p(s) field itself, the F_p factoriser and its Hensel
+lifting, and polynomial gcds.  The residue fields K[X]/(p) do not reduce or
+invert through it: ``ExtensionField`` folds products through a table of
+powers of its generator and inverts by a linear solve.  Inputs may be lists or
+tuples; results are tuples.
 
 This module imports nothing from ``rect4``, so ``fields`` can build on it.
 """

@@ -10,7 +10,11 @@ Supported fields:
   coefficient tuples with a monic denominator
 * ``ExtensionField(base, m)``  -- a simple algebraic extension of one of the
   above by a monic irreducible polynomial ``m``; elements are coefficient
-  tuples of length ``deg m``
+  tuples of length ``deg m``, multiplied through a table of generator powers
+  and inverted by Gaussian elimination (see the class)
+
+Every rep is canonical: equal elements have equal reps, so ``raw_eq`` is
+``==`` and a zero test may compare with ``raw_zero()``.
 
 Only one extension level above a base field is supported.  When a computation
 needs a root that lives outside the current extension, a single composite
@@ -522,7 +526,8 @@ class RationalFunctionField(Field):
         scaled = dense.mul(self.base, num, den_pm1)
         den_p = dense.mul(self.base, den_pm1, den)  # den^p
         den_p_inner = self._poly_pth_root(den_p)
-        assert den_p_inner is not None
+        if den_p_inner is None:
+            raise FieldError("internal error: den^p is not a polynomial in s^p")
         out = []
         for i in range(p):
             ci = dense.trim(self.base, [scaled[j] for j in range(i, len(scaled), p)])
@@ -549,9 +554,22 @@ class ExtensionField(Field):
     """Simple algebraic extension base[g]/(minpoly).
 
     ``minpoly`` is a dense tuple of base raw representations, monic and of
-    degree >= 2.  Elements are coefficient tuples of length ``deg`` over the
-    base.  Irreducibility of the minimal polynomial is the caller's burden;
-    use :func:`extend` for a checked construction.
+    degree n >= 2.  Irreducibility of the minimal polynomial is the caller's
+    burden; use :func:`extend` for a checked construction.
+
+    * **Rep.**  An element is the tuple of its n coefficients over the base,
+      low degree first, each the base's own canonical rep.  So the rep is
+      unique, equal elements have equal reps, and zero is exactly
+      ``raw_zero()``: the zero tests compare with it.
+    * **Multiply.**  A schoolbook convolution gives 2n - 1 coefficients.
+      Each coefficient of g^k for k = n .. 2n-2 is then folded into the low n
+      through a table of g^k mod minpoly (its nonzero entries), built once
+      per field (H. Cohen, *A Course in Computational Algebraic Number
+      Theory*, ch. 4).
+    * **Invert.**  The inverse u of a solves M_a u = e_0, where column j of
+      M_a is a * g^j, so a*u = 1.  :func:`_solve_linear_system` solves it by
+      Gaussian elimination over the base.  A nonzero a with singular M_a has
+      a common factor with the minimal polynomial, which is then reducible.
     """
 
     kind = "algebraic-extension"
@@ -569,44 +587,34 @@ class ExtensionField(Field):
             raise FieldError("minimal polynomial must be monic")
         self.base = base
         self.minpoly = tuple(minpoly)
-        self.deg = len(minpoly) - 1
+        self.deg = n = len(minpoly) - 1
         self.gen = gen
-        # -minpoly[i] for its nonzero coefficients below the (monic) top
-        self._neg_tail = tuple(
-            (i, base.raw_neg(m)) for i, m in enumerate(self.minpoly[:-1])
-            if not base.raw_is_zero(m)
+        zero = base.raw_zero()
+        self._zero = (zero,) * n
+        self._gen = (zero, base.raw_one()) + self._zero[2:]
+        # g^k mod minpoly for k = n .. 2n-2: g^n = -(minpoly below the top),
+        # and each next power is g times the last, with its top folded back
+        # through g^n
+        power = [base.raw_neg(m) for m in self.minpoly[:-1]]
+        powers = [power]
+        while len(powers) < n - 1:
+            top = power[-1]
+            power = [base.raw_add(x, base.raw_mul(top, y))
+                     for x, y in zip([zero] + power[:-1], powers[0])]
+            powers.append(power)
+        self._fold = tuple(
+            tuple((i, c) for i, c in enumerate(pw) if c != zero) for pw in powers
         )
 
     def characteristic(self):
         return self.base.characteristic()
 
-    def _pad(self, coeffs):
-        out = list(coeffs[: self.deg])
-        while len(out) < self.deg:
-            out.append(self.base.raw_zero())
-        return tuple(out)
-
-    def _reduce(self, coeffs):
-        """Remainder of sum coeffs[k]*g^k modulo the monic minimal polynomial,
-        padded: each nonzero coefficient above degree deg, from the top down,
-        is folded into the deg coefficients below it."""
-        base = self.base
-        rem = list(coeffs)
-        n = self.deg
-        radd, rmul, is_zero = base.raw_add, base.raw_mul, base.raw_is_zero
-        tail = self._neg_tail
-        for k in range(len(rem) - 1, n - 1, -1):
-            c = rem[k]
-            if is_zero(c):
-                continue
-            for i, m in tail:
-                rem[k - n + i] = radd(rem[k - n + i], rmul(c, m))
-        return self._pad(rem)
+    def _pad(self, rep):
+        """The element of the base with raw rep ``rep``."""
+        return (rep,) + self._zero[1:]
 
     def generator(self):
-        coeffs = [self.base.raw_zero()] * self.deg
-        coeffs[1] = self.base.raw_one()
-        return self.element(tuple(coeffs))
+        return self.element(self._gen)
 
     def from_base(self, elt):
         if isinstance(elt, FieldElement):
@@ -615,61 +623,78 @@ class ExtensionField(Field):
             rep = elt.rep
         else:
             rep = self.base.coerce(elt).rep
-        return self.element(self._pad((rep,)))
+        return self.element(self._pad(rep))
 
     def from_coeffs(self, elts):
-        """Element sum elts[i]*g^i from base-field coefficients."""
-        reps = [self.base.coerce(e).rep for e in elts]
-        return self.element(self._reduce(reps))
+        """Element sum elts[i]*g^i from base-field coefficients (any number)."""
+        acc = self._zero
+        for e in reversed(elts):
+            acc = self.raw_add(self.raw_mul(acc, self._gen), self._pad(self.base.coerce(e).rep))
+        return self.element(acc)
 
     def to_base(self, elt):
         """The base-field value of ``elt`` when it lies in the base, else None."""
         rep = self.coerce(elt).rep
-        for c in rep[1:]:
-            if not self.base.raw_is_zero(c):
-                return None
+        if rep[1:] != self._zero[1:]:
+            return None
         return self.base.element(rep[0])
 
     def raw_zero(self):
-        return self._pad(())
+        return self._zero
 
     def raw_one(self):
-        return self._pad((self.base.raw_one(),))
+        return self._pad(self.base.raw_one())
 
     def raw_from_int(self, n):
-        return self._pad((self.base.raw_from_int(n),))
+        return self._pad(self.base.raw_from_int(n))
 
     def raw_add(self, a, b):
-        return tuple(self.base.raw_add(x, y) for x, y in zip(a, b))
+        return tuple(map(self.base.raw_add, a, b))
 
     def raw_neg(self, a):
-        return tuple(self.base.raw_neg(x) for x in a)
+        return tuple(map(self.base.raw_neg, a))
+
+    def raw_sub(self, a, b):
+        return tuple(map(self.base.raw_sub, a, b))
 
     def raw_mul(self, a, b):
         base = self.base
-        radd, rmul, is_zero = base.raw_add, base.raw_mul, base.raw_is_zero
-        prod = [base.raw_zero()] * (2 * self.deg - 1)
-        b_nonzero = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
+        radd, rmul = base.raw_add, base.raw_mul
+        n = self.deg
+        zero = self._zero[0]
+        prod = [zero] * (2 * n - 1)
         for i, x in enumerate(a):
-            if is_zero(x):
-                continue
-            for j, y in b_nonzero:
-                prod[i + j] = radd(prod[i + j], rmul(x, y))
-        return self._reduce(prod)
+            if x != zero:
+                k = i
+                for y in b:
+                    if y != zero:
+                        prod[k] = radd(prod[k], rmul(x, y))
+                    k += 1
+        k = n
+        for row in self._fold:
+            c = prod[k]
+            if c != zero:
+                for i, m in row:
+                    prod[i] = radd(prod[i], rmul(c, m))
+            k += 1
+        del prod[n:]
+        return tuple(prod)
 
     def raw_inv(self, a):
-        at = dense.trim(self.base, a)
-        if not at:
+        if a == self._zero:
             raise FieldError("division by zero")
-        if len(at) == 1:  # an element of the base field
-            return self._pad((self.base.raw_inv(at[0]),))
-        g, u, _ = dense.xgcd(self.base, at, self.minpoly)
-        if len(g) != 1:
+        if a[1:] == self._zero[1:]:  # an element of the base field
+            return self._pad(self.base.raw_inv(a[0]))
+        cols = [a]
+        while len(cols) < self.deg:
+            cols.append(self.raw_mul(cols[-1], self._gen))
+        u = _solve_linear_system(self.base, cols, self.raw_one())
+        if u is None:
             raise FieldError("minimal polynomial is not irreducible (inverse failed)")
-        return self._reduce(u)
+        return tuple(u)
 
     def raw_is_zero(self, a):
-        return all(self.base.raw_is_zero(x) for x in a)
+        return a == self._zero
 
     def raw_str(self, a):
         parts = []
@@ -707,7 +732,7 @@ class ExtensionField(Field):
             check = out
             for _ in range(p - 1):
                 check = self.raw_mul(check, out)
-            if check != self._pad(a):
+            if check != a:
                 return None
             return out
         # Base is F_p(s): solve sum_j b_j * g^(jp) = a with b_j in F_p(s^p),
@@ -715,9 +740,9 @@ class ExtensionField(Field):
         base = self.base
         n = self.deg
         mus = []
-        gp = self._reduce(
-            [base.raw_zero()] * p + [base.raw_one()]
-        )  # g^p reduced
+        gp = self.raw_one()
+        for _ in range(p):
+            gp = self.raw_mul(gp, self._gen)
         mu = self.raw_one()
         for _ in range(n):
             mus.append(mu)
@@ -727,8 +752,8 @@ class ExtensionField(Field):
         def coords(rep):
             vec = []
             for c in rep:
-                vec.extend(base.decompose_by_parameter_power(base.element(c)))
-            return vec  # length n*p of F_p(s) elements (inner variable)
+                vec.extend(e.rep for e in base.decompose_by_parameter_power(base.element(c)))
+            return vec  # length n*p of F_p(s) raw reps (inner variable)
 
         cols = [coords(m) for m in mus]
         rhs = coords(a)
@@ -736,12 +761,11 @@ class ExtensionField(Field):
         if sol is None:
             return None
         # b_j = sol[j](s^p); the root has coordinates sol[j](s).
-        root = [sol[j].rep for j in range(n)]
-        candidate = self._pad(root)
+        candidate = tuple(sol)
         check = candidate
         for _ in range(p - 1):
             check = self.raw_mul(check, candidate)
-        if check != self._pad(a):
+        if check != a:
             return None
         return candidate
 
@@ -792,43 +816,41 @@ def term_sum_str(terms):
 
 
 def _solve_linear_system(field, cols, rhs):
-    """Solve ``sum_j x_j * cols[j] = rhs`` over ``field``.
+    """Solve ``sum_j x_j * cols[j] = rhs`` over ``field`` by Gauss-Jordan
+    elimination with a row swap to the first nonzero pivot.
 
-    ``cols`` is a list of columns (lists of FieldElements), ``rhs`` a list of
-    FieldElements.  Returns the unique solution as a list of FieldElements, or
-    None if the system is unsolvable or underdetermined.
+    ``cols`` is a list of columns and ``rhs`` one column, all sequences of raw
+    reps of ``field`` of one length.  Returns the unique solution as a list of
+    raw reps, or None if the system is unsolvable or underdetermined.
     """
     m = len(rhs)
     n = len(cols)
-    rows = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
+    zero = field.raw_zero()
+    rmul, rsub = field.raw_mul, field.raw_sub
+    rows = [[col[i] for col in cols] + [rhs[i]] for i in range(m)]
     pivots = []
     r = 0
     for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if not rows[i][c].is_zero():
-                piv = i
-                break
+        piv = next((i for i in range(r, m) if rows[i][c] != zero), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        # the pivot row is zero left of column c, so only columns c.. change
+        row = rows[r]
+        inv = field.raw_inv(row[c])
+        row[c:] = [rmul(x, inv) for x in row[c:]]
+        for i, other in enumerate(rows):
+            f = other[c]
+            if i != r and f != zero:
+                other[c:] = [rsub(x, rmul(f, y)) for x, y in zip(other[c:], row[c:])]
         pivots.append(c)
         r += 1
         if r == m:
             break
     # consistency
-    for i in range(r, m):
-        if not rows[i][n].is_zero():
-            return None
-    if len(pivots) < n:
+    if any(rows[i][n] != zero for i in range(r, m)) or len(pivots) < n:
         return None
-    sol = [field.zero()] * n
+    sol = [zero] * n
     for i, c in enumerate(pivots):
         sol[c] = rows[i][n]
     return sol
@@ -1016,13 +1038,11 @@ def composite_extension(field, poly_coeffs, gen="g"):
         while True:
             cur = b_mul(cur, c)
             # test dependence of cur on vecs
-            cols = [[base.element(v[i]) for i in range(dim)] for v in vecs]
-            rhs = [base.element(cur[i]) for i in range(dim)]
-            sol = _solve_linear_system(base, cols, rhs)
+            sol = _solve_linear_system(base, vecs, cur)
             if sol is not None:
                 # minpoly = U^k - sum sol[i] U^i
                 k = len(vecs)
-                coeffs = [base.raw_neg(s.rep) for s in sol] + [base.raw_one()]
+                coeffs = [base.raw_neg(s) for s in sol] + [base.raw_one()]
                 return k, coeffs, vecs
             vecs.append(cur)
             if len(vecs) > dim:
@@ -1048,11 +1068,10 @@ def composite_extension(field, poly_coeffs, gen="g"):
 
     # Express lambda and v in the Krylov basis {theta^i}.
     def solve_in_krylov(target_vec):
-        cols = [[base.element(v[i]) for i in range(dim)] for v in vecs]
-        rhs = [base.element(target_vec[i]) for i in range(dim)]
-        sol = _solve_linear_system(base, cols, rhs)
-        assert sol is not None, "Krylov basis must span the composite"
-        return L.from_coeffs(sol)
+        sol = _solve_linear_system(base, vecs, target_vec)
+        if sol is None:
+            raise FieldError("internal error: Krylov basis does not span the composite")
+        return L.element(tuple(sol))
 
     lam_vec = [base.raw_zero()] * dim
     lam_vec[1] = base.raw_one() if n1 > 1 else base.raw_zero()

@@ -272,7 +272,8 @@ def _rewrite_group(group, top, ctx):
     for ev, c in group.items():
         a_, b_, c_, e_ = ev
         j = b_ - iota
-        assert j >= 0 and a_ - beta == d * j, "group factorization failed"
+        if j < 0 or a_ - beta != d * j:
+            raise FiltrationError("internal error: group factorization failed")
         key = (j, c_, e_)
         U_poly[key] = field.raw_add(U_poly.get(key, field.raw_zero()), c)
     # U-polynomial Q(U, Z, T); divide by alpha0*U - f0

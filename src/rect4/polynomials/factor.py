@@ -288,7 +288,8 @@ def _zdivmod_mod(a, b, m):
     a = [x % m for x in a]
     b = [x % m for x in b]
     b = _ztrim(b)
-    assert b and b[-1] % m == 1, "divisor must be monic mod m"
+    if not b or b[-1] % m != 1:
+        raise FactorizationError("internal error: divisor must be monic mod m")
     q = [0] * max(0, len(a) - len(b) + 1)
     a = list(a)
     while True:
@@ -398,7 +399,8 @@ def _hensel_lift_tree(f, factors, F, k):
 def _hensel_pair(f, g, h, F, k):
     """Quadratic Hensel: f = g*h mod p with f, g, h monic -> mod p^k."""
     one, s, t = dense.xgcd(F, g, h)
-    assert one == (1,), "inputs are not coprime mod p"
+    if one != (1,):
+        raise FactorizationError("internal error: Hensel inputs are not coprime mod p")
     q = F.p
     target = q**k
     g, h, s, t = list(g), list(h), list(s), list(t)
@@ -517,7 +519,8 @@ def _factor_over_rff(poly, var):
         while root is not None:
             lin = (field.raw_from_int(-root), field.raw_one())
             current, rem = dense.divmod(field, current, lin)
-            assert not rem
+            if rem:
+                raise FactorizationError("internal error: a root of f leaves a remainder")
             factors.append((as_poly(lin), 1))
             root = _fp_root(field, current) if len(current) > 2 else None
         if len(current) > 2 and not _rff_is_irreducible(field, current):

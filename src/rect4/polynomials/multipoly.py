@@ -656,9 +656,11 @@ def univariate_gcd(f, g, var=None):
 def content_free_part(f, main_vars):
     """Split f = content * primitive w.r.t. the given main variables.
 
-    The content is the gcd of the nonzero coefficients of
+    The content is the monic gcd of the nonzero coefficients of
     ``f.coefficients(main_vars)``, which must involve at most one remaining
-    variable; a constant coefficient ends the gcd at once.  Returns (content,
+    variable.  The coefficients are folded smallest degree first, so a unit
+    content ends after the cheapest gcd, at once when a coefficient is
+    constant; the monic gcd does not depend on the order.  Returns (content,
     primitive), with a monic content when it is nonconstant and content 1 for
     f = 0 or unit-content inputs.
     """
@@ -671,9 +673,14 @@ def content_free_part(f, main_vars):
             "content computation requires coefficients in at most one variable"
         )
     var = used.pop()
+    coeffs.sort(key=lambda c: c.degree_in(var))
     g = coeffs[0]
     for c in coeffs[1:]:
-        g = univariate_gcd(g, c, var)
         if g.is_constant():
-            return MultiPoly.one(f.field, f.vars), f
+            break
+        g = univariate_gcd(g, c, var)
+    if g.is_constant():
+        return MultiPoly.one(f.field, f.vars), f
+    if len(coeffs) == 1:
+        g = g.monic()  # no gcd has made it monic
     return g, exact_divide(f, g)

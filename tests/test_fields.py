@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rect4 import dense
 from rect4.exprparse import parse_field_spec
 from rect4.fields import (
     GF,
@@ -298,3 +299,103 @@ def test_extension_inverse_of_base_elements(make):
         inv = field.from_base(c).inv()
         assert inv == field.from_base(c.inv())
         assert inv * field.from_base(c) == field.one()
+
+
+# ---------------------------------------------------------------------------
+# residue-field kernels against dense polynomial arithmetic
+# ---------------------------------------------------------------------------
+
+F2S = rational_function_field(2)
+ORACLE_FIELDS = [
+    extend(QQ, [1, 0, 1], "i"),
+    extend(QQ, [-2, 0, 0, 1], "c"),
+    extend(GF(5), [2, 0, 1], "b"),
+    extend(GF(7), [1, 0, 1, 1], "b"),  # b^3+b^2+1: every power in the fold table is dense
+    extend(F2S, [F2S.parameter(), 0, 1], "b"),  # inseparable: b^2 = s
+]
+
+
+def _remainder(field, coeffs):
+    """sum coeffs[k]*g^k reduced by dense divmod, padded to a field rep."""
+    base = field.base
+    _, r = dense.divmod(base, dense.trim(base, coeffs), field.minpoly)
+    return r + (base.raw_zero(),) * (field.deg - len(r))
+
+
+def _oracle_elements(field, rng, count):
+    """Random elements, with the generator and an element with a zero
+    constant term among them, so that elimination must swap rows."""
+    base = field.base
+    shifted = (base.raw_zero(),) + random_element(field, rng).rep[:-1]
+    reps = [field.generator().rep, shifted]
+    reps += [random_element(field, rng).rep for _ in range(count)]
+    return reps
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_extension_multiply_matches_dense_remainder(field):
+    rng = random.Random(41)
+    base = field.base
+    reps = _oracle_elements(field, rng, 40)
+    for a, b in zip(reps, reps[1:] + reps[:1]):
+        want = _remainder(field, dense.mul(base, dense.trim(base, a), dense.trim(base, b)))
+        assert field.raw_mul(a, b) == want
+        assert field.raw_mul(b, a) == want
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_extension_inverse_matches_xgcd(field):
+    rng = random.Random(43)
+    base = field.base
+    one = field.raw_one()
+    for a in _oracle_elements(field, rng, 30):
+        if field.raw_is_zero(a):
+            continue
+        u = field.raw_inv(a)
+        assert field.raw_mul(a, u) == one
+        g, s, _ = dense.xgcd(base, dense.trim(base, a), field.minpoly)
+        assert g == (base.raw_one(),)
+        assert u == _remainder(field, s)
+
+
+@pytest.mark.parametrize(
+    "base, minpoly, zero_divisor",
+    [
+        (QQ, (-1, 0, 1), (-1, 1)),  # g^2-1 = (g-1)(g+1)
+        (GF(5), (4, 0, 1), (1, 1)),  # b^2-1 over F5
+        (QQ, (-1, 1, -1, 1), (1, 0, 1)),  # g^3-g^2+g-1 = (g-1)(g^2+1)
+    ],
+)
+def test_inverse_of_a_zero_divisor_names_the_reducible_minimal_polynomial(base, minpoly, zero_divisor):
+    from rect4.fields import ExtensionField
+
+    field = ExtensionField(base, minpoly)  # the unchecked constructor
+    rep = tuple(zero_divisor) + (base.raw_zero(),) * (field.deg - len(zero_divisor))
+    with pytest.raises(FieldError, match="minimal polynomial is not irreducible"):
+        field.raw_inv(rep)
+    with pytest.raises(FieldError, match="division by zero"):
+        field.raw_inv(field.raw_zero())
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS + ORACLE_FIELDS, ids=str)
+def test_zero_is_exactly_the_zero_rep(field):
+    # the zero tests compare with raw_zero(), so every raw operation must
+    # return the canonical rep of its value
+    rng = random.Random(47)
+    zero = field.raw_zero()
+    reps = [random_element(field, rng).rep for _ in range(12)]
+    results = []
+    for a, b in zip(reps, reps[1:]):
+        results += [
+            field.raw_add(a, b), field.raw_sub(a, b), field.raw_neg(a), field.raw_mul(a, b),
+            field.raw_sub(a, a), field.raw_add(a, field.raw_neg(a)), field.raw_mul(a, zero),
+        ]
+        if not field.raw_is_zero(b):
+            results += [field.raw_div(a, b), field.raw_mul(field.raw_div(a, b), b)]
+    assert any(r == zero for r in results) and any(r != zero for r in results)
+    for r in results:
+        assert field.raw_is_zero(r) == (r == zero)
+        if field.kind == "algebraic-extension":
+            assert len(r) == field.deg
+            for c in r:
+                assert field.base.raw_is_zero(c) == (c == field.base.raw_zero())

@@ -178,6 +178,52 @@ def test_content_free_part_examples():
     assert content == X**2 and prim == Z + X * T
 
 
+def test_content_of_a_single_coefficient_is_monic():
+    ZT = ("Z", "T")
+    Z, T = (MultiPoly.variable(QQ, ZT, v) for v in ZT)
+    content, prim = content_free_part(3 * Z**2 * T + 6 * T, ("T",))
+    assert content == Z**2 + 2 and prim == 3 * T
+
+
+CONTENT_FIELDS = [QQ, GF(5), extend(QQ, [1, 0, 1], "i")]
+ZT_EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@st.composite
+def contents_and_cofactors(draw):
+    """(f = c(Z) * h(Z, T) over a field of CONTENT_FIELDS, a permutation of
+    the coefficient keys of f in T)."""
+    field = draw(st.sampled_from(CONTENT_FIELDS))
+    extra = _extra_constant(field)
+
+    def poly(exponents):
+        terms = draw(st.lists(st.tuples(exponents, st.integers(-3, 3), st.booleans()), min_size=1, max_size=4))
+        return MultiPoly.from_terms(
+            field, ("Z", "T"), [(e, field.from_int(k) + (extra if j else field.zero())) for e, k, j in terms]
+        )
+
+    f = poly(st.tuples(st.integers(0, 3), st.just(0))) * poly(ZT_EXPONENTS)
+    keys = sorted(f.coefficients(("T",)))
+    return f, draw(st.permutations(keys))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=contents_and_cofactors())
+def test_content_is_the_monic_gcd_of_the_coefficients(case):
+    f, order = case
+    content, prim = content_free_part(f, ("T",))
+    coeffs = f.coefficients(("T",))
+    reference = MultiPoly.zero(f.field, f.vars)
+    for key in order:  # any order gives the same monic gcd
+        reference = univariate_gcd(reference, coeffs[key], "Z")
+    if reference.is_zero() or reference.is_constant():
+        assert content == 1 and prim == f
+    else:
+        assert content == reference and content.monic() == content
+    assert not content.involves("T")
+    assert content * prim == f
+
+
 def test_univariate_gcd():
     X = MultiPoly.variable(QQ, ("X",), "X")
     g = univariate_gcd((X - 1) * (X + 2) ** 2, (X + 2) * (X - 3))
