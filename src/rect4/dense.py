@@ -5,40 +5,46 @@ low degree first, with no trailing zeros; ``()`` is the zero polynomial.
 Every function takes the field descriptor first and touches coefficients only
 through its ``raw_*`` interface (see :class:`rect4.fields.Field`), so one
 implementation serves polynomials over Q, F_p, F_p(s) and their algebraic
-extensions: the F_p(s) field itself, the F_p factoriser and its Hensel
-lifting, and polynomial gcds.  The residue fields K[X]/(p) do not reduce or
-invert through it: ``ExtensionField`` folds products through a table of
-powers of its generator and inverts by a linear solve.  Inputs may be lists or
-tuples; results are tuples.
+extensions: the F_p(s) field itself, the F_p factoriser, polynomial gcds, and
+Z[x] of the rational factoriser (Yun, Hensel lifting and recombination).  Z
+enters through a descriptor in ``polynomials.factor`` whose ``raw_*`` are the
+:mod:`operator` functions and whose ``raw_inv`` takes only 1 and -1, so over
+Z ``divmod`` and ``monic`` need a unit leading coefficient; ``gcd`` and
+``xgcd`` need a field.  The residue fields K[X]/(p) do not reduce or invert
+through it: ``ExtensionField`` folds products through a table of powers of its
+generator and inverts by a linear solve.  Inputs may be lists or tuples;
+results are tuples.
 
 This module imports nothing from ``rect4``, so ``fields`` can build on it.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+
 
 def trim(field, coeffs):
-    coeffs = list(coeffs)
+    coeffs = tuple(coeffs)
     is_zero = field.raw_is_zero
-    while coeffs and is_zero(coeffs[-1]):
-        coeffs.pop()
-    return tuple(coeffs)
+    n = len(coeffs)
+    while n and is_zero(coeffs[n - 1]):
+        n -= 1
+    return coeffs[:n]
 
 
 def add(field, a, b):
     if len(a) < len(b):
         a, b = b, a
-    radd = field.raw_add
-    return trim(field, [radd(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
+    return trim(field, [*map(field.raw_add, a, b), *a[len(b):]])
 
 
 def neg(field, a):
-    rneg = field.raw_neg
-    return tuple(rneg(x) for x in a)
+    return tuple(map(field.raw_neg, a))
 
 
 def sub(field, a, b):
-    return add(field, a, neg(field, b))
+    tail = a[len(b):] if len(a) >= len(b) else map(field.raw_neg, b[len(a):])
+    return trim(field, [*map(field.raw_sub, a, b), *tail])
 
 
 def mul(field, a, b):
@@ -57,8 +63,7 @@ def mul(field, a, b):
 def scale(field, a, c):
     if field.raw_is_zero(c):
         return ()
-    rmul = field.raw_mul
-    return trim(field, [rmul(x, c) for x in a])
+    return trim(field, map(field.raw_mul, a, repeat(c)))
 
 
 def monic(field, a):

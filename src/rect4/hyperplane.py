@@ -23,9 +23,9 @@ from .polynomials import (
     MultiPoly,
     bivariate_irreducible,
     divmod_in_variable,
+    gcd_fold,
     ideal_contains_one,
     univariate_factor,
-    univariate_gcd,
 )
 from .plane_coordinates import complement, vartest
 
@@ -171,17 +171,16 @@ def normalize(h):
 def domain_check(h):
     """(is_domain, witness): the quotient is a domain iff gcd(a, F) = 1.
 
-    The gcd lives in k[X]: it is the gcd of a with every X-polynomial
-    coefficient of ``F.coefficients(("Z", "T"))``, folded in one pass over
-    the terms of F that stops at the first constant gcd, so the cost follows
-    the number of terms of F and not its degree.  Deciding the gcd over the
-    base field settles it over the algebraic closure as well.
+    The gcd lives in k[X]: it is the :func:`gcd_fold` of a and the
+    X-polynomial coefficients of ``F.coefficients(("Z", "T"))``, smallest
+    degree first, stopping at the first constant gcd: the fold that
+    ``content_free_part`` runs.  Deciding the gcd over the base field settles
+    it over the algebraic closure as well.
     """
-    g = h.a.with_vars(h.F.vars)
-    for c in h.F.coefficients(("Z", "T")).values():
-        g = univariate_gcd(g, c, "X")
-        if g.is_constant():
-            return True, None
+    coeffs = h.F.coefficients(("Z", "T")).values()
+    g = gcd_fold([h.a.with_vars(h.F.vars), *coeffs], "X")
+    if g.is_constant():
+        return True, None
     return False, g
 
 

@@ -11,6 +11,7 @@ from .multipoly import (
     divides,
     divmod_in_variable,
     exact_divide,
+    gcd_fold,
     univariate_gcd,
 )
 from .factor import (
@@ -38,6 +39,7 @@ __all__ = [
     "divides",
     "divmod_in_variable",
     "exact_divide",
+    "gcd_fold",
     "univariate_gcd",
     "Factorization",
     "FactorizationError",

@@ -259,29 +259,15 @@ def _lead_in(f, var):
     return f.coefficients((var,))[(f.degree_in(var),)]
 
 
-def _content_in(f, main_var, coeff_var):
-    coeffs = list(f.coefficients((main_var,)).values())
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        g = univariate_gcd(g, c, coeff_var)
-        if g.is_constant():
-            break
-    return g.monic() if not g.is_constant() else MultiPoly.one(f.field, f.vars)
-
-
 def bivariate_gcd(f, g, main_var, coeff_var):
     """Monic-content gcd in K[coeff_var][main_var] via a primitive PRS."""
     if f.is_zero():
         return g
     if g.is_zero():
         return f
-    cf = _content_in(f, main_var, coeff_var)
-    cg = _content_in(g, main_var, coeff_var)
-    content = univariate_gcd(cf, cg, coeff_var) if not (
-        cf.is_constant() and cg.is_constant()
-    ) else MultiPoly.one(f.field, f.vars)
-    a = exact_divide(f, cf) if not cf.is_constant() else f
-    b = exact_divide(g, cg) if not cg.is_constant() else g
+    cf, a = content_free_part(f, (main_var,))
+    cg, b = content_free_part(g, (main_var,))
+    content = univariate_gcd(cf, cg, coeff_var)
     if a.degree_in(main_var) < b.degree_in(main_var):
         a, b = b, a
     while not b.is_zero() and b.degree_in(main_var) >= 0:
@@ -295,9 +281,7 @@ def bivariate_gcd(f, g, main_var, coeff_var):
             a = b
             b = MultiPoly.zero(f.field, f.vars)
             break
-        cr = _content_in(r, main_var, coeff_var)
-        r = exact_divide(r, cr) if not cr.is_constant() else r
-        a, b = b, r
+        a, b = b, content_free_part(r, (main_var,))[1]
     prim = a
     if not prim.is_constant():
         # normalize: make the leading main_var coefficient monic if constant

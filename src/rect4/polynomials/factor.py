@@ -1,20 +1,31 @@
 """Univariate factorization.
 
 Over the rationals: squarefree decomposition (Yun), factorization modulo a
-small prime, Hensel lifting and subset recombination.  Over a prime field:
-distinct-degree plus equal-degree (Cantor-Zassenhaus) splitting.  Over a
-one-parameter rational function field only the patterns the analyzer needs
-are certified (monomials, Eisenstein at a small prime of F_p[s], and
-inseparable binomials X^(p^e) - c); anything else is left unresolved and
-flagged.
+small prime, Hensel lifting and subset recombination (Zassenhaus), on
+primitive integer polynomials.  Z[X] has no arithmetic of its own: it runs on
+the :mod:`rect4.dense` kernels through ``_ZZ``, a descriptor of the integers
+whose only invertible elements are 1 and -1, so ``dense.divmod`` divides
+exactly by a polynomial with a unit leading coefficient and refuses any other.
+Written here are only the steps that divide by other leading coefficients:
+the primitive part, a division that stops at the first leading coefficient
+that does not divide (exact quotients, pseudo-remainders), and on top of them
+the primitive remainder sequence of the gcd and Yun's decomposition.  The
+factors are monic, so the unit is the input's leading coefficient.
+
+Over a prime field: distinct-degree plus equal-degree (Cantor-Zassenhaus)
+splitting.  Over a one-parameter rational function field only the patterns
+the analyzer needs are certified (monomials, Eisenstein at a small prime of
+F_p[s], and inseparable binomials X^(p^e) - c); anything else is left
+unresolved and flagged.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
-from fractions import Fraction
 
 from .. import dense
 from ..fields import (
@@ -65,58 +76,69 @@ class Factorization:
 
 
 # ---------------------------------------------------------------------------
-# dense integer-polynomial helpers (low degree first, plain ints)
+# Z[X]: dense integer polynomials (low degree first, plain ints) on rect4.dense
 # ---------------------------------------------------------------------------
 
 
-def _ztrim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+class _Integers:
+    """The integers as a :mod:`rect4.dense` field descriptor.
+
+    The ring operations are the C-level :mod:`operator` functions.  Z is not
+    a field: ``raw_inv`` takes only the units 1 and -1 and raises
+    ``FactorizationError`` on anything else.
+    """
+
+    raw_add = operator.add
+    raw_sub = operator.sub
+    raw_mul = operator.mul
+    raw_neg = operator.neg
+    raw_is_zero = operator.not_
+    raw_from_int = int
+
+    @staticmethod
+    def raw_zero():
+        return 0
+
+    @staticmethod
+    def raw_one():
+        return 1
+
+    @staticmethod
+    def raw_inv(a):
+        if a == 1 or a == -1:
+            return a
+        raise FactorizationError(f"internal error: {a} is not a unit of Z")
 
 
-def _zmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ztrim(out)
+_ZZ = _Integers()
 
 
-def _zcontent(a):
-    g = 0
-    for x in a:
-        g = math.gcd(g, x)
-    return g or 1
+def _zmod(a, m):
+    """The integer polynomial a with its coefficients reduced into [0, m)."""
+    return dense.trim(_ZZ, [x % m for x in a])
 
 
 def _zprimitive(a):
-    g = _zcontent(a)
+    """a divided by its content, with a positive leading coefficient."""
+    c = math.gcd(*a) or 1
     if a and a[-1] < 0:
-        g = -g
-    return [x // g for x in a], g
+        c = -c
+    return tuple(x // c for x in a)
 
 
-def _zdivide_exact(a, b):
-    """Exact division of integer polynomials, or None."""
-    if not b:
-        return None
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while a and len(a) >= len(b):
-        if a[-1] % b[-1]:
+def _zdivmod(a, b):
+    """(q, r) with a = q*b + r and deg r < deg b, for integer polynomials, or
+    None at the first leading coefficient that b's does not divide."""
+    rem, lb, deg_b = list(a), b[-1], len(b) - 1
+    quo = [0] * max(0, len(a) - deg_b)
+    for shift in reversed(range(len(quo))):
+        c, r = divmod(rem[shift + deg_b], lb)
+        if r:
             return None
-        c = a[-1] // b[-1]
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i in range(len(b)):
-            a[shift + i] -= c * b[i]
-        a = _ztrim(a)
-    return q if not a else None
+        quo[shift] = c
+        for i, y in enumerate(b, shift):
+            rem[i] -= c * y
+    return tuple(quo), dense.trim(_ZZ, rem)
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +255,18 @@ _SMALL_PRIMES = [
 
 
 def _yun_squarefree(a):
-    """Yun's squarefree decomposition for primitive integer polynomials."""
+    """Yun's squarefree decomposition [(g, m)] of a primitive integer
+    polynomial with a positive leading coefficient; each g is again one."""
     out = []
-    d = _ztrim([i * a[i] for i in range(1, len(a))])
+    d = dense.deriv(_ZZ, a)
     g = _zgcd_poly(a, d)
     if len(g) == 1:
         return [(a, 1)]
-    w = _zdivide_exact(a, g)
-    y = _zdivide_exact(d, g)
+    w = _zdivmod(a, g)[0]
+    y = _zdivmod(d, g)[0]
     m = 1
     while True:
-        wd = _ztrim([i * w[i] for i in range(1, len(w))])
-        z = _zsub(y, wd)
+        z = dense.sub(_ZZ, y, dense.deriv(_ZZ, w))
         if not z:
             if len(w) > 1:
                 out.append((w, m))
@@ -252,56 +274,24 @@ def _yun_squarefree(a):
         g = _zgcd_poly(w, z)
         if len(g) > 1:
             out.append((g, m))
-        w = _zdivide_exact(w, g)
-        y = _zdivide_exact(z, g)
+        w = _zdivmod(w, g)[0]
+        y = _zdivmod(z, g)[0]
         m += 1
     return out
 
 
 def _zgcd_poly(a, b):
-    """Primitive gcd of integer polynomials via a modular-free PRS."""
-    a, _ = _zprimitive(_ztrim(a))
-    b, _ = _zprimitive(_ztrim(b))
+    """Primitive gcd of integer polynomials by the primitive PRS; (1,) when
+    both are zero."""
+    a, b = _zprimitive(a), _zprimitive(b)
     if not a:
-        return b or [1]
-    if not b:
-        return a
+        return b or (1,)
     while b:
-        # pseudo-remainder
-        r = list(a)
-        db = len(b) - 1
-        lb = b[-1]
-        while r and len(r) - 1 >= db:
-            c = r[-1]
-            shift = len(r) - 1 - db
-            r = [x * lb for x in r]
-            for i in range(len(b)):
-                r[shift + i] -= c * b[i]
-            r = _ztrim(r)
-        a, b = b, _zprimitive(r)[0] if r else []
-    a, _ = _zprimitive(a)
+        # the pseudo-remainder: lc(b)^(deg a - deg b + 1) * a divides by b
+        # without fractions
+        a_scaled = dense.scale(_ZZ, a, b[-1] ** max(0, len(a) - len(b) + 1))
+        a, b = b, _zprimitive(_zdivmod(a_scaled, b)[1])
     return a
-
-
-def _zdivmod_mod(a, b, m):
-    """Division of integer polys mod m; b must be monic mod m."""
-    a = [x % m for x in a]
-    b = [x % m for x in b]
-    b = _ztrim(b)
-    if not b or b[-1] % m != 1:
-        raise FactorizationError("internal error: divisor must be monic mod m")
-    q = [0] * max(0, len(a) - len(b) + 1)
-    a = list(a)
-    while True:
-        a = _ztrim([x % m for x in a])
-        if not a or len(a) < len(b):
-            break
-        c = a[-1] % m
-        shift = len(a) - len(b)
-        q[shift] = (q[shift] + c) % m
-        for i in range(len(b)):
-            a[shift + i] = (a[shift + i] - c * b[i]) % m
-    return _ztrim([x % m for x in q]), a
 
 
 def _mignotte_bound(a):
@@ -346,24 +336,23 @@ def _factor_squarefree_z(a, rng):
 
     factors = []
     remaining = list(range(len(lifted)))
-    current = list(a)
+    current = a
     size = 1
     while 2 * size <= len(remaining):
         found = True
         while found:
             found = False
             for subset in itertools.combinations(remaining, size):
-                cand = [current[-1] % pk]
+                cand = (current[-1] % pk,)
                 for i in subset:
-                    cand = [x % pk for x in _zmul(cand, lifted[i])]
-                cand = [_centered(x, pk) for x in cand]
-                cand_prim, _ = _zprimitive(_ztrim(cand))
-                if not cand_prim or len(cand_prim) == 1:
+                    cand = _zmod(dense.mul(_ZZ, cand, lifted[i]), pk)
+                cand_prim = _zprimitive(dense.trim(_ZZ, [_centered(x, pk) for x in cand]))
+                if len(cand_prim) <= 1:
                     continue
-                q = _zdivide_exact(current, cand_prim)
-                if q is not None:
+                division = _zdivmod(current, cand_prim)
+                if division and not division[1]:
                     factors.append(cand_prim)
-                    current = q
+                    current = division[0]
                     remaining = [i for i in remaining if i not in subset]
                     found = True
                     break
@@ -371,7 +360,7 @@ def _factor_squarefree_z(a, rng):
                 break
         size += 1
     if len(current) > 1:
-        factors.append(_zprimitive(current)[0])
+        factors.append(_zprimitive(current))
     return factors
 
 
@@ -380,8 +369,7 @@ def _hensel_lift_tree(f, factors, F, k):
     pk = F.p**k
     # make f monic mod p^k: the single-factor case returns it, the pair
     # lift needs it
-    inv = pow(f[-1], -1, pk)
-    f_monic = [(x * inv) % pk for x in f]
+    f_monic = _zmod(dense.scale(_ZZ, f, pow(f[-1], -1, pk)), pk)
     if len(factors) == 1:
         return [f_monic]
     mid = len(factors) // 2
@@ -403,29 +391,20 @@ def _hensel_pair(f, g, h, F, k):
         raise FactorizationError("internal error: Hensel inputs are not coprime mod p")
     q = F.p
     target = q**k
-    g, h, s, t = list(g), list(h), list(s), list(t)
+    add, sub, mul = (functools.partial(op, _ZZ) for op in (dense.add, dense.sub, dense.mul))
     while q < target:
-        q2 = q * q
-        e = _ztrim([x % q2 for x in (_zsub(f, _zmul(g, h)))])
-        qg, r = _zdivmod_mod(_zmul(s, e), h, q2)
-        h_new = _ztrim([x % q2 for x in _zadd(h, r)])
-        g_new = _ztrim([x % q2 for x in _zadd(g, _zadd(_zmul(t, e), _zmul(qg, g)))])
-        g, h = g_new, h_new
-        b = _ztrim([x % q2 for x in _zsub(_zadd(_zmul(s, g), _zmul(t, h)), [1])])
-        qs, r_s = _zdivmod_mod(_zmul(s, b), h, q2)
-        s_new = _ztrim([x % q2 for x in _zsub(s, r_s)])
-        t_new = _ztrim([x % q2 for x in _zsub(t, _zadd(_zmul(t, b), _zmul(qs, g)))])
-        s, t = s_new, t_new
-        q = q2
+        q *= q
+        e = _zmod(sub(f, mul(g, h)), q)
+        # h is monic, so its division over Z, reduced mod q, is the division
+        # mod q
+        qg, r = (_zmod(x, q) for x in dense.divmod(_ZZ, mul(s, e), h))
+        h = _zmod(add(h, r), q)
+        g = _zmod(add(g, add(mul(t, e), mul(qg, g))), q)
+        b = _zmod(sub(add(mul(s, g), mul(t, h)), (1,)), q)
+        qs, r_s = (_zmod(x, q) for x in dense.divmod(_ZZ, mul(s, b), h))
+        s = _zmod(sub(s, r_s), q)
+        t = _zmod(sub(t, add(mul(t, b), mul(qs, g))), q)
     return g, h
-
-
-def _zadd(a, b):
-    return _ztrim([x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-
-def _zsub(a, b):
-    return _ztrim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
 # ---------------------------------------------------------------------------
@@ -461,27 +440,17 @@ def univariate_factor(poly, rng=None, var=None):
 
 
 def _factor_over_q(poly, var, rng):
-    coeffs = poly.to_dense(var)
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in coeffs]
-    prim, content = _zprimitive(_ztrim(ints))
-    unit_value = Fraction(content, den_lcm)
     field = poly.field
+    coeffs = poly.to_dense(var)
+    den_lcm = math.lcm(*(c.denominator for c in coeffs))
     factors = []
-    for sf, mult in _yun_squarefree(prim):
-        sf_prim, extra = _zprimitive(sf)
-        unit_value *= Fraction(extra) ** mult
-        for irr in _factor_squarefree_z(sf_prim, rng):
-            lc = irr[-1]
-            unit_value *= Fraction(lc) ** mult
-            monic = [Fraction(x, lc) for x in irr]
-            factors.append(
-                (MultiPoly.from_dense(field, poly.vars, var, monic), mult)
-            )
+    for sf, mult in _yun_squarefree(_zprimitive([int(c * den_lcm) for c in coeffs])):
+        for irr in _factor_squarefree_z(sf, rng):
+            monic = dense.monic(field, irr)
+            factors.append((MultiPoly.from_raw_dense(field, poly.vars, var, monic), mult))
     factors.sort(key=lambda fm: (fm[0].total_degree(), str(fm[0])))
-    return Factorization(field.coerce(unit_value), factors, vars=poly.vars)
+    # the factors are monic, so the unit is the leading coefficient
+    return Factorization(field.element(coeffs[-1]), factors, vars=poly.vars)
 
 
 def _factor_over_gfp(poly, var, rng):

@@ -653,18 +653,33 @@ def univariate_gcd(f, g, var=None):
     )
 
 
+def gcd_fold(polys, var):
+    """Monic gcd of nonzero polynomials in ``var`` alone; a nonzero constant
+    when the gcd is 1.
+
+    The polynomials are folded smallest degree first and the fold stops at
+    the first constant gcd, so a unit gcd ends after the cheapest gcds, at
+    once when a polynomial is constant; the monic gcd does not depend on the
+    order.
+    """
+    polys = sorted(polys, key=lambda c: c.degree_in(var))
+    g = polys[0]
+    for c in polys[1:]:
+        if g.is_constant():
+            return g
+        g = univariate_gcd(g, c, var)
+    return g if len(polys) > 1 else g.monic()  # no gcd has made it monic
+
+
 def content_free_part(f, main_vars):
     """Split f = content * primitive w.r.t. the given main variables.
 
-    The content is the monic gcd of the nonzero coefficients of
+    The content is the :func:`gcd_fold` of the nonzero coefficients of
     ``f.coefficients(main_vars)``, which must involve at most one remaining
-    variable.  The coefficients are folded smallest degree first, so a unit
-    content ends after the cheapest gcd, at once when a coefficient is
-    constant; the monic gcd does not depend on the order.  Returns (content,
-    primitive), with a monic content when it is nonconstant and content 1 for
-    f = 0 or unit-content inputs.
+    variable.  Returns (content, primitive), with a monic content when it is
+    nonconstant and content 1 for f = 0 or unit-content inputs.
     """
-    coeffs = list(f.coefficients(main_vars).values())
+    coeffs = f.coefficients(main_vars).values()
     used = {v for c in coeffs for v in c.vars if c.involves(v)}
     if not used:
         return MultiPoly.one(f.field, f.vars), f
@@ -672,15 +687,7 @@ def content_free_part(f, main_vars):
         raise PolynomialError(
             "content computation requires coefficients in at most one variable"
         )
-    var = used.pop()
-    coeffs.sort(key=lambda c: c.degree_in(var))
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        if g.is_constant():
-            break
-        g = univariate_gcd(g, c, var)
+    g = gcd_fold(coeffs, used.pop())
     if g.is_constant():
         return MultiPoly.one(f.field, f.vars), f
-    if len(coeffs) == 1:
-        g = g.monic()  # no gcd has made it monic
     return g, exact_divide(f, g)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -195,3 +196,124 @@ def test_univariate_factor_matches_sympy_over_q():
             (g.to_dense("X"), m) for g, m in fact.factors
         )
         assert (fact.unit.rep, ours) == _monic_sympy_factors(f), str(f)
+
+
+# -- the Z[X] kernels of the rational factoriser -------------------------------
+
+
+def _sympy_ints(expr):
+    """Ascending integer coefficients of a sympy polynomial in X; () for 0."""
+    if expr == 0:
+        return ()
+    return tuple(int(c) for c in sympy.Poly(expr, SX).all_coeffs()[::-1])
+
+
+def _primitive_positive(a):
+    """a over its content, with a positive leading coefficient (an oracle
+    independent of factor._zprimitive)."""
+    c = math.gcd(*a) or 1
+    return tuple(x // (-c if a and a[-1] < 0 else c) for x in a)
+
+
+def _random_zpoly(rng, max_deg=4):
+    return [rng.randint(-7, 7) for _ in range(rng.randint(1, max_deg))] + [rng.choice((-3, -2, -1, 1, 2, 5))]
+
+
+def _random_sqf_input(rng):
+    """(ascending ints, sympy expression): a product of random factors, some
+    repeated, times X^k and a content that may be negative."""
+    expr = rng.choice((1, -1, 2, -6, 10)) * SX ** rng.choice((0, 0, 1, 3))
+    for _ in range(rng.randint(1, 3)):
+        f = _random_zpoly(rng, 3)
+        expr *= sympy.Add(*(c * SX**e for e, c in enumerate(f))) ** rng.randint(1, 3)
+    expr = sympy.expand(expr)
+    return _sympy_ints(expr), expr
+
+
+def test_integer_descriptor_has_only_the_units_as_inverses():
+    from rect4 import dense
+    from rect4.polynomials import factor
+
+    assert factor._ZZ.raw_inv(1) == 1 and factor._ZZ.raw_inv(-1) == -1
+    for a in (2, -2, 0, 6):
+        with pytest.raises(FactorizationError):
+            factor._ZZ.raw_inv(a)
+    # so dense.divmod divides exactly by unit-leading divisors only
+    assert dense.divmod(factor._ZZ, (2, 3, 1), (1, 1)) == ((2, 1), ())
+    assert dense.divmod(factor._ZZ, (2, 3, 1), (1, -1)) == ((-4, -1), (6,))
+    with pytest.raises(FactorizationError):
+        dense.divmod(factor._ZZ, (2, 3, 1), (1, 2))
+
+
+def test_zgcd_poly_matches_sympy():
+    from rect4.polynomials import factor
+
+    rng = random.Random(4411)
+    for _ in range(60):
+        common = sympy.Add(*(c * SX**e for e, c in enumerate(_random_zpoly(rng, 2))))
+        _, f = _random_sqf_input(rng)
+        _, g = _random_sqf_input(rng)
+        f, g = sympy.expand(f * common), sympy.expand(g * common)
+        if rng.random() < 0.1:
+            g = sympy.Integer(0)
+        a, b = _sympy_ints(f), _sympy_ints(g)
+        want = _primitive_positive(_sympy_ints(sympy.gcd(f, g)))
+        assert factor._zgcd_poly(a, b) == want, (f, g)
+        assert factor._zgcd_poly(b, a) == want, (f, g)
+    assert factor._zgcd_poly((), ()) == (1,)
+
+
+def test_yun_squarefree_matches_sympy():
+    """_yun_squarefree takes primitive inputs (as _factor_over_q gives it);
+    its parts are primitive with a positive leading coefficient, and their
+    product with multiplicities is that input exactly."""
+    from rect4 import dense
+    from rect4.polynomials import factor
+
+    rng = random.Random(5123)
+    for _ in range(60):
+        a, expr = _random_sqf_input(rng)
+        prim = factor._zprimitive(a)
+        assert prim == _primitive_positive(a)
+        parts = factor._yun_squarefree(prim)
+        _, want = sympy.sqf_list(expr)
+        want = sorted((m, _primitive_positive(_sympy_ints(g))) for g, m in want)
+        assert sorted((m, g) for g, m in parts) == want, expr
+        product = (1,)
+        for g, m in parts:
+            assert g == _primitive_positive(g)
+            for _ in range(m):
+                product = dense.mul(factor._ZZ, product, g)
+        assert product == prim, expr
+
+
+def test_hensel_lift_tree_lifts_the_modular_factorization():
+    from rect4 import dense
+    from rect4.polynomials import factor
+
+    rng = random.Random(6007)
+    lifted_cases = 0
+    while lifted_cases < 40:
+        a = [1]
+        for _ in range(rng.randint(2, 4)):
+            a = dense.mul(factor._ZZ, a, _random_zpoly(rng, 3))
+        p = rng.choice((3, 5, 7, 11, 13))
+        F = GF(p)
+        am = factor._reduce_mod(F, a)
+        if len(am) != len(a) or len(dense.gcd(F, am, dense.deriv(F, am))) != 1:
+            continue  # not squarefree mod p, or p divides the leading coefficient
+        modular = sorted(factor._p_split(F, dense.monic(F, am), random.Random(1)), key=lambda f: (len(f), f))
+        if len(modular) < 2:
+            continue
+        k = rng.randint(2, 9)
+        pk = p**k
+        lifted = factor._hensel_lift_tree(tuple(a), modular, F, k)
+        assert len(lifted) == len(modular)
+        product = (1,)
+        for lift, fac in zip(lifted, modular):
+            assert lift[-1] == 1 and all(0 <= x < pk for x in lift), (a, p, k)
+            assert factor._reduce_mod(F, lift) == fac, (a, p, k)
+            product = dense.mul(factor._ZZ, product, lift)
+        monic_a = [x * pow(a[-1], -1, pk) for x in a]
+        assert [x % pk for x in product] == [x % pk for x in monic_a], (a, p, k)
+        lifted_cases += 1
