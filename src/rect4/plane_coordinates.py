@@ -52,8 +52,8 @@ class TameStep:
     shift: object = None  # MultiPoly in the other variable
 
     def apply(self, poly):
-        """Image of ``poly`` under the substitution, by
-        :meth:`MultiPoly.substitute`.
+        """Image of ``poly`` under the substitution: one nested Horner pass,
+        :meth:`MultiPoly.substitute_terms`, on the raw terms of the images.
 
         A linear step binds Z and T to their affine images at once, Z first,
         so Horner's rule runs in the image of Z outside the one of T.  The
@@ -70,39 +70,41 @@ class TameStep:
             )
         vars = poly.vars
         if self.kind == "linear":
-            (m00, m01), (m10, m11) = self.matrix
-            v0, v1 = self.translation
+            is_zero = field.raw_is_zero
             zero = (0,) * len(vars)
-            z, t = (1,) + zero[1:], (0, 1) + zero[2:]
-            images = {
-                vars[0]: MultiPoly.from_terms(field, vars, ((z, m00), (t, m01), (zero, v0))),
-                vars[1]: MultiPoly.from_terms(field, vars, ((z, m10), (t, m11), (zero, v1))),
-            }
+            basis = ((1,) + zero[1:], (0, 1) + zero[2:], zero)  # Z, T, 1
+            images = [
+                (name, [(e, c.rep) for e, c in zip(basis, (*row, v)) if not is_zero(c.rep)])
+                for name, row, v in zip(vars, self.matrix, self.translation)
+            ]
         else:
-            target = MultiPoly.variable(field, vars, self.target)
-            images = {self.target: self.shift.with_vars(vars) + target}
-        return poly.substitute(images)
+            shift = self.shift if self.shift.vars == vars else self.shift.with_vars(vars)
+            target = tuple([int(v == self.target) for v in vars])
+            images = [(self.target, [*shift.terms.items(), (target, field.raw_one())])]
+        return poly.substitute_terms(images)
 
     def inverse(self):
+        """The inverse step; a linear one is inverted on raw coefficients."""
+        field = self.field
         if self.kind == "elementary":
-            return TameStep(
-                "elementary",
-                self.field,
-                target=self.target,
-                shift=-self.shift,
-            )
-        (m00, m01), (m10, m11) = self.matrix
-        det = m00 * m11 - m01 * m10
-        if det.is_zero():
+            return TameStep("elementary", field, target=self.target, shift=-self.shift)
+        add, mul, neg = field.raw_add, field.raw_mul, field.raw_neg
+        (m00, m01), (m10, m11) = [[m.rep for m in row] for row in self.matrix]
+        v0, v1 = [v.rep for v in self.translation]
+        det = field.raw_sub(mul(m00, m11), mul(m01, m10))
+        if field.raw_is_zero(det):
             raise PlaneCoordinateError("linear step is not invertible")
-        di = det.inv()
-        i00, i01 = m11 * di, -m01 * di
-        i10, i11 = -m10 * di, m00 * di
-        v0, v1 = self.translation
-        w0 = -(i00 * v0 + i01 * v1)
-        w1 = -(i10 * v0 + i11 * v1)
+        di = field.raw_inv(det)
+        i00, i01 = mul(m11, di), mul(neg(m01), di)
+        i10, i11 = mul(neg(m10), di), mul(m00, di)
+        w0 = neg(add(mul(i00, v0), mul(i01, v1)))
+        w1 = neg(add(mul(i10, v0), mul(i11, v1)))
+        el = field.element
         return TameStep(
-            "linear", self.field, matrix=((i00, i01), (i10, i11)), translation=(w0, w1)
+            "linear",
+            field,
+            matrix=((el(i00), el(i01)), (el(i10), el(i11))),
+            translation=(el(w0), el(w1)),
         )
 
     def promote(self, embedding, new_field):

@@ -13,8 +13,10 @@ key of their lcm, computed once when the pair is made (normal selection: the
 smallest lcm first), next to the set of live pairs that the chain criterion
 reads.  Each basis element is only top-reduced when it enters
 (``heap_divide(..., top=True)``), since Buchberger needs its leading
-monomial irreducible, not its tail; it is made monic and put in the form that
-:func:`~rect4.polynomials.multipoly.heap_divide` reads once.  Every later
+monomial irreducible, not its tail.  The top-reduced remainder comes with its
+leading monomial first, so one pass over it tests for a nonzero constant,
+makes it monic and puts it in the form that
+:func:`~rect4.polynomials.multipoly.heap_divide` reads.  Every later
 reduction runs on those prepared forms, and so does the final
 interreduction, the one place where tails are reduced.  A reduction that
 leaves a nonzero constant ends the computation at once: the ideal then
@@ -50,7 +52,7 @@ def normal_form(f, basis, order=GREVLEX):
     for g in basis:
         f._check_compatible(g)
     _, rem = heap_divide(f, [prepare_divisor(g, key) for g in basis], key)
-    return MultiPoly(f.field, f.vars, rem)
+    return MultiPoly._trusted(f.field, f.vars, rem)
 
 
 def s_polynomial(f, g, order=GREVLEX):
@@ -67,7 +69,7 @@ def s_polynomial(f, g, order=GREVLEX):
         field, out, g.terms.items(), tuple(a - b for a, b in zip(lcm, ge)),
         field.raw_neg(field.raw_inv(g.terms[ge])),
     )
-    return MultiPoly(field, f.vars, out)
+    return MultiPoly._trusted(field, f.vars, out)
 
 
 def groebner_basis(generators, order=GREVLEX):
@@ -79,6 +81,7 @@ def groebner_basis(generators, order=GREVLEX):
         g._check_compatible(gens[0])
     field, vars = gens[0].field, gens[0].vars
     key = order.descending_key
+    one, inv, mul, neg = field.raw_one(), field.raw_inv, field.raw_mul, field.raw_neg
     basis, prepared, leads = [], [], []
     queue, live = [], set()  # pending pairs: (order key of lcm, i, j, lcm), (i, j)
 
@@ -89,17 +92,27 @@ def groebner_basis(generators, order=GREVLEX):
         Only the leading monomial is reduced: the tail stays as the division
         left it until the final interreduction.  A top-reduced remainder is a
         nonzero constant exactly when the full remainder is one, since both
-        share the first monomial that no basis lead divides."""
+        share the first monomial that no basis lead divides.  That monomial
+        is the remainder's first key, so one pass over the rest makes it
+        monic and builds its prepared divisor."""
         _, rem = heap_divide(f, prepared, key, top=True)
         if not rem:
             return False
-        r = MultiPoly(field, vars, rem)
-        if r.is_constant():
-            return True
+        terms = iter(rem.items())
+        lead, lc = next(terms)
+        if not any(lead):
+            return True  # the lead is 1, the smallest monomial
+        scale = None if lc == one else inv(lc)
+        monic, tail = {lead: one}, []
+        for e, c in terms:
+            if scale is not None:
+                c = mul(c, scale)
+            monic[e] = c
+            tail.append((e, neg(c)))
         new = len(basis)
-        basis.append(r.monic(order))
-        prepared.append(prepare_divisor(basis[new], key))
-        leads.append(prepared[new][0])
+        basis.append(MultiPoly._trusted(field, vars, monic))
+        prepared.append((lead, None, tail))
+        leads.append(lead)
         for k in range(new):
             lcm = _lcm(leads[k], leads[new])
             heappush(queue, (order.key(lcm), k, new, lcm))
@@ -144,7 +157,7 @@ def groebner_basis(generators, order=GREVLEX):
     reduced = []
     for i in reversed(keep):
         _, rem = heap_divide(basis[i], [prepared[j] for j in keep if j != i], key)
-        reduced.append(MultiPoly(field, vars, rem))
+        reduced.append(MultiPoly._trusted(field, vars, rem))
     return reduced
 
 

@@ -13,12 +13,23 @@ Values are treated as immutable; all operations return new polynomials.
 
 Three kernels on raw terms carry the arithmetic: :func:`add_multiple`
 (``out += c * x^shift * p``); :func:`_nested_horner`, the substitution behind
-:meth:`MultiPoly.substitute` and so behind every tame step; and
-:func:`heap_divide`, a division over a heap of monomials (Yan, *The geobucket
-data structure for polynomials*, 1998) by divisors that :func:`prepare_divisor`
-has put in the form it reads.  It serves ``groebner.normal_form``, the
-reductions inside ``groebner.groebner_basis`` (which prepares each basis
-element once), :func:`exact_divide` and :func:`divmod_in_variable`.
+:meth:`MultiPoly.substitute_terms`, which every tame step calls with the raw
+terms of its images and :meth:`MultiPoly.substitute` calls once it has
+coerced its bindings; and :func:`heap_divide`, a division over a heap of
+monomials (Yan, *The geobucket data structure for polynomials*, 1998) by
+divisors that :func:`prepare_divisor` has put in the form it reads.  It serves
+``groebner.normal_form``, the reductions inside ``groebner.groebner_basis``
+(which prepares each basis element once), :func:`exact_divide` and
+:func:`divmod_in_variable`.
+
+The constructor checks its terms: each exponent has one entry per variable,
+and zero coefficients are dropped.  Kernel outputs are canonical already, so
+ring operations, views, substitution, division and the Groebner results build
+theirs through ``MultiPoly._trusted``, which skips that scan.  Inputs from
+outside (:meth:`MultiPoly.from_terms`, :meth:`MultiPoly.constant`,
+:meth:`MultiPoly.from_raw_dense`, :meth:`MultiPoly.map_coefficients`,
+:meth:`MultiPoly.partial_derivative`, whose coefficients may vanish in
+characteristic p) keep the check.
 """
 
 from __future__ import annotations
@@ -98,6 +109,19 @@ class MultiPoly:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
+
+    @staticmethod
+    def _trusted(field, vars, terms):
+        """The polynomial with canonical ``terms``: ``vars`` a tuple, every
+        exponent a tuple of its length, no zero coefficient.  The outputs of
+        the kernels on raw terms are canonical (a product of nonzero
+        coefficients is nonzero in a field), so they skip the scan of
+        :meth:`__init__`; ``terms`` is kept, not copied."""
+        p = _new(MultiPoly)
+        _set_field(p, field)
+        _set_vars(p, vars)
+        _set_terms(p, terms)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
@@ -200,15 +224,13 @@ class MultiPoly:
                 del terms[expv]
             else:
                 terms[expv] = c
-        return MultiPoly(self.field, self.vars, terms)
+        return MultiPoly._trusted(self.field, self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
         neg = self.field.raw_neg
-        return MultiPoly(
-            self.field, self.vars, {e: neg(c) for e, c in self.terms.items()}
-        )
+        return MultiPoly._trusted(self.field, self.vars, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -226,7 +248,7 @@ class MultiPoly:
         out = {}
         for e, c in a.items():
             add_multiple(self.field, out, b, e, c)
-        return MultiPoly(self.field, self.vars, out)
+        return MultiPoly._trusted(self.field, self.vars, out)
 
     __rmul__ = __mul__
 
@@ -250,7 +272,7 @@ class MultiPoly:
         if field.raw_is_zero(c):
             return MultiPoly.zero(field, self.vars)
         mul = field.raw_mul
-        return MultiPoly(field, self.vars, {e: mul(v, c) for e, v in self.terms.items()})
+        return MultiPoly._trusted(field, self.vars, {e: mul(v, c) for e, v in self.terms.items()})
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
@@ -288,10 +310,8 @@ class MultiPoly:
     def leading_form(self):
         """Homogeneous component of maximal total degree."""
         d = self.total_degree()
-        return MultiPoly(
-            self.field,
-            self.vars,
-            {e: c for e, c in self.terms.items() if sum(e) == d},
+        return MultiPoly._trusted(
+            self.field, self.vars, {e: c for e, c in self.terms.items() if sum(e) == d}
         )
 
     def weighted_degree(self, weights):
@@ -299,13 +319,14 @@ class MultiPoly:
             return -1
         return max(sum(w * x for w, x in zip(weights, e)) for e in self.terms)
 
-    def monic(self, order=GREVLEX):
+    def monic(self):
+        """Scaled to leading coefficient 1 under grevlex."""
         if self.is_zero():
             return self
         field = self.field
         mul = field.raw_mul
-        inv = field.raw_inv(self.terms[self.leading_monomial(order)])
-        return MultiPoly(field, self.vars, {e: mul(c, inv) for e, c in self.terms.items()})
+        inv = field.raw_inv(self.terms[self.leading_monomial()])
+        return MultiPoly._trusted(field, self.vars, {e: mul(c, inv) for e, c in self.terms.items()})
 
     # -- calculus / substitution ---------------------------------------------
     def partial_derivative(self, var):
@@ -320,7 +341,8 @@ class MultiPoly:
 
     def substitute(self, bindings):
         """Substitute variables by polynomials, field elements or ints, all
-        at once, by :func:`_nested_horner` in the order the bindings are given.
+        at once, by :meth:`substitute_terms` in the order the bindings are
+        given.
 
         Binding values may live in an extension of this polynomial's field;
         the result is promoted accordingly.  Unbound variables are unchanged.
@@ -337,7 +359,6 @@ class MultiPoly:
         vars = poly.vars
         images = []
         for name, value in bindings.items():
-            i = poly._var_index(name)
             if not isinstance(value, MultiPoly):
                 own = value.field if isinstance(value, FieldElement) else field
                 value = MultiPoly.constant(own, vars, value)
@@ -345,8 +366,20 @@ class MultiPoly:
                 value = value.with_vars(vars)
             if value.field is not field and value.field != field:
                 value = value.map_coefficients(Embedding(value.field, field), field)
-            images.append((i, list(value.terms.items())))
-        return MultiPoly(field, vars, _nested_horner(field, poly.terms, images))
+            images.append((name, list(value.terms.items())))
+        return poly.substitute_terms(images)
+
+    def substitute_terms(self, images):
+        """:meth:`substitute` on raw terms, by :func:`_nested_horner`.
+
+        ``images`` is a nonempty list of pairs (variable name, its image as
+        a list of raw (exponent, coefficient) terms over this polynomial's
+        field and variables), the first split outermost.  Repeated exponents
+        in an image are summed.
+        """
+        field = self.field
+        images = [(self._var_index(name), terms) for name, terms in images]
+        return MultiPoly._trusted(field, self.vars, _nested_horner(field, self.terms, images))
 
     def map_coefficients(self, func, new_field=None):
         """Apply ``func``, from FieldElements to FieldElements of
@@ -377,7 +410,7 @@ class MultiPoly:
                 if exp:
                     ne[mapping[pos]] = exp
             out[tuple(ne)] = c
-        return MultiPoly(self.field, new_vars, out)
+        return MultiPoly._trusted(self.field, new_vars, out)
 
     # -- coefficient views ---------------------------------------------------------
     def coefficients(self, vars):
@@ -391,7 +424,7 @@ class MultiPoly:
             for i in idx:
                 rest[i] = 0
             buckets.setdefault(tuple([e[i] for i in idx]), {})[tuple(rest)] = c
-        return {k: MultiPoly(self.field, self.vars, b) for k, b in buckets.items()}
+        return {k: MultiPoly._trusted(self.field, self.vars, b) for k, b in buckets.items()}
 
     def univariate_var(self, var=None):
         """The variable this polynomial is univariate in: ``var``, checked,
@@ -449,6 +482,12 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+_new = object.__new__
+_set_field = MultiPoly.field.__set__  # the slots, past the immutable __setattr__
+_set_vars = MultiPoly.vars.__set__
+_set_terms = MultiPoly.terms.__set__
 
 
 def _join_fields(f1, f2):
@@ -542,9 +581,10 @@ def heap_divide(f, prepared, key, exact=False, top=False):
     largest monomial left and reduces it by the first divisor whose leading
     monomial divides it, or moves it to the remainder; with ``exact`` such a
     monomial raises :class:`PolynomialError` instead, and with ``top`` it
-    ends the division: the remainder is then that monomial plus the rest of
-    the work, a top-reduction whose leading monomial no divisor lead divides
-    and whose full reduction is the full remainder of f.  The work polynomial
+    ends the division: the remainder is then that monomial, its leading
+    monomial and first key, followed by the rest of the work, a
+    top-reduction whose leading monomial no divisor lead divides and whose
+    full reduction is the full remainder of f.  The work polynomial
     is a dict with a heap of its monomials; a monomial that cancels stays in
     the heap and is skipped when popped.
 
@@ -600,7 +640,7 @@ def exact_divide(f, g):
     f._check_compatible(g)
     key = GREVLEX.descending_key
     (quo,), _ = heap_divide(f, [prepare_divisor(g, key)], key, exact=True)
-    return MultiPoly(f.field, f.vars, quo)
+    return MultiPoly._trusted(f.field, f.vars, quo)
 
 
 def divides(g, f):
@@ -632,7 +672,7 @@ def divmod_in_variable(f, g, var):
         return (-e[i],) + GREVLEX.descending_key(e)
 
     (quo,), rem = heap_divide(f, [prepare_divisor(g, key)], key)
-    return MultiPoly(f.field, f.vars, quo), MultiPoly(f.field, f.vars, rem)
+    return MultiPoly._trusted(f.field, f.vars, quo), MultiPoly._trusted(f.field, f.vars, rem)
 
 
 def univariate_gcd(f, g, var=None):

@@ -1,11 +1,16 @@
 """Certification of claimed coordinate systems by tag-variable elimination.
 
 Given claimed coordinates H_1..H_n of K[X_1..X_n], adjoin fresh tag variables
-U_j, compute a Groebner basis of (U_j - H_j) under an elimination order with
-the original variables ranked above the tags, and reduce each X_i.  The claim
-holds exactly when every X_i has a tag-only normal form; those normal forms
-are the inverse expressions.  This module is the independent referee for
-every certificate the rest of the system produces.
+U_j and compute the reduced Groebner basis of (U_j - H_j) under an
+elimination order with the original variables ranked above the tags.  The
+claim holds exactly when every X_i has a tag-only normal form, the inverse
+expression.  By the Shannon-Sweedler criterion (Shannon and Sweedler,
+*J. Symbolic Comput.* 6, 1988; van den Essen, *Polynomial Automorphisms*,
+2000, section 3.2) that holds exactly when the reduced basis has, for each i,
+an element X_i - G_i(U) with G_i tag-only; G_i is then the normal form of
+X_i, so the inverses are read off the basis instead of reduced again.  This
+module is the independent referee for every certificate the rest of the
+system produces.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 from . import dense
 from .fields import RationalFunctionField
-from .polynomials import MonomialOrder, MultiPoly, groebner_basis, normal_form
+from .polynomials import MonomialOrder, MultiPoly, groebner_basis
 
 
 class VerifierError(Exception):
@@ -64,31 +69,44 @@ class VerifyOutcome:
 
 
 def verify_coordinate_system(claim):
-    """Accept iff K[H_1..H_n] = K[X_1..X_n]; inverses accompany acceptance."""
+    """Accept iff K[H_1..H_n] = K[X_1..X_n]; inverses accompany acceptance.
+
+    Each generator U_j - H_j is built in one pass over the raw terms of H_j.
+    The inverse of X_i is X_i - b for the basis element b whose leading
+    monomial is X_i (the Shannon-Sweedler criterion, see the module
+    docstring); the first X_i with no such b, or whose X_i - b involves an
+    original variable, is the witness of a rejection.
+    """
     n = len(claim.variables)
-    base_field = claim.field
+    field = claim.field
     tags = tuple(f"{_TAG_PREFIX}{i+1}" for i in range(n))
     for t in tags:
         if t in claim.variables:
             raise VerifierError(f"ambient variable {t!r} collides with tag names")
     allvars = claim.variables + tags
     order = MonomialOrder("elimination", split=n)
+    one, neg = field.raw_one(), field.raw_neg
+    pad = (0,) * n
 
     gens = []
     for j, h in enumerate(claim.polynomials):
-        hh = h.with_vars(allvars)
-        u = MultiPoly.variable(base_field, allvars, tags[j])
-        gens.append(u - hh)
-    gens = [_clear_denominators(g) for g in gens]
+        terms = {pad + pad[:j] + (1,) + pad[j + 1 :]: one}
+        for e, c in h.terms.items():
+            terms[e + pad] = neg(c)
+        gens.append(_clear_denominators(MultiPoly(field, allvars, terms)))
     basis = groebner_basis(gens, order)
 
+    by_lead = {b.leading_monomial(order): b for b in basis}
     inverses = {}
-    for name in claim.variables:
-        x = MultiPoly.variable(base_field, allvars, name)
-        nf = normal_form(x, basis, order)
-        if any(nf.involves(v) for v in claim.variables):
+    for i, name in enumerate(claim.variables):
+        x = pad[:i] + (1,) + pad[i + 1 :] + pad
+        b = by_lead.get(x)
+        if b is None:
             return VerifyOutcome(False, witness=name)
-        inverses[name] = nf
+        inverse = {e: neg(c) for e, c in b.terms.items() if e != x}
+        if any(any(e[:n]) for e in inverse):
+            return VerifyOutcome(False, witness=name)
+        inverses[name] = MultiPoly(field, allvars, inverse)
     return VerifyOutcome(True, inverses=inverses)
 
 

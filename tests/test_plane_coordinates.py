@@ -321,6 +321,54 @@ def test_apply_matches_substitute_over_inseparable_extension():
             assert_apply_matches_substitute(step, random_field_poly(cert.field, rng))
 
 
+def insep_extension_field():
+    """The composite extension F2(s)[...] that vartest adjoins for the
+    insep_binomial_quadric fibre Z^2+s*T^2+T."""
+    result = vartest(parse_polynomial("Z^2+s*T^2+T", rational_function_field(2), ZT))
+    return result.extension_certificate.field
+
+
+def translated_linear_step(field, rng):
+    """A random invertible linear step whose translation has no zero entry."""
+    while True:
+        m = [_pool_element(field, rng, (-2, -1, 0, 1, 2)) for _ in range(4)]
+        v = [_pool_element(field, rng, (-2, -1, 1, 2)) for _ in range(2)]
+        if not (m[0] * m[3] - m[1] * m[2]).is_zero() and not any(x.is_zero() for x in v):
+            return TameStep("linear", field, matrix=((m[0], m[1]), (m[2], m[3])), translation=tuple(v))
+
+
+@pytest.mark.parametrize("field", TAME_FIELDS + [insep_extension_field()], ids=str)
+def test_inverse_step_undoes_the_step(field):
+    rng = random.Random(23)
+    kinds = set()
+    for _ in range(10):
+        steps = [translated_linear_step(field, rng)]
+        if field in TAME_FIELDS:
+            steps += random_tame_steps(field, rng, max_len=4, max_shift_deg=3)
+        else:
+            shift = MultiPoly.from_dense(field, ZT, "Z", [_pool_element(field, rng, (1, 2)), field.generator()])
+            steps.append(TameStep("elementary", field, target="T", shift=shift))
+        for step in steps:
+            kinds.add(step.kind)
+            inverse = step.inverse()
+            assert inverse.field == field
+            if step.kind == "linear":
+                assert all(x.field == field for x in inverse.matrix[0] + inverse.matrix[1] + inverse.translation)
+                assert inverse.inverse() == step
+            for p in (random_field_poly(field, rng), MultiPoly.variable(field, ZT, "T")):
+                assert inverse.apply(step.apply(p)) == p
+                assert step.apply(inverse.apply(p)) == p
+    assert kinds == {"linear", "elementary"}
+
+
+def test_singular_linear_step_has_no_inverse():
+    for field in TAME_FIELDS:
+        one, two = field.one(), field.from_int(2)
+        step = TameStep("linear", field, matrix=((one, two), (two, two * two)), translation=(one, one))
+        with pytest.raises(PlaneCoordinateError, match="not invertible"):
+            step.inverse()
+
+
 def test_apply_rejects_a_polynomial_over_another_field():
     steps = [
         TameStep("linear", QQ, matrix=((QQ.one(), QQ.zero()), (QQ.zero(), QQ.one())),

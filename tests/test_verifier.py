@@ -1,7 +1,12 @@
+import json
+import random
+
 import pytest
 
-from rect4.fields import QQ, rational_function_field
-from rect4.polynomials import MultiPoly
+from rect4.exprparse import parse_field_spec, parse_polynomial
+from rect4.fields import GF, QQ, extend, rational_function_field
+from rect4.plane_coordinates import vartest
+from rect4.polynomials import MonomialOrder, MultiPoly, groebner_basis, normal_form
 from rect4.verifier import (
     CoordinateClaim,
     VerifierError,
@@ -10,7 +15,7 @@ from rect4.verifier import (
     verify_plane_pair,
 )
 
-from conftest import random_tame_steps
+from conftest import ROOT, ZT, random_coordinate, random_poly, random_tame_steps
 
 V4 = ("X", "Y", "Z", "T")
 
@@ -153,3 +158,73 @@ def test_plane_pair_from_random_tame(rng):
             f = s.apply(f)
             g = s.apply(g)
         assert verify_plane_pair(f, g)
+
+
+# -- inverses read off the reduced basis, against normal forms ------------------
+
+
+def reference_outcome(claim):
+    """(accepted, witness, inverses) of a claim by reducing each X_i with
+    ``groebner.normal_form`` against the reduced basis of (U_j - H_j), built
+    with ``MultiPoly`` arithmetic and without clearing denominators (a unit
+    scaling, so the reduced basis is the same)."""
+    n = len(claim.variables)
+    tags = tuple(f"U{i + 1}" for i in range(n))
+    allvars = claim.variables + tags
+    order = MonomialOrder("elimination", split=n)
+    gens = [
+        MultiPoly.variable(claim.field, allvars, t) - h.with_vars(allvars)
+        for t, h in zip(tags, claim.polynomials)
+    ]
+    basis = groebner_basis(gens, order)
+    inverses = {}
+    for name in claim.variables:
+        nf = normal_form(MultiPoly.variable(claim.field, allvars, name), basis, order)
+        if any(nf.involves(v) for v in claim.variables):
+            return False, name, None
+        inverses[name] = nf
+    return True, None, inverses
+
+
+def assert_matches_reference(claim):
+    out = verify_coordinate_system(claim)
+    accepted, witness, inverses = reference_outcome(claim)
+    assert (out.accepted, out.witness) == (accepted, witness), claim.polynomials
+    assert out.inverses == inverses
+    if inverses is not None:
+        assert {k: str(v) for k, v in out.inverses.items()} == {k: str(v) for k, v in inverses.items()}
+    return out.accepted
+
+
+READ_OUT_FIELDS = [QQ, GF(5), extend(QQ, [1, 0, 1], "i"), rational_function_field(2)]
+
+
+@pytest.mark.parametrize("field", READ_OUT_FIELDS, ids=str)
+def test_basis_read_out_matches_normal_forms_on_plane_pairs(field):
+    rng = random.Random(16)
+    Z = MultiPoly.variable(field, ZT, "Z")
+    verdicts = []
+    for _ in range(8):
+        f = random_coordinate(field, rng, deg_cap=8, max_len=3, max_shift_deg=3)
+        g = vartest(f).certificate.complement
+        for pair in ((f, g), (g, f), (f, g + Z * Z), (f, random_poly(field, ZT, rng))):
+            verdicts.append(assert_matches_reference(CoordinateClaim(ZT, list(pair))))
+    assert True in verdicts and False in verdicts
+
+
+def test_basis_read_out_matches_normal_forms_on_four_variable_claims():
+    doc = json.loads((ROOT / "corpus" / "claims" / "insep_binomial_quadric_claim.json").read_text())
+    field = parse_field_spec(doc["field"])
+    variables = tuple(doc["variables"])
+    claim = CoordinateClaim(variables, [parse_polynomial(p, field, variables) for p in doc["claims"]])
+    assert assert_matches_reference(claim)
+    X, Y, Z, T = vars4(QQ)
+    rejected = [
+        [X, Y, Z * Z, T],  # witness Z: no basis element has lead Z
+        [X, X * Y - (Z * Z + T**3 + 1), Y, T],  # the cusp fibre
+        [X, Y, Z, Z],  # witness T
+        [X, Y, Z - T**3, T + Z * Z],  # nonconstant Jacobian
+    ]
+    for polys in rejected:
+        assert not assert_matches_reference(CoordinateClaim(V4, polys))
+    assert assert_matches_reference(CoordinateClaim(V4, [X + Y**2, Y, Z - T**3 + X, T]))
