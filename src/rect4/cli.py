@@ -85,7 +85,7 @@ def certificate_to_json(cert, f):
             )
     f_here = f
     if cert.field != f.field and cert.embedding is not None:
-        f_here = f.map_coefficients(cert.embedding, cert.field)
+        f_here = f.embed(cert.embedding)
     return {
         "schema": SCHEMA_CERT,
         "field": str(cert.field),

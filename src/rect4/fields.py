@@ -13,13 +13,16 @@ Supported fields:
   tuples of length ``deg m``, multiplied through a table of generator powers
   and inverted by Gaussian elimination (see the class)
 
-Every rep is canonical: equal elements have equal reps, so ``raw_eq`` is
-``==`` and a zero test may compare with ``raw_zero()``.
+Every rep is canonical: equal elements have equal reps, so reps are compared
+with ``==`` and a zero test may compare with ``raw_zero()``.
 
 Only one extension level above a base field is supported.  When a computation
 needs a root that lives outside the current extension, a single composite
 extension is rebuilt via a brute-force primitive-element search
-(:func:`composite_extension`).
+(:func:`composite_extension`, on the :mod:`rect4.dense` kernels).  A change of
+coefficient field is an :class:`Embedding`; it maps raw reps
+(:meth:`Embedding.raw`), so polynomials change field without boxing a
+coefficient.
 
 All descriptors and elements are immutable after construction; everything here
 is safe to share between threads.
@@ -86,9 +89,6 @@ class Field:
 
     def raw_is_zero(self, a):
         raise NotImplementedError
-
-    def raw_eq(self, a, b):
-        return a == b
 
     def raw_str(self, a):
         raise NotImplementedError
@@ -199,14 +199,14 @@ class FieldElement:
         return self.field.raw_is_zero(self.rep)
 
     def is_one(self):
-        return self.field.raw_eq(self.rep, self.field.raw_one())
+        return self.rep == self.field.raw_one()
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.field.from_int(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.field.raw_eq(self.rep, other.rep)
+        return self.field == other.field and self.rep == other.rep
 
     def __hash__(self):
         return hash((self.field.kind, self.rep))
@@ -508,17 +508,18 @@ class RationalFunctionField(Field):
             return None
         return self._normalize(rn, rd)
 
-    def decompose_by_parameter_power(self, elt):
-        """Write ``elt`` as ``sum_i c_i(s^p) * s^i`` with 0 <= i < p.
+    def _decompose_by_parameter_power(self, rep):
+        """Write the element ``rep`` as ``sum_i c_i(s^p) * s^i`` with
+        0 <= i < p.
 
-        Returns a list of p elements ``c_i`` of this same field (with the
-        inner argument still called s), so ``elt == sum c_i(s**p) * s**i``.
-        Used by extension fields for semilinear solves.
+        Returns the raw reps of the p elements ``c_i`` of this same field
+        (with the inner argument still called s).  Used by extension fields
+        for semilinear solves.
         """
-        num, den = self.coerce(elt).rep
+        num, den = rep
         p = self.p
         if not num:
-            return [self.zero() for _ in range(p)]
+            return [rep] * p
         # num/den = num*den^(p-1) / den^p ; den^p lies in F_p[s^p].
         den_pm1 = (1 % p,)
         for _ in range(p - 1):
@@ -531,7 +532,7 @@ class RationalFunctionField(Field):
         out = []
         for i in range(p):
             ci = dense.trim(self.base, [scaled[j] for j in range(i, len(scaled), p)])
-            out.append(self.element(self._normalize(ci, den_p_inner)))
+            out.append(self._normalize(ci, den_p_inner))
         return out
 
     def __eq__(self, other):
@@ -554,7 +555,8 @@ class ExtensionField(Field):
     """Simple algebraic extension base[g]/(minpoly).
 
     ``minpoly`` is a dense tuple of base raw representations, monic and of
-    degree n >= 2.  Irreducibility of the minimal polynomial is the caller's
+    degree n >= 2; the constructor checks that, the tower depth and the
+    generator name.  Irreducibility of the minimal polynomial is the caller's
     burden; use :func:`extend` for a checked construction.
 
     * **Rep.**  An element is the tuple of its n coefficients over the base,
@@ -582,9 +584,9 @@ class ExtensionField(Field):
                 "extension generator name collides with the function-field parameter"
             )
         if len(minpoly) < 3:
-            raise FieldError("minimal polynomial must have degree >= 2")
-        if not base.raw_eq(minpoly[-1], base.raw_one()):
-            raise FieldError("minimal polynomial must be monic")
+            raise FieldError("extension minimal polynomial must have degree >= 2")
+        if minpoly[-1] != base.raw_one():
+            raise FieldError("extension minimal polynomial must be monic")
         self.base = base
         self.minpoly = tuple(minpoly)
         self.deg = n = len(minpoly) - 1
@@ -707,7 +709,7 @@ class ExtensionField(Field):
                 parts.append(cs)
                 continue
             var = self.gen if i == 1 else f"{self.gen}^{i}"
-            if self.base.raw_eq(c, self.base.raw_one()):
+            if c == self.base.raw_one():
                 parts.append(var)
             elif any(ch in cs for ch in "+-/") and not cs.startswith("("):
                 parts.append(f"({cs})*{var}")
@@ -717,57 +719,46 @@ class ExtensionField(Field):
             return "0"
         return "+".join(parts)
 
+    def _raw_pow(self, a, e):
+        """a^e for an integer e >= 0, by square and multiply."""
+        result = self.raw_one()
+        while e:
+            if e & 1:
+                result = self.raw_mul(result, a)
+            e >>= 1
+            if e:
+                a = self.raw_mul(a, a)
+        return result
+
     def raw_pth_root(self, a):
         p = self.characteristic()
         if p == 0:
             raise FieldError("p-th roots are a positive-characteristic operation")
-        if isinstance(self.base, PrimeField):
-            # Finite field: Frobenius has order deg, so x -> x^(p^(deg-1)).
-            out = a
-            for _ in range(self.deg - 1):
-                acc = out
-                for _ in range(p - 1):
-                    acc = self.raw_mul(acc, out)
-                out = acc
-            check = out
-            for _ in range(p - 1):
-                check = self.raw_mul(check, out)
-            if check != a:
-                return None
-            return out
-        # Base is F_p(s): solve sum_j b_j * g^(jp) = a with b_j in F_p(s^p),
-        # working over the basis {s^i g^j} of the field over F_p(s^p).
         base = self.base
-        n = self.deg
-        mus = []
-        gp = self.raw_one()
-        for _ in range(p):
-            gp = self.raw_mul(gp, self._gen)
-        mu = self.raw_one()
-        for _ in range(n):
-            mus.append(mu)
-            mu = self.raw_mul(mu, gp)
-        # coordinates: for each mu_j and each extension coordinate c in F_p(s),
-        # decompose into p components over F_p(s^p) (argument renamed back to s).
-        def coords(rep):
-            vec = []
-            for c in rep:
-                vec.extend(e.rep for e in base.decompose_by_parameter_power(base.element(c)))
-            return vec  # length n*p of F_p(s) raw reps (inner variable)
+        if isinstance(base, PrimeField):
+            # Finite field: Frobenius has order deg, so x -> x^(p^(deg-1)).
+            root = self._raw_pow(a, p ** (self.deg - 1))
+        else:
+            # Base is F_p(s): solve sum_j b_j * g^(jp) = a with b_j in
+            # F_p(s^p), working over the basis {s^i g^j} of the field over
+            # F_p(s^p).  Coordinates: each extension coordinate in F_p(s)
+            # splits into p components over F_p(s^p) (argument renamed back
+            # to s), n*p raw reps in all.
+            def coords(rep):
+                return [x for c in rep for x in base._decompose_by_parameter_power(c)]
 
-        cols = [coords(m) for m in mus]
-        rhs = coords(a)
-        sol = _solve_linear_system(base, cols, rhs)
-        if sol is None:
-            return None
-        # b_j = sol[j](s^p); the root has coordinates sol[j](s).
-        candidate = tuple(sol)
-        check = candidate
-        for _ in range(p - 1):
-            check = self.raw_mul(check, candidate)
-        if check != a:
-            return None
-        return candidate
+            gp = self._raw_pow(self._gen, p)
+            cols = []
+            mu = self.raw_one()
+            for _ in range(self.deg):
+                cols.append(coords(mu))
+                mu = self.raw_mul(mu, gp)
+            sol = _solve_linear_system(base, cols, coords(a))
+            if sol is None:
+                return None
+            # b_j = sol[j](s^p); the root has coordinates sol[j](s).
+            root = tuple(sol)
+        return root if self._raw_pow(root, p) == a else None
 
     def __eq__(self, other):
         return (
@@ -787,7 +778,7 @@ class ExtensionField(Field):
             if self.base.raw_is_zero(c):
                 continue
             mono = self.gen if i == 1 else (f"{self.gen}^{i}" if i else "")
-            terms.append((self.base.raw_str(c), self.base.raw_eq(c, self.base.raw_one()), mono))
+            terms.append((self.base.raw_str(c), c == self.base.raw_one(), mono))
         return f"{self.base}[{self.gen}]/({term_sum_str(terms)})"
 
     __repr__ = __str__
@@ -876,27 +867,18 @@ def extend(field, minpoly_coeffs, gen="g"):
 
     ``minpoly_coeffs`` is a sequence of coefficients (ints, Fractions or
     FieldElements of ``field``), low degree first; it must be monic of degree
-    at least 2.  Raises :class:`FieldError` naming a nontrivial factor when
-    the polynomial is reducible.
+    at least 2, which :class:`ExtensionField` checks with the tower depth and
+    the generator name.  Raises :class:`FieldError` naming a nontrivial factor
+    when the polynomial is reducible.
     """
-    if isinstance(field, ExtensionField):
-        raise FieldError("extension towers deeper than one level are not supported")
-    if isinstance(field, RationalFunctionField) and gen == field.param:
-        raise FieldError(
-            "extension generator name collides with the function-field parameter"
-        )
-    reps = [field.coerce(c).rep for c in minpoly_coeffs]
-    reps = list(dense.trim(field, reps))
-    if len(reps) < 3:
-        raise FieldError("extension minimal polynomial must have degree >= 2")
-    if not field.raw_eq(reps[-1], field.raw_one()):
-        raise FieldError("extension minimal polynomial must be monic")
+    reps = dense.trim(field, [field.coerce(c).rep for c in minpoly_coeffs])
+    K = ExtensionField(field, reps, gen)
     from .polynomials import certify_irreducible_univariate
 
-    witness = certify_irreducible_univariate(field, tuple(reps), gen)
+    witness = certify_irreducible_univariate(field, K.minpoly, gen)
     if witness is not None:
         raise FieldError(f"minimal polynomial is reducible: factor {witness}")
-    return ExtensionField(field, tuple(reps), gen)
+    return K
 
 
 def fresh_generator_name(field, first="b"):
@@ -919,7 +901,8 @@ class Embedding:
     For a base field src, the embedding is the canonical inclusion into an
     extension dst of the same base (``gen_image`` unused).  For an extension
     src, ``gen_image`` is the FieldElement of dst that src's generator maps
-    to.  Embeddings compose with ``then``.
+    to.  :meth:`raw` maps raw reps, and calling the embedding maps elements
+    through it.  Embeddings compose with ``then``.
     """
 
     def __init__(self, src, dst, gen_image=None):
@@ -936,24 +919,19 @@ class Embedding:
         if base != dst_base:
             raise FieldError(f"no canonical embedding of {base} into {dst}")
 
+    def raw(self, rep):
+        """The image of ``rep``, a raw rep of src, as a raw rep of dst: a base
+        rep padded into dst, or an extension rep read as a polynomial in the
+        generator (its coefficients padded) and evaluated at ``gen_image``."""
+        dst = self.dst
+        if isinstance(self.src, ExtensionField):
+            if isinstance(dst, ExtensionField):
+                rep = [dst._pad(c) for c in rep]
+            return dense.eval(dst, rep, self.gen_image.rep)
+        return dst._pad(rep) if isinstance(dst, ExtensionField) else rep
+
     def __call__(self, elt):
-        if isinstance(elt, FieldElement) and elt.field == self.dst:
-            return elt
-        elt = self.src.coerce(elt)
-        if not isinstance(self.src, ExtensionField):
-            if isinstance(self.dst, ExtensionField):
-                return self.dst.from_base(elt)
-            return elt
-        acc = self.dst.zero()
-        base = self.src.base
-        for c in reversed(elt.rep):
-            cbase = (
-                self.dst.from_base(base.element(c))
-                if isinstance(self.dst, ExtensionField)
-                else base.element(c)
-            )
-            acc = acc * self.gen_image + cbase
-        return acc
+        return self.dst.element(self.raw(self.src.coerce(elt).rep))
 
     def then(self, other):
         if self.dst != other.src:
@@ -971,79 +949,42 @@ def composite_extension(field, poly_coeffs, gen="g"):
     ``L`` is a one-level extension of ``field``'s base, ``emb`` embeds
     ``field`` into ``L`` and ``root`` is a root of the polynomial in ``L``.
 
-    When ``field`` is itself an extension, a primitive element for the
-    composite is located by brute force over small linear combinations
-    ``root + c * generator``.
+    Over a base field this is :func:`extend`.  When ``field`` is itself an
+    extension K = base(lambda), the composite is B = K[v]/(psi), whose
+    elements are dense polynomials in v over K (the :mod:`rect4.dense`
+    kernels).  A primitive element theta = v + c*lambda is located by brute
+    force over small c: the powers of theta, written in coordinates over the
+    base (the block of v^j at j*deg K), are independent up to dim B, and the
+    first dependence gives L's minimal polynomial.  lambda and v are then
+    solved for in that Krylov basis.
     """
-    reps = [field.coerce(c).rep for c in poly_coeffs]
-    psi = dense.trim(field, reps)
-    if len(psi) < 3:
-        raise FieldError("composite extension needs degree >= 2")
-    if not field.raw_eq(psi[-1], field.raw_one()):
-        raise FieldError("composite extension polynomial must be monic")
-
     if not isinstance(field, ExtensionField):
         L = extend(field, poly_coeffs, gen)
         return L, Embedding(field, L), L.generator()
 
+    psi = dense.trim(field, [field.coerce(c).rep for c in poly_coeffs])
+    if len(psi) < 3 or psi[-1] != field.raw_one():
+        raise FieldError("composite extension needs a monic polynomial of degree >= 2")
     base = field.base
-    n1 = field.deg
     n2 = len(psi) - 1
-    dim = n1 * n2
+    dim = field.deg * n2
+    zero, one = field.raw_zero(), field.raw_one()
 
-    # Work in B = field[v]/(psi): elements are lists of length dim over base,
-    # flattening coefficients of lambda^i v^j at index j*n1 + i.
-    def b_mul_v(vec):
-        # multiply by v, reducing v^n2 via psi
-        out = [base.raw_zero()] * dim
-        top = vec[(n2 - 1) * n1 :]
-        for j in range(n2 - 1):
-            out[(j + 1) * n1 : (j + 2) * n1] = vec[j * n1 : (j + 1) * n1]
-        # subtract top * psi[:-1] (as field elements times v^j)
-        if any(not base.raw_is_zero(c) for c in top):
-            top_elt = field.element(tuple(top))
-            for j in range(n2):
-                term = top_elt * field.element(psi[j])
-                for i in range(n1):
-                    out[j * n1 + i] = base.raw_sub(out[j * n1 + i], term.rep[i])
-        return out
+    def coords(x):
+        padded = list(x) + [zero] * (n2 - len(x))
+        return [c for block in padded for c in block]
 
-    def b_mul_lambda(vec):
-        out = [base.raw_zero()] * dim
-        for j in range(n2):
-            chunk = field.element(tuple(vec[j * n1 : (j + 1) * n1]))
-            prod = chunk * field.generator()
-            for i in range(n1):
-                out[j * n1 + i] = prod.rep[i]
-        return out
-
-    def b_mul(vec, theta_parts):
-        # multiply vec by theta = v + c*lambda given as (1, c)
-        c = theta_parts
-        v_part = b_mul_v(vec)
-        if base.raw_is_zero(c):
-            return v_part
-        l_part = b_mul_lambda(vec)
-        scaled = []
-        ce = base.element(c)
-        for x in l_part:
-            scaled.append((base.element(x) * ce).rep)
-        return [base.raw_add(a, b) for a, b in zip(v_part, scaled)]
-
-    def krylov_minpoly(c):
-        one = [base.raw_zero()] * dim
-        one[0] = base.raw_one()
-        vecs = [one]
-        cur = one
+    def krylov_basis(c):
+        theta = (field.raw_mul(field._pad(c), field._gen), one)  # v + c*lambda
+        x = (one,)
+        vecs = [coords(x)]
         while True:
-            cur = b_mul(cur, c)
-            # test dependence of cur on vecs
+            x = dense.divmod(field, dense.mul(field, x, theta), psi)[1]
+            cur = coords(x)
             sol = _solve_linear_system(base, vecs, cur)
             if sol is not None:
                 # minpoly = U^k - sum sol[i] U^i
-                k = len(vecs)
-                coeffs = [base.raw_neg(s) for s in sol] + [base.raw_one()]
-                return k, coeffs, vecs
+                return [base.raw_neg(s) for s in sol] + [base.raw_one()], vecs
             vecs.append(cur)
             if len(vecs) > dim:
                 raise FieldError("primitive element search failed to terminate")
@@ -1052,32 +993,23 @@ def composite_extension(field, poly_coeffs, gen="g"):
     pool = [base.raw_from_int(k) for k in (0, 1, -1, 2, -2, 3, -3, 4, 5)]
     if isinstance(base, RationalFunctionField):
         pool += [base.parameter().rep, (base.parameter() + 1).rep]
-    found = None
     for c in pool:
-        k, mcoeffs, vecs = krylov_minpoly(c)
-        if k == dim:
-            found = (c, mcoeffs, vecs)
+        mcoeffs, vecs = krylov_basis(c)
+        if len(vecs) == dim:
             break
-    if found is None:
+    else:
         raise FieldError(
             "no primitive element found for the composite extension "
             "(internal limitation)"
         )
-    c, mcoeffs, vecs = found
     L = ExtensionField(base, tuple(mcoeffs), gen)
 
     # Express lambda and v in the Krylov basis {theta^i}.
-    def solve_in_krylov(target_vec):
-        sol = _solve_linear_system(base, vecs, target_vec)
+    def solve_in_krylov(x):
+        sol = _solve_linear_system(base, vecs, coords(x))
         if sol is None:
             raise FieldError("internal error: Krylov basis does not span the composite")
         return L.element(tuple(sol))
 
-    lam_vec = [base.raw_zero()] * dim
-    lam_vec[1] = base.raw_one() if n1 > 1 else base.raw_zero()
-    v_vec = [base.raw_zero()] * dim
-    v_vec[n1] = base.raw_one()
-    lam_img = solve_in_krylov(lam_vec)
-    root_img = solve_in_krylov(v_vec)
-    emb = Embedding(field, L, lam_img)
-    return L, emb, root_img
+    emb = Embedding(field, L, solve_in_krylov((field._gen,)))
+    return L, emb, solve_in_krylov((zero, one))

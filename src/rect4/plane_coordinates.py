@@ -107,13 +107,15 @@ class TameStep:
             translation=(el(w0), el(w1)),
         )
 
-    def promote(self, embedding, new_field):
+    def promote(self, embedding):
+        """This step over ``embedding.dst``, its coefficients embedded."""
+        new_field = embedding.dst
         if self.kind == "elementary":
             return TameStep(
                 "elementary",
                 new_field,
                 target=self.target,
-                shift=self.shift.map_coefficients(embedding, new_field),
+                shift=self.shift.embed(embedding),
             )
         (m00, m01), (m10, m11) = self.matrix
         v0, v1 = self.translation
@@ -365,12 +367,20 @@ def vartest(f):
         psi[-1] = field.one()
         gen_name = fresh_generator_name(field)
         L, emb, root = composite_extension(field, psi, gen_name)
-        work = work.map_coefficients(emb, L)
-        inv_steps = [s.promote(emb, L) for s in inv_steps]
+        work = work.embed(emb)
+        inv_steps = [s.promote(emb) for s in inv_steps]
         embedding = emb if embedding is None else embedding.then(emb)
         extension = L
         field = L
         return root
+
+    def resolve(res):
+        # ("value", rho), or ("extension", e, rho): adjoin rho^(1/p^e)
+        if res[0] == "value":
+            return res[1]
+        if field.characteristic() == 0:
+            raise PlaneCoordinateError("unexpected extension request in characteristic zero")
+        return extend_with(res[1], res[2])
 
     while True:
         d = work.total_degree()
@@ -396,15 +406,7 @@ def vartest(f):
             work = step.apply(work)
             inv_steps.append(step.inverse())
         elif info[0] == "shift":
-            _, _, res = info
-            if res[0] == "value":
-                rho = res[1]
-            else:
-                if field.characteristic() == 0:
-                    raise PlaneCoordinateError(
-                        "unexpected extension request in characteristic zero"
-                    )
-                rho = extend_with(res[1], res[2])
+            rho = resolve(info[2])
             if rho.is_zero():
                 raise PlaneCoordinateError("degenerate linear-form ratio")
             gamma = -(rho.inv())
@@ -447,14 +449,7 @@ def vartest(f):
                 reason="the scalar condition for the elementary step has no "
                 "multiplicity-n root",
             )
-        if res[0] == "value":
-            rho = res[1]
-        else:
-            if field.characteristic() == 0:
-                raise PlaneCoordinateError(
-                    "unexpected extension request in characteristic zero"
-                )
-            rho = extend_with(res[1], res[2])
+        rho = resolve(res)
         shift_exp = [0] * len(work.vars)
         shift_exp[iz] = q
         shift = MultiPoly.from_terms(field, work.vars, [(shift_exp, rho)])
@@ -501,7 +496,7 @@ def certificate_fault(f, certificate):
         emb = certificate.embedding
         if emb is None or emb.src != f.field:
             return "certificate field mismatch"
-        f = f.map_coefficients(emb, certificate.field)
+        f = f.embed(emb)
     f = f.with_vars(image.vars)
     if image != f:
         return "composite does not reproduce f"

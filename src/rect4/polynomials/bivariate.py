@@ -447,12 +447,12 @@ def _norm_test(f, zvar, tvar):
             )
         factors = _recombine(norm, image)
         for p in factors:
-            p_up = p.map_coefficients(emb, field)
+            p_up = p.embed(emb)
             if divides(shifted, p_up):
                 return IrreducibilityResult("irreducible")
         # f is reducible: extract a witness through a gcd with some factor
         for p in factors:
-            p_up = p.map_coefficients(emb, field)
+            p_up = p.embed(emb)
             w = bivariate_gcd(shifted, p_up, tvar, zvar)
             if not w.is_constant() and w.total_degree() < shifted.total_degree():
                 unshift = w.substitute(

@@ -27,9 +27,11 @@ and zero coefficients are dropped.  Kernel outputs are canonical already, so
 ring operations, views, substitution, division and the Groebner results build
 theirs through ``MultiPoly._trusted``, which skips that scan.  Inputs from
 outside (:meth:`MultiPoly.from_terms`, :meth:`MultiPoly.constant`,
-:meth:`MultiPoly.from_raw_dense`, :meth:`MultiPoly.map_coefficients`,
-:meth:`MultiPoly.partial_derivative`, whose coefficients may vanish in
-characteristic p) keep the check.
+:meth:`MultiPoly.from_raw_dense`, :meth:`MultiPoly.partial_derivative`,
+whose coefficients may vanish in characteristic p) keep the check.
+:meth:`MultiPoly.embed`, the one change of coefficient field, maps the raw
+terms through :meth:`Embedding.raw <rect4.fields.Embedding.raw>` and skips it
+too, since an embedding of fields is injective.
 """
 
 from __future__ import annotations
@@ -355,7 +357,7 @@ class MultiPoly:
                 field = _join_fields(field, v.field)
         poly = self
         if field is not self.field:
-            poly = poly.map_coefficients(Embedding(self.field, field), field)
+            poly = poly.embed(Embedding(self.field, field))
         vars = poly.vars
         images = []
         for name, value in bindings.items():
@@ -365,7 +367,7 @@ class MultiPoly:
             elif value.vars != vars:
                 value = value.with_vars(vars)
             if value.field is not field and value.field != field:
-                value = value.map_coefficients(Embedding(value.field, field), field)
+                value = value.embed(Embedding(value.field, field))
             images.append((name, list(value.terms.items())))
         return poly.substitute_terms(images)
 
@@ -381,14 +383,14 @@ class MultiPoly:
         images = [(self._var_index(name), terms) for name, terms in images]
         return MultiPoly._trusted(field, self.vars, _nested_horner(field, self.terms, images))
 
-    def map_coefficients(self, func, new_field=None):
-        """Apply ``func``, from FieldElements to FieldElements of
-        ``new_field`` (default: this field), to every coefficient."""
-        field = new_field if new_field is not None else self.field
-        element = self.field.element
-        return MultiPoly(
-            field, self.vars, {e: func(element(c)).rep for e, c in self.terms.items()}
-        )
+    def embed(self, emb):
+        """This polynomial over ``emb.dst``, its raw coefficients mapped by
+        the :class:`~rect4.fields.Embedding` ``emb`` from this field.  An
+        embedding is injective, so no coefficient vanishes."""
+        if self.field != emb.src:
+            raise FieldMismatch(f"polynomial over {self.field} embedded from {emb.src}")
+        raw = emb.raw
+        return MultiPoly._trusted(emb.dst, self.vars, {e: raw(c) for e, c in self.terms.items()})
 
     def with_vars(self, new_vars):
         """Reinterpret over a different variable tuple (superset or reorder)."""
@@ -477,7 +479,7 @@ class MultiPoly:
                     factors.append(v)
                 elif k > 1:
                     factors.append(f"{v}^{k}")
-            terms.append((field.raw_str(c), field.raw_eq(c, one), "*".join(factors)))
+            terms.append((field.raw_str(c), c == one, "*".join(factors)))
         return term_sum_str(terms)
 
     def __repr__(self):

@@ -3,9 +3,9 @@
 ``cli_golden.json`` pins, for every ``corpus/*.case``, ``analyze --json``,
 text ``analyze``, ``factor`` on a(X) and ``gr-check --json``, and for every
 ``corpus/claims/*.json`` the text and ``--json`` forms of ``verify
---claim-file``.  Each is replayed through ``cli.main`` and must match byte for
-byte.  After a deliberate output change, regenerate the file from the
-repository root with
+--claim-file``, and the :data:`EXTRA` command lines.  Each is replayed
+through ``cli.main`` and must match byte for byte.  After a deliberate
+output change, regenerate the file from the repository root with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -26,6 +26,10 @@ from conftest import load_case
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "cli_golden.json"
+# command lines no corpus file reaches: a vartest whose inseparable extension
+# is built over an extension field (the primitive-element search of
+# fields.composite_extension)
+EXTRA = [["vartest", "Z^2+s*T^2+T", "F2(s)[b]/(b^3+s)", "--json"]]
 
 
 def commands():
@@ -43,7 +47,7 @@ def commands():
     for path in sorted((ROOT / "corpus" / "claims").glob("*.json")):
         rel = str(path.relative_to(ROOT))
         out += [["verify", "--claim-file", rel], ["verify", "--claim-file", rel, "--json"]]
-    return out
+    return out + EXTRA
 
 
 def run(argv):

@@ -399,3 +399,70 @@ def test_zero_is_exactly_the_zero_rep(field):
             assert len(r) == field.deg
             for c in r:
                 assert field.base.raw_is_zero(c) == (c == field.base.raw_zero())
+
+
+# ---------------------------------------------------------------------------
+# composite extensions and embeddings
+# ---------------------------------------------------------------------------
+
+F3S = rational_function_field(3)
+# (K, psi) with psi irreducible over the extension K, as coefficient lists low
+# degree first; b is a p-th root of s over F_p(s), so X^p - b adjoins a deeper
+# inseparable root
+_QI, _CBRT2 = extend(QQ, [1, 0, 1], "i"), extend(QQ, [-2, 0, 0, 1], "c")
+_F2S_B2 = extend(F2S, [F2S.parameter(), 0, 1], "b")
+_F2S_B3 = extend(F2S, [F2S.parameter(), 0, 0, 1], "b")
+_F3S_B3 = extend(F3S, [F3S.parameter(), 0, 0, 1], "b")
+COMPOSITE_CASES = [
+    (_QI, [-2, 0, 1]),  # sqrt(2) over Q(i)
+    (_CBRT2, [1, 0, 1]),  # i over Q(cbrt 2), a real field
+    (_F2S_B2, [-_F2S_B2.generator(), 0, 1]),  # s^(1/4)
+    (_F2S_B3, [-_F2S_B3.generator(), 0, 1]),  # s^(1/6)
+    (_F3S_B3, [-_F3S_B3.generator(), 0, 0, 1]),  # s^(1/9)
+]
+
+
+def _horner(field, coeffs, x):
+    """sum coeffs[k] * x^k for elements of ``field``, by FieldElement arithmetic."""
+    acc = field.zero()
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@pytest.mark.parametrize("K, psi", COMPOSITE_CASES, ids=[str(K) for K, _ in COMPOSITE_CASES])
+def test_composite_extension_oracle(K, psi):
+    rng = random.Random(53)
+    L, emb, root = composite_extension(K, psi, "w")
+    psi = [K.coerce(c) for c in psi]
+    assert L.base == K.base and L.deg == K.deg * (len(psi) - 1)
+    assert emb.src == K and emb.dst == L
+    assert _horner(L, [emb(c) for c in psi], root).is_zero()
+    lam = emb(K.generator())
+    assert _horner(L, [L.from_base(K.base.element(c)) for c in K.minpoly], lam).is_zero()
+    for _ in range(12):
+        x, y = random_element(K, rng), random_element(K, rng)
+        assert emb(x + y) == emb(x) + emb(y)
+        assert emb(x * y) == emb(x) * emb(y)
+        if not x.is_zero():
+            assert emb(x.inv()) == emb(x).inv()
+
+
+@pytest.mark.parametrize("K, psi", COMPOSITE_CASES, ids=[str(K) for K, _ in COMPOSITE_CASES])
+def test_embedding_raw_matches_element_horner(K, psi):
+    # the composite's embedding, the inclusion of the base into K, and the
+    # two composed: raw images against FieldElement arithmetic
+    rng = random.Random(59)
+    _, emb, _ = composite_extension(K, psi, "w")
+    up = Embedding(K.base, K)
+    for e in (emb, up, up.then(emb)):
+        src, dst = e.src, e.dst
+        for _ in range(12):
+            x = random_element(src, rng)
+            if src.kind == "algebraic-extension":
+                coeffs = [dst.from_base(src.base.element(c)) for c in x.rep]
+                want = _horner(dst, coeffs, e.gen_image)
+            else:
+                want = dst.from_base(x)
+            assert e.raw(x.rep) == want.rep
+            assert e(x) == want

@@ -119,7 +119,7 @@ def test_domain_agrees_with_per_root_splitting_oracle(rng):
             else:
                 K = extend_field(QQ, p.to_dense("X"), "g")
                 emb = Embedding(QQ, K)
-                spec = F.map_coefficients(emb, K).substitute({"X": K.generator()})
+                spec = F.embed(emb).substitute({"X": K.generator()})
             if spec.is_zero():
                 expected = False
                 break

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rect4.fields import QQ, GF, Embedding, extend, rational_function_field
+from rect4.fields import QQ, GF, Embedding, FieldMismatch, extend, rational_function_field
 from rect4.polynomials import (
     MultiPoly,
     PolynomialError,
@@ -85,8 +85,8 @@ def test_substitute_promotes_to_extension():
     F = Z + X * T
     spec = F.substitute({"X": K.generator()})
     assert spec.field == K
-    i_const = MultiPoly.constant(K, XZT, K.generator())
-    assert spec == Z.map_coefficients(lambda c: K.from_base(c), K) + i_const * T.map_coefficients(lambda c: K.from_base(c), K)
+    Z_coeff, T_coeff = K.from_base(1), K.generator()
+    assert spec == MultiPoly.from_terms(K, XZT, [((0, 1, 0), Z_coeff), ((0, 0, 1), T_coeff)])
 
 
 def test_substitute_simultaneous_bindings_with_bound_images(rng):
@@ -117,7 +117,7 @@ def test_substitute_promotes_into_the_binding_field(base, K, rng):
             for _ in range(5)
         }
         f = MultiPoly.from_terms(base, XZT, terms.items())
-        f_K = f.map_coefficients(up, K)
+        f_K = f.embed(up)
         for images in (
             {"X": g},
             {"X": Z * T + MultiPoly.constant(K, XZT, g), "Z": T},
@@ -128,12 +128,28 @@ def test_substitute_promotes_into_the_binding_field(base, K, rng):
             expected = naive_substitute(
                 f_K,
                 {
-                    v: im.map_coefficients(up, K) if isinstance(im, MultiPoly)
-                    else MultiPoly.constant(K, XZT, im)
+                    v: MultiPoly.constant(K, XZT, im) if not isinstance(im, MultiPoly)
+                    else im.embed(up) if im.field == base else im
                     for v, im in images.items()
                 },
             )
             assert got == expected
+
+
+@pytest.mark.parametrize("base, K", _promotion_cases(), ids=lambda f: str(f))
+def test_embed_maps_coefficients_and_refuses_other_fields(base, K, rng):
+    up = Embedding(base, K)
+    terms = {
+        tuple(rng.randint(0, 3) for _ in XZT): _pool_element(base, rng, (-3, 1, 2))
+        for _ in range(5)
+    }
+    f = MultiPoly.from_terms(base, XZT, terms.items())
+    f_K = f.embed(up)
+    assert f_K.field == K and f_K.vars == f.vars
+    assert f_K == MultiPoly.from_terms(K, XZT, [(e, K.from_base(c)) for e, c in terms.items()])
+    for other in (f_K, MultiPoly.variable(GF(7), XZT, "Z")):
+        with pytest.raises(FieldMismatch):
+            other.embed(up)
 
 
 def test_substitute_ints_zero_and_unbound_variables(rng):

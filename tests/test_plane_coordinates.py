@@ -173,7 +173,7 @@ def test_insep_quadric_rejected_over_base_accepted_over_extension(f2s):
     assert not r.accepted
     assert r.accepted_over_extension
     cert = r.extension_certificate
-    promoted = f.map_coefficients(cert.embedding, cert.field)
+    promoted = f.embed(cert.embedding)
     assert cert.image_of_variable("T") == promoted
     assert verify_plane_pair(promoted, cert.complement)
     assert line_flags("X", "Z^2+s*T^2+T", f2s) == [UNKNOWN_LINE]
@@ -313,7 +313,7 @@ def test_apply_matches_substitute_over_inseparable_extension():
     rng = random.Random(11)
     steps = list(cert.steps)
     for _ in range(6):
-        steps += [s.promote(cert.embedding, cert.field) for s in random_tame_steps(F2s, rng, max_len=3)]
+        steps += [s.promote(cert.embedding) for s in random_tame_steps(F2s, rng, max_len=3)]
     assert {s.kind for s in steps} == {"linear", "elementary"}
     for step in steps:
         assert step.field == cert.field
