@@ -3,7 +3,10 @@
 Supported fields:
 
 * ``RationalField``            -- the rationals; an element is an ``int`` when
-  it is integral and a ``fractions.Fraction`` otherwise
+  it is integral and a reduced ``fractions.Fraction`` otherwise.  The
+  arithmetic runs on the int pair (numerator, denominator) with Knuth's
+  gcd-saving rules and sets a new Fraction's two slots directly, as CPython
+  3.12's ``Fraction._from_coprime_ints`` does, instead of normalizing again
 * ``PrimeField(p)``            -- integers mod a prime, elements are ints in ``[0, p)``
 * ``RationalFunctionField(p)`` -- one-parameter rational functions over a prime
   field; elements are coprime (numerator, denominator) pairs of dense
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd
 
 from . import dense
 
@@ -223,9 +227,14 @@ class RationalField(Field):
 
     A raw element is an ``int`` when the value is integral and a
     ``fractions.Fraction`` with denominator greater than one otherwise, never
-    a ``float`` or a ``bool``.  Sums and products of ints then stay in C
-    arithmetic; ``_canonical`` folds an integral ``Fraction`` result back to
-    its numerator.
+    a ``float`` or a ``bool``; a ``Fraction`` is reduced, with a positive
+    denominator.  Sums and products of ints stay in C arithmetic.  Every other
+    operation runs on the int pairs (numerator, denominator) with the
+    gcd-saving rules of Knuth, *TAOCP* vol. 2, section 4.5.1: a product
+    cancels the two cross gcds first, and a sum works over the gcd of the
+    denominators.  The pair that comes out is reduced, so the result is its
+    numerator when the denominator is one and otherwise a ``Fraction`` built
+    by :func:`_fraction` without normalizing again.
     """
 
     kind = "rationals"
@@ -244,36 +253,61 @@ class RationalField(Field):
         return operator.index(n)
 
     def raw_add(self, a, b):
-        r = a + b
-        return r if type(r) is int else _canonical(r)
+        if type(a) is int:
+            if type(b) is int:
+                return a + b
+            # n/d + a and a + n/d keep the reduced denominator d > 1
+            return _fraction(a * b._denominator + b._numerator, b._denominator)
+        if type(b) is int:
+            return _fraction(a._numerator + b * a._denominator, a._denominator)
+        return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
 
     def raw_neg(self, a):
-        return -a
+        return -a if type(a) is int else _fraction(-a._numerator, a._denominator)
 
     def raw_sub(self, a, b):
-        r = a - b
-        return r if type(r) is int else _canonical(r)
+        if type(a) is int:
+            if type(b) is int:
+                return a - b
+            return _fraction(a * b._denominator - b._numerator, b._denominator)
+        if type(b) is int:
+            return _fraction(a._numerator - b * a._denominator, a._denominator)
+        return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
 
     def raw_mul(self, a, b):
-        r = a * b
-        return r if type(r) is int else _canonical(r)
+        if type(a) is int:
+            if type(b) is int:
+                return a * b
+            return _scale(a, b._numerator, b._denominator)
+        if type(b) is int:
+            return _scale(b, a._numerator, a._denominator)
+        return _product(a._numerator, a._denominator, b._numerator, b._denominator)
 
     def raw_inv(self, a):
-        if not a:
-            raise FieldError("division by zero")
         if type(a) is int:
-            return a if a == 1 or a == -1 else Fraction(1, a)
-        return _canonical(Fraction(a.denominator, a.numerator))
+            if not a:
+                raise FieldError("division by zero")
+            n, d = 1, a
+        else:
+            n, d = a._denominator, a._numerator
+        return _rational(n, d) if d > 0 else _rational(-n, -d)
 
     def raw_div(self, a, b):
-        if not b:
-            raise FieldError("division by zero")
-        # int / int would give a float
-        q = Fraction(a, b) if type(a) is int and type(b) is int else a / b
-        return _canonical(q)
+        if type(b) is int:
+            if not b:
+                raise FieldError("division by zero")
+            nb, db = b, 1
+        else:
+            nb, db = b._numerator, b._denominator
+        if nb < 0:
+            nb, db = -nb, -db
+        if type(a) is int:
+            return _product(a, 1, db, nb)
+        return _product(a._numerator, a._denominator, db, nb)
 
     def raw_is_zero(self, a):
-        return not a
+        # zero is the int 0; a Fraction rep is never zero
+        return type(a) is int and not a
 
     def raw_str(self, a):
         return str(a)
@@ -293,9 +327,62 @@ class RationalField(Field):
     __repr__ = __str__
 
 
-def _canonical(q):
-    """The raw rational ``q`` (a ``Fraction``) as an int when it is integral."""
-    return q.numerator if q.denominator == 1 else q
+_new = object.__new__
+
+
+def _fraction(n, d):
+    """The ``Fraction`` n/d of coprime ints with d > 1, its two slots set
+    without normalizing again, as CPython 3.12's ``Fraction._from_coprime_ints``
+    does; both slots exist on every supported Python."""
+    q = _new(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _rational(n, d):
+    """The raw rational n/d of coprime ints with d > 0."""
+    return n if d == 1 else _fraction(n, d)
+
+
+def _sum(na, da, nb, db):
+    """The raw rational na/da + nb/db of reduced pairs with da, db > 1.
+
+    Over g = gcd(da, db), the sum is t/(s*db) with s = da/g and
+    t = na*(db/g) + nb*s, and only gcd(t, g) can cancel.
+    """
+    g = gcd(da, db)
+    if g == 1:
+        return _fraction(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _fraction(t, s * db)
+    return _rational(t // g2, s * (db // g2))
+
+
+def _scale(k, n, d):
+    """The raw rational k * n/d of an int k and a reduced pair with d > 1:
+    only gcd(k, d) can cancel."""
+    g = gcd(k, d)
+    if g == 1:
+        return _fraction(k * n, d)
+    return _rational(k // g * n, d // g)
+
+
+def _product(na, da, nb, db):
+    """The raw rational (na/da) * (nb/db) of reduced pairs with positive
+    denominators: the cross gcds cancel first, and nothing else can."""
+    g1 = gcd(na, db)
+    if g1 != 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 != 1:
+        nb //= g2
+        da //= g2
+    return _rational(na * nb, da * db)
 
 
 def _is_prime(n):
@@ -633,13 +720,6 @@ class ExtensionField(Field):
         for e in reversed(elts):
             acc = self.raw_add(self.raw_mul(acc, self._gen), self._pad(self.base.coerce(e).rep))
         return self.element(acc)
-
-    def to_base(self, elt):
-        """The base-field value of ``elt`` when it lies in the base, else None."""
-        rep = self.coerce(elt).rep
-        if rep[1:] != self._zero[1:]:
-            return None
-        return self.base.element(rep[0])
 
     def raw_zero(self):
         return self._zero

@@ -27,16 +27,17 @@ whatever the other pairs would add.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import add, le, sub
 
 from .multipoly import GREVLEX, MultiPoly, PolynomialError, add_multiple, heap_divide, prepare_divisor
 
 
 def _lcm(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
+    return tuple(map(max, e1, e2))
 
 
 def _divides_exp(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 def normal_form(f, basis, order=GREVLEX):
@@ -62,11 +63,11 @@ def s_polynomial(f, g, order=GREVLEX):
     lcm = _lcm(fe, ge)
     out = {}
     add_multiple(
-        field, out, f.terms.items(), tuple(a - b for a, b in zip(lcm, fe)),
+        field, out, f.terms.items(), tuple(map(sub, lcm, fe)),
         field.raw_inv(f.terms[fe]),
     )
     add_multiple(
-        field, out, g.terms.items(), tuple(a - b for a, b in zip(lcm, ge)),
+        field, out, g.terms.items(), tuple(map(sub, lcm, ge)),
         field.raw_neg(field.raw_inv(g.terms[ge])),
     )
     return MultiPoly._trusted(field, f.vars, out)
@@ -138,7 +139,7 @@ def groebner_basis(generators, order=GREVLEX):
     while queue:
         _, i, j, lcm_ij = heappop(queue)
         live.discard((i, j))
-        if lcm_ij == tuple(a + b for a, b in zip(leads[i], leads[j])):
+        if lcm_ij == tuple(map(add, leads[i], leads[j])):
             continue  # coprime leading terms
         if chain_criterion(i, j, lcm_ij):
             continue

@@ -37,6 +37,7 @@ too, since an embedding of fields is injective.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from operator import add as _plus, ge as _ge, neg as _neg, sub as _minus
 
 from .. import dense
 from ..fields import Embedding, ExtensionField, FieldElement, FieldMismatch, term_sum_str
@@ -74,7 +75,7 @@ class MonomialOrder:
         """Flat int tuple whose ascending order is this order's descending
         order: the min-heap key of sparse reduction."""
         if self.kind == "lex":
-            return tuple([-e for e in expv])
+            return tuple(map(_neg, expv))
         if self.kind == "grevlex":
             return (-sum(expv),) + expv[::-1]
         head, tail = expv[: self.split], expv[self.split :]
@@ -87,7 +88,7 @@ class MonomialOrder:
 
 
 def _grevlex_key(expv):
-    return (sum(expv), tuple(-e for e in reversed(expv)))
+    return (sum(expv), tuple(map(_neg, reversed(expv))))
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -509,10 +510,13 @@ def _join_fields(f1, f2):
 
 def add_multiple(field, out, terms, shift, c):
     """out += c * x^shift * p on raw coefficients, where ``terms`` iterates
-    the (exponent, coefficient) pairs of p and ``out`` is a raw term dict."""
+    the (exponent, coefficient) pairs of p and ``out`` is a raw term dict.
+
+    Each exponent sum is ``tuple(map(add, e, shift))``, which runs the loop
+    over the variables in C."""
     add, mul, is_zero = field.raw_add, field.raw_mul, field.raw_is_zero
     for e, pc in terms:
-        m = tuple([a + b for a, b in zip(e, shift)])
+        m = tuple(map(_plus, e, shift))
         v = mul(c, pc)
         old = out.get(m)
         if old is not None:
@@ -592,6 +596,10 @@ def heap_divide(f, prepared, key, exact=False, top=False):
 
     Returns ``(quotients, remainder)`` as raw term dicts, one quotient per
     divisor; f minus the sum of quotient times divisor is the remainder.
+
+    The divisibility test, the shift and each product monomial map
+    ``operator.ge``, ``sub`` and ``add`` over the exponent vectors, so no
+    per-variable loop runs in the interpreter.
     """
     field = f.field
     add, mul, is_zero = field.raw_add, field.raw_mul, field.raw_is_zero
@@ -605,12 +613,12 @@ def heap_divide(f, prepared, key, exact=False, top=False):
         wc = work.pop(we, None)
         if wc is None:
             continue
-        for (ge, inv, tail), quo in zip(prepared, quotients):
-            if all([a >= b for a, b in zip(we, ge)]):
-                shift = tuple([a - b for a, b in zip(we, ge)])
+        for (lead, inv, tail), quo in zip(prepared, quotients):
+            if all(map(_ge, we, lead)):
+                shift = tuple(map(_minus, we, lead))
                 q = quo[shift] = wc if inv is None else mul(wc, inv)
                 for te, tc in tail:
-                    m = tuple([a + b for a, b in zip(shift, te)])
+                    m = tuple(map(_plus, shift, te))
                     v = mul(q, tc)
                     old = work.get(m)
                     if old is None:

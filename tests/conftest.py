@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import random
@@ -67,10 +68,15 @@ def naive_substitute(poly, images):
 
 def assert_canonical_rational(rep):
     """A raw rational is an int exactly when it is integral: otherwise a
-    Fraction with a denominator above one, and never a float or a bool."""
+    reduced Fraction with a denominator above one, and never a float or a
+    bool.  ``RationalField`` builds its Fractions without normalizing them,
+    so the reduction and the sign are checked here too."""
     assert type(rep) in (int, Fraction), f"raw rational {rep!r} is a {type(rep).__name__}"
     if type(rep) is Fraction:
-        assert rep.denominator > 1, f"integral raw rational {rep!r} is not an int"
+        n, d = rep.numerator, rep.denominator
+        assert type(n) is int and type(d) is int, f"raw rational {n!r}/{d!r} holds a non-int"
+        assert d > 1, f"raw rational {n}/{d} is integral or has a negative denominator"
+        assert math.gcd(n, d) == 1, f"raw rational {n}/{d} is not reduced"
 
 
 def _field_rational_reps(field, rep):
