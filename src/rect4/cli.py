@@ -92,9 +92,7 @@ def certificate_to_json(cert, f):
         "variables": list(cert.variables),
         "f": str(f_here),
         "complement": str(cert.complement),
-        "extension": (
-            None if cert.extension is None else str(cert.extension)
-        ),
+        "extension": None if cert.extension is None else str(cert.extension),
         "steps": steps,
     }
 
@@ -331,28 +329,25 @@ def _cmd_analyze(args):
 def _cmd_vartest(args):
     field = parse_field_spec(args.field)
     f = parse_polynomial(args.f, field, ("Z", "T"))
-    result = vartest(f)
+    outcome = vartest(f)
     cert_json = None
-    ext_json = None
-    if result.accepted:
-        cert_json = certificate_to_json(result.certificate, f)
-    elif result.extension_certificate is not None:
-        ext_json = certificate_to_json(result.extension_certificate, f)
+    if outcome.certified:
+        cert_json = certificate_to_json(outcome.certificate, f)
     doc = {
         "schema": SCHEMA_REPORT,
         "command": "vartest",
         "field": str(field),
         "inputs": {"f": args.f},
-        "verdict": "Accept" if result.accepted else "Reject",
-        "reason": result.reason,
-        "certificate": cert_json,
-        "extension_certificate": ext_json,
+        "verdict": "Accept" if outcome.accepted else "Reject",
+        "reason": outcome.reason,
+        "certificate": cert_json if outcome.accepted else None,
+        "extension_certificate": None if outcome.accepted else cert_json,
     }
     _print_report(doc, args.json)
-    if args.cert_out and (cert_json or ext_json):
+    if args.cert_out and cert_json:
         with open(args.cert_out, "w") as fh:
-            json.dump(cert_json or ext_json, fh, indent=2)
-    return EXIT_OK if result.accepted else EXIT_NEGATIVE
+            json.dump(cert_json, fh, indent=2)
+    return EXIT_OK if outcome.accepted else EXIT_NEGATIVE
 
 
 def _cmd_verify(args):
@@ -504,12 +499,23 @@ def _cmd_factor(args):
 # ---------------------------------------------------------------------------
 
 
+def _degree_bound(text):
+    """The value of ``--degree-bound``: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, not {text!r}")
+    return value
+
+
 def _add_common(p):
     g = p.add_mutually_exclusive_group()
     g.add_argument("--json", action="store_true", help="machine-readable output")
     g.add_argument("--text", action="store_true", help="human-readable output (default)")
     p.add_argument("--seed", type=int, default=20240901, help="seed for randomized subroutines")
-    p.add_argument("--degree-bound", type=int, default=None, help="Kronecker total-degree bound")
+    p.add_argument("--degree-bound", type=_degree_bound, default=None, help="Kronecker total-degree bound")
     p.add_argument("--cert-out", default=None, help="write certificates to this path")
 
 

@@ -169,11 +169,14 @@ def parse_polynomial(text, field, vars):
 
     No variable may share its name with the generator or the parameter of
     ``field``: a certificate could not then tell the variable from the
-    constant when it is replayed.
+    constant when it is replayed.  No name may be listed twice either, or
+    its two variables would read as one.
     """
-    for name in vars:
+    for i, name in enumerate(vars):
         if _named_constant(field, name) is not None:
             raise ParseError(f"variable {name!r} is also the name of a constant of {field}")
+        if name in vars[:i]:
+            raise ParseError(f"variable {name!r} is listed twice")
     return _Parser(_tokenize(text), field, vars).parse()
 
 

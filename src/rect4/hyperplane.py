@@ -7,9 +7,11 @@ over k[x], regularity) and the rectifiability verdict.  Reports carry
 citation tags: stable identifiers of the decision rules used, so a consumer
 can see which equivalence produced a verdict.
 
-Each criterion reads the root's coordinate outcome first.  An accepted f is
-a line.  An f certified over K, or over the purely inseparable L the test
-may adjoin, is irreducible, and its partner g gives Jac(f, g) = c != 0, so
+Each criterion reads the root's coordinate outcome first: the
+:class:`~rect4.plane_coordinates.CoordinateOutcome` that ``vartest``
+returns, kept as is in ``AnalysisReport.coordinates``.  An accepted f is a
+line.  An f certified over K, or over the purely inseparable L the test may
+adjoin, is irreducible, and its partner g gives Jac(f, g) = c != 0, so
 (f_Z, f_T) = (1) over L, hence over K (L[Z,T] is free over K[Z,T]).  Only
 uncertified roots reach the Kronecker and Groebner tests.
 """
@@ -27,7 +29,7 @@ from .polynomials import (
     ideal_contains_one,
     univariate_factor,
 )
-from .plane_coordinates import complement, vartest
+from .plane_coordinates import CoordinateOutcome, complement, vartest
 
 # citation tags used in reports
 RULE_DOMAIN_GCD = "gcd"
@@ -116,20 +118,6 @@ class RootDatum:
 
 
 @dataclass
-class CoordinateOutcome:
-    status: str  # "accept" | "reject" | "reject-accepts-over-extension"
-    certificate: object = None
-    reason: str = None
-
-    @property
-    def certified(self):
-        """f is a coordinate over the residue field or over a purely
-        inseparable extension of it; either way it is irreducible and
-        (f_Z, f_T) = (1)."""
-        return self.status in ("accept", "reject-accepts-over-extension")
-
-
-@dataclass
 class AnalysisReport:
     domain: bool
     domain_witness: MultiPoly = None
@@ -137,7 +125,7 @@ class AnalysisReport:
     fibration: str = "unknown"
     regular: str = "unknown"
     roots: list = dataclass_field(default_factory=list)
-    coordinates: list = dataclass_field(default_factory=list)
+    coordinates: list = dataclass_field(default_factory=list)  # CoordinateOutcome per root
     lines: list = dataclass_field(default_factory=list)
     irreducibility: list = dataclass_field(default_factory=list)
     irreducible_reasons: list = dataclass_field(default_factory=list)
@@ -240,27 +228,14 @@ def _at_root(poly, p, K):
 
 
 def coordinate_results(data):
-    """Run the plane-coordinate test on every specialization."""
-    out = []
-    for rd in data:
-        f = rd.specialization
-        if f.is_constant():
-            out.append(CoordinateOutcome("reject", reason="specialization is a unit"))
-            continue
-        r = vartest(f)
-        if r.accepted:
-            out.append(CoordinateOutcome("accept", certificate=r.certificate))
-        elif r.accepted_over_extension:
-            out.append(
-                CoordinateOutcome(
-                    "reject-accepts-over-extension",
-                    certificate=r.extension_certificate,
-                    reason=r.reason,
-                )
-            )
-        else:
-            out.append(CoordinateOutcome("reject", reason=r.reason))
-    return out
+    """The :func:`vartest` outcome of every specialization; a constant one is
+    a unit."""
+    return [
+        CoordinateOutcome("reject", reason="specialization is a unit")
+        if rd.specialization.is_constant()
+        else vartest(rd.specialization)
+        for rd in data
+    ]
 
 
 def ufd_check(data, coords, degree_bound=None):
@@ -306,7 +281,7 @@ def fibration_check(data, coords):
     for rd, cr in zip(data, coords):
         if rd.specialization.is_constant():
             lines.append(NOT_LINE)
-        elif cr.status == "accept":
+        elif cr.accepted:
             lines.append(LINE)
         elif rd.residue_field.characteristic() == 0:
             lines.append(NOT_LINE)
@@ -373,7 +348,8 @@ def analyze(h, degree_bound=None, rng=None):
     report.theorem_path.append(RULE_UFD)
     report.fibration, report.lines = fibration_check(data, coords)
     report.theorem_path.append(RULE_FIBRATION)
-    if hn.field.characteristic() == 0:
+    char = hn.field.characteristic()
+    if char == 0:
         report.theorem_path.append(RULE_LINE_EQ_COORDINATE_CHAR0)
     report.regular, _ = regularity_check(hn, data, coords)
     report.theorem_path.append(RULE_REGULARITY)
@@ -385,10 +361,10 @@ def analyze(h, degree_bound=None, rng=None):
         )
         return report
 
-    char = hn.field.characteristic()
-    all_accept = all(c.status == "accept" for c in coords)
-    if all_accept:
-        _verify_all_certificates(data, coords)
+    if all(c.accepted for c in coords):
+        # the referee re-checks every certificate; a refused one raises
+        for rd, c in zip(data, coords):
+            complement(rd.specialization, c.certificate)
         report.verdict = VERDICT_RECTIFIABLE
         report.theorem_path.extend(
             [
@@ -408,71 +384,42 @@ def analyze(h, degree_bound=None, rng=None):
         return report
 
     # some specialization is not a coordinate of its residue plane
-    failing = next(
-        i for i, c in enumerate(coords) if c.status != "accept"
-    )
+    report.failing_root = next(i for i, c in enumerate(coords) if not c.accepted)
     if char == 0:
-        report.verdict = VERDICT_NOT_RECTIFIABLE
-        report.failing_root = failing
-        report.theorem_path.append(RULE_CHAR0)
-        report.hypotheses["characteristic_zero"] = True
-        report.hypotheses["some_specialization_not_coordinate"] = True
-        _set_not_rectifiable_implications(report)
+        rules = [RULE_CHAR0]
+        hypotheses = {"characteristic_zero": True, "some_specialization_not_coordinate": True}
+    elif all(not rd.kbar_simple for rd in data):
+        rules = [RULE_NO_SIMPLE_ROOT]
+        hypotheses = {"no_simple_root_over_closure": True, "some_specialization_not_coordinate": True}
+    elif (
+        # the normalized presentation differs from the input by an ambient
+        # substitution Y -> Y + q, so X-freeness may be read off after reduction
+        not hn.F.involves("X")
+        and any(rd.multiplicity > 1 and rd.separable for rd in data)
+        and not vartest(hn.F.with_vars(("Z", "T"))).accepted
+    ):
+        rules = [RULE_SEPARABLE_MULTIPLE, RULE_SEPARABLE_DESCENT]
+        hypotheses = {
+            "F_free_of_X": True,
+            "separable_multiple_root_exists": True,
+            "base_field_test_rejects": True,
+        }
+    else:
+        report.verdict = VERDICT_INCONCLUSIVE
+        report.inconclusive_reason = (
+            "positive characteristic with a simple separable root: the known "
+            "equivalences do not decide this configuration"
+        )
         return report
-
-    no_simple_root = all(not rd.kbar_simple for rd in data)
-    if no_simple_root:
-        report.verdict = VERDICT_NOT_RECTIFIABLE
-        report.failing_root = failing
-        report.theorem_path.append(RULE_NO_SIMPLE_ROOT)
-        report.hypotheses["no_simple_root_over_closure"] = True
-        report.hypotheses["some_specialization_not_coordinate"] = True
-        _set_not_rectifiable_implications(report)
-        return report
-
-    # the normalized presentation differs from the input by an ambient
-    # substitution Y -> Y + q, so X-freeness may be read off after reduction
-    f_free_of_x = not hn.F.involves("X")
-    separable_multiple = any(
-        rd.multiplicity > 1 and rd.separable for rd in data
-    )
-    if f_free_of_x and separable_multiple:
-        base_f = hn.F.with_vars(("Z", "T"))
-        base_result = vartest(base_f)
-        if not base_result.accepted:
-            report.verdict = VERDICT_NOT_RECTIFIABLE
-            report.failing_root = failing
-            report.theorem_path.extend(
-                [RULE_SEPARABLE_MULTIPLE, RULE_SEPARABLE_DESCENT]
-            )
-            report.hypotheses["F_free_of_X"] = True
-            report.hypotheses["separable_multiple_root_exists"] = True
-            report.hypotheses["base_field_test_rejects"] = True
-            _set_not_rectifiable_implications(report)
-            return report
-
-    report.verdict = VERDICT_INCONCLUSIVE
-    report.failing_root = failing
-    report.inconclusive_reason = (
-        "positive characteristic with a simple separable root: the known "
-        "equivalences do not decide this configuration"
-    )
-    return report
-
-
-def _set_not_rectifiable_implications(report):
+    report.verdict = VERDICT_NOT_RECTIFIABLE
+    report.theorem_path.extend(rules)
+    report.hypotheses.update(hypotheses)
     report.implied = {
         "polynomial_ring_over_base": "false (implied)",
         "polynomial_ring_over_kx": "false (implied)",
         "coordinate_pair_with_x": "false (implied)",
     }
-
-
-def _verify_all_certificates(data, coords):
-    for rd, c in zip(data, coords):
-        if c.status != "accept":
-            continue
-        complement(rd.specialization, c.certificate)
+    return report
 
 
 def _assert_cross_consistency(report):

@@ -7,15 +7,18 @@ degrees must divide and a single elementary substitution
 ``T -> T + c * Z^q`` strictly lowers the total degree.  Iterating reaches a
 linear polynomial exactly for coordinates.
 
-Every accepted input carries a :class:`CoordinateCertificate`: a list of tame
-steps whose composite maps T to f exactly, plus a complement polynomial; the
-Groebner-based verifier re-checks both independently.
+Every answer is one :class:`CoordinateOutcome`, from :func:`linear_fastpath`
+and :func:`vartest` to the hyperplane report.  An accepted input carries a
+:class:`CoordinateCertificate`: a list of tame steps whose composite maps T
+to f exactly, plus a complement polynomial; the Groebner-based verifier
+re-checks both independently.
 
 In characteristic p the scalar conditions can force a purely inseparable
 extension (p-power roots).  Coordinates over K never need one, so a reduction
-that succeeds only after such an extension yields a rejection over K carrying
-the extension certificate; the caller can still use it as evidence over the
-algebraic closure (e.g. for irreducibility).
+that succeeds only after such an extension is the status
+"reject-accepts-over-extension", still carrying the certificate over the
+extension; the caller can use it as evidence over the algebraic closure
+(e.g. for irreducibility and smoothness).
 """
 
 from __future__ import annotations
@@ -135,8 +138,12 @@ class CoordinateCertificate:
     variables: tuple  # (zname, tname)
     steps: list
     complement: object = None  # MultiPoly over ``field``
-    extension: object = None  # ExtensionField when steps left the input field
-    embedding: object = None  # Embedding of the input field when extension set
+    embedding: object = None  # Embedding of the input field when the steps left it
+
+    @property
+    def extension(self):
+        """The extension the steps live over when they left the input field."""
+        return None if self.embedding is None else self.field
 
     def image_of(self, poly):
         for s in reversed(self.steps):
@@ -149,19 +156,27 @@ class CoordinateCertificate:
 
 
 @dataclass
-class VartestResult:
-    status: str  # "accept" | "reject"
+class CoordinateOutcome:
+    """The answer of the coordinate test for one f.
+
+    ``status`` is "accept" (f is a coordinate over its own field), "reject",
+    or "reject-accepts-over-extension" (f is a coordinate only over the
+    purely inseparable extension its certificate lives over).  A certified
+    outcome carries the certificate; f is then irreducible and
+    (f_Z, f_T) = (1) over the input field as well.
+    """
+
+    status: str
     certificate: CoordinateCertificate = None
     reason: str = None
-    extension_certificate: CoordinateCertificate = None
 
     @property
     def accepted(self):
         return self.status == "accept"
 
     @property
-    def accepted_over_extension(self):
-        return self.extension_certificate is not None
+    def certified(self):
+        return self.certificate is not None
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +275,8 @@ def _analyze_leading_form(lead, zname, tname):
 def linear_fastpath(f):
     """Direct decision for deg_T f <= 1 (f = a0(Z) + a1(Z)*T).
 
-    Returns ("accept", certificate), ("reject", reason) or None when the
-    fastpath does not apply.
+    Returns the :class:`CoordinateOutcome`, or None when the fastpath does
+    not apply.
     """
     if len(f.vars) != 2:
         raise PlaneCoordinateError("plane test needs exactly two variables")
@@ -273,9 +288,8 @@ def linear_fastpath(f):
     a0, a1 = coeffs.get((0,), zero), coeffs.get((1,), zero)
     if a1.is_zero():
         if f.degree_in(zn) == 1:
-            cert = _finish(f, [], f.field, None, (zn, tn))
-            return ("accept", cert)
-        return ("reject", "polynomial is univariate of degree != 1")
+            return _finish(f, [])
+        return CoordinateOutcome("reject", reason="polynomial is univariate of degree != 1")
     if a1.is_constant():
         c = a1.constant_value()
         steps = []
@@ -284,23 +298,27 @@ def linear_fastpath(f):
             step = TameStep("elementary", f.field, target=tn, shift=shift)
             steps.append(step.inverse())
             f = step.apply(f)
-        cert = _finish(f, steps, f.field, None, (zn, tn))
-        return ("accept", cert)
-    return (
+        return _finish(f, steps)
+    return CoordinateOutcome(
         "reject",
-        "the coefficient of T is nonconstant, so the residue ring has "
+        reason="the coefficient of T is nonconstant, so the residue ring has "
         "nonscalar units",
     )
 
 
-def _finish(work, inv_steps, field, extension, vars, embedding=None):
-    """work has total degree 1; append the closing linear step and build the
-    certificate."""
+def _finish(work, inv_steps, embedding=None):
+    """work has total degree 1; append the closing linear step and certify.
+
+    With ``embedding`` set the steps left the input field for a purely
+    inseparable extension.  A coordinate over the input field never needs
+    one, so the outcome rejects over the input field and carries the
+    certificate over the extension."""
+    field, vars = work.field, work.vars
     zn, tn = vars
     zero = field.zero()
     one = field.one()
-    alpha = work.coeff(_expv(work.vars, {zn: 1}))
-    beta = work.coeff(_expv(work.vars, {tn: 1}))
+    alpha = work.coeff(_expv(vars, {zn: 1}))
+    beta = work.coeff(_expv(vars, {tn: 1}))
     gamma = work.constant_term()
     if not beta.is_zero():
         bi = beta.inv()
@@ -312,15 +330,22 @@ def _finish(work, inv_steps, field, extension, vars, embedding=None):
         tr = (-gamma * ai, zero)
     final = TameStep("linear", field, matrix=mat, translation=tr)
     check = final.apply(work)
-    expected = MultiPoly.variable(field, work.vars, tn)
+    expected = MultiPoly.variable(field, vars, tn)
     if check != expected:
         raise PlaneCoordinateError("final normalization failed to produce T")
     steps = list(inv_steps) + [final.inverse()]
-    cert = CoordinateCertificate(
-        field, vars, steps, extension=extension, embedding=embedding
-    )
+    cert = CoordinateCertificate(field, vars, steps, embedding=embedding)
     cert.complement = cert.image_of_variable(zn)
-    return cert
+    if embedding is None:
+        return CoordinateOutcome("accept", certificate=cert)
+    return CoordinateOutcome(
+        "reject-accepts-over-extension",
+        certificate=cert,
+        reason=(
+            "coordinate only over the inseparable extension "
+            f"{field}, not over {embedding.src}"
+        ),
+    )
 
 
 def _expv(vars, assignment):
@@ -331,35 +356,31 @@ def vartest(f):
     """Full coordinate test with certificate construction.
 
     Accept means f is a coordinate of K[Z,T] for K the coefficient field of
-    f.  A rejection may carry ``extension_certificate`` when the reduction
-    succeeded over a purely inseparable extension: f is then a coordinate of
-    the extended plane but not of the K-plane.
+    f.  When the reduction succeeded only over a purely inseparable
+    extension, the outcome is "reject-accepts-over-extension" with the
+    certificate over the extension: f is then a coordinate of the extended
+    plane but not of the K-plane.
     """
     if f.is_zero():
-        return VartestResult("reject", reason="zero polynomial")
+        return CoordinateOutcome("reject", reason="zero polynomial")
     if len(f.vars) != 2:
         raise PlaneCoordinateError("plane test needs exactly two variables")
     zn, tn = f.vars
     if f.is_constant():
-        return VartestResult("reject", reason="constant polynomial")
+        return CoordinateOutcome("reject", reason="constant polynomial")
 
     fast = linear_fastpath(f)
     if fast is not None:
-        status, payload = fast
-        if status == "accept":
-            return VartestResult("accept", certificate=payload)
-        return VartestResult("reject", reason=payload)
+        return fast
 
-    field0 = f.field
-    field = field0
-    embedding = None  # from field0 into the current field
-    extension = None
+    field = f.field
+    embedding = None  # from f.field into the current field
     work = f
     inv_steps = []
     degree_log = [work.total_degree()]
 
     def extend_with(e, rho):
-        nonlocal field, embedding, extension, work, inv_steps
+        nonlocal field, embedding, work, inv_steps
         p = field.characteristic()
         deg = p**e
         psi = [field.zero()] * (deg + 1)
@@ -370,7 +391,6 @@ def vartest(f):
         work = work.embed(emb)
         inv_steps = [s.promote(emb) for s in inv_steps]
         embedding = emb if embedding is None else embedding.then(emb)
-        extension = L
         field = L
         return root
 
@@ -385,14 +405,13 @@ def vartest(f):
     while True:
         d = work.total_degree()
         if d <= 0:
-            return VartestResult("reject", reason="reduced to a constant")
+            return CoordinateOutcome("reject", reason="reduced to a constant")
         if d == 1:
-            cert = _finish(work, inv_steps, field, extension, (zn, tn), embedding)
-            return _wrap_accept(f, cert, field0)
+            return _finish(work, inv_steps, embedding)
         lead = work.leading_form()
         info = _analyze_leading_form(lead, zn, tn)
         if info is None:
-            return VartestResult(
+            return CoordinateOutcome(
                 "reject",
                 reason="leading form is not a scaled power of a single linear form",
             )
@@ -422,7 +441,7 @@ def vartest(f):
         # now the leading form is c * Z^d
         n = work.degree_in(tn)
         if n <= 0 or d % n != 0:
-            return VartestResult(
+            return CoordinateOutcome(
                 "reject",
                 reason=f"partial degrees do not divide (deg_Z = {d}, deg_T = {n})",
             )
@@ -431,7 +450,7 @@ def vartest(f):
             raise PlaneCoordinateError("reduction invariant violated: q < 2")
         weights = tuple(1 if v == zn else q for v in work.vars)
         if work.weighted_degree(weights) > d:
-            return VartestResult(
+            return CoordinateOutcome(
                 "reject",
                 reason="weighted top form obstructs any degree-lowering "
                 "elementary step",
@@ -444,7 +463,7 @@ def vartest(f):
                 phi[e[it]] = field.element(c)
         res = _power_of_linear_univariate(phi, field)
         if res is None:
-            return VartestResult(
+            return CoordinateOutcome(
                 "reject",
                 reason="the scalar condition for the elementary step has no "
                 "multiplicity-n root",
@@ -462,22 +481,6 @@ def vartest(f):
             raise PlaneCoordinateError(
                 f"elementary step failed to reduce the degree ({degree_log})"
             )
-
-
-def _wrap_accept(f, cert, field0):
-    if cert.extension is None:
-        return VartestResult("accept", certificate=cert)
-    # Reduction left the input field.  The extension is purely inseparable by
-    # construction, so the polynomial cannot be a coordinate over the input
-    # field itself; report the extension certificate alongside the rejection.
-    return VartestResult(
-        "reject",
-        reason=(
-            "coordinate only over the inseparable extension "
-            f"{cert.extension}, not over {field0}"
-        ),
-        extension_certificate=cert,
-    )
 
 
 # ---------------------------------------------------------------------------

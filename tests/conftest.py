@@ -3,6 +3,7 @@ import os
 import pathlib
 import random
 import resource
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +17,38 @@ from rect4.plane_coordinates import TameStep
 ZT = ("Z", "T")
 XZT = ("X", "Z", "T")
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# wall-clock cap on the call phase of every test, so a regression that makes
+# an exact computation loop or blow up fails the test it hangs, by name,
+# instead of stalling the whole run
+TEST_SECONDS = 30
+
+
+class TimeCapExceeded(BaseException):
+    """Raised in a test that runs past ``TEST_SECONDS``.  Not an Exception, so
+    no ``except Exception`` in the code under test and no hypothesis shrink
+    loop catches it; pytest reports it as the test's failure."""
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    """Arm a SIGALRM timer for the test call (where ``signal.setitimer``
+    exists) and cancel it as soon as the call returns, before pytest formats
+    any failure."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeCapExceeded(f"{item.nodeid} ran past {TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_cli_capped(*argv, seconds=10, memory_mb=1024):

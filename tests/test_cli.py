@@ -102,6 +102,26 @@ def test_variable_named_like_a_field_constant_is_a_usage_error(capsys, argv, nam
     assert f"variable {name!r} is also the name of a constant" in captured.err
 
 
+def test_repeated_variable_name_is_a_parse_error():
+    # read as one variable, the claim X over (X, X) would be X*X
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("X", QQ, ("X", "X"))
+    assert "variable 'X' is listed twice" in str(err.value)
+
+
+def test_repeated_variable_name_is_a_usage_error(capsys, tmp_path):
+    claim = tmp_path / "claim.json"
+    claim.write_text(json.dumps({"field": "Q", "variables": ["X", "X"], "claims": ["X", "X"]}))
+    for argv in (
+        ["verify", "--field", "Q", "--vars", "X,X", "X", "X"],
+        ["verify", "--claim-file", str(claim)],
+    ):
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: variable 'X' is listed twice\n"
+
+
 def test_bad_field_specs():
     for spec in ("Q(s)", "F4", "Z", "Q[i]/(i^2-1)", "F2(s)[s]/(s^2+s+1)"):
         with pytest.raises(ParseError):
@@ -168,6 +188,14 @@ def test_degree_bound_degrades_to_unknown(capsys):
     assert code == 1
     assert doc["ufd"] == "unknown"
     assert doc["verdict"] == "NotRectifiable"
+
+
+@pytest.mark.parametrize("bound", ["-5", "-1", "two"])
+def test_degree_bound_must_be_a_nonnegative_integer(capsys, bound):
+    assert cli.main(["analyze", "X", "Z^2+T^3", "Q", "--degree-bound", bound]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --degree-bound: expected a nonnegative integer" in captured.err
 
 
 def test_univariate_specialization_over_residue_extension(capsys, schema):

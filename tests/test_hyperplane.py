@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rect4 import hyperplane, plane_coordinates
+from rect4 import cli, hyperplane, plane_coordinates
 from rect4.exprparse import parse_field_spec, parse_polynomial
 from rect4.fields import GF, QQ, rational_function_field
 from rect4.polynomials import MultiPoly, ideal_contains_one
@@ -18,9 +18,10 @@ from rect4.hyperplane import (
     regularity_check,
     root_data,
 )
+from rect4.plane_coordinates import vartest
 from rect4.verifier import verify_plane_pair
 
-from conftest import XZT, a_var, run_cli_capped, xzt_vars
+from conftest import ROOT, XZT, a_var, load_case, random_coordinate, random_poly, run_cli_capped, xzt_vars
 
 V4 = ("X", "Y", "Z", "T")
 
@@ -449,6 +450,81 @@ def test_flags_read_the_coordinate_outcome(
     assert len(vt) == vartests
     assert len(gb) == groebner_tests
     assert rep.regular == regular
+
+
+def _seeded_hyperplanes(rng, count):
+    """(a, F) over Q, F5, F7 and F2(s): products of linear and quadratic
+    factors (X^2 - s among them over F2(s)), and F a tame coordinate, the
+    inseparable quadric Z^2 + c*T^2 + T over F2(s), or a random polynomial,
+    each plus X times a random polynomial."""
+    F2s = rational_function_field(2)
+    s = F2s.parameter()
+    for field in (QQ, GF(5), GF(7), F2s):
+        X = MultiPoly.variable(field, ("X",), "X")
+        Z, T = (MultiPoly.variable(field, XZT, v) for v in ("Z", "T"))
+        for _ in range(count):
+            a = MultiPoly.one(field, ("X",))
+            for _ in range(rng.randint(1, 2)):
+                if field is F2s and rng.random() < 0.5:
+                    a = a * (X * X - MultiPoly.constant(field, ("X",), s))
+                elif rng.random() < 0.5:
+                    a = a * (X - field.from_int(rng.randint(-2, 2))) ** rng.randint(1, 2)
+                else:
+                    a = a * (X * X + field.from_int(rng.choice([1, 2, -2])))
+            pick = rng.random()
+            if field is F2s and pick < 0.3:
+                c = MultiPoly.constant(field, XZT, s + field.from_int(rng.randint(0, 1)))
+                F0 = Z * Z + c * T * T + T
+            elif pick < 0.65:
+                F0 = random_coordinate(field, rng, deg_cap=6, max_len=2, max_shift_deg=2).with_vars(XZT)
+            else:
+                F0 = random_poly(field, XZT, rng, max_deg=2, n_terms=4)
+            X3 = MultiPoly.variable(field, XZT, "X")
+            yield a, F0 + X3 * random_poly(field, XZT, rng, max_deg=1, n_terms=2)
+
+
+def _corpus_hyperplanes():
+    for path in sorted((ROOT / "corpus").glob("*.case")):
+        case = load_case(path)
+        field = parse_field_spec(case["field"])
+        yield parse_polynomial(case["a"], field, ("X",)), parse_polynomial(case["F"], field, XZT)
+
+
+def _assert_one_outcome(outcome):
+    """certified, a certificate and a status other than "reject" agree, and
+    the certificate lives over an extension exactly for the status that says
+    so."""
+    assert outcome.certified == (outcome.certificate is not None) == (outcome.status != "reject")
+    over_extension = outcome.certified and outcome.certificate.extension is not None
+    assert over_extension == (outcome.status == "reject-accepts-over-extension")
+
+
+def _certificate_json(outcome, f):
+    return None if outcome.certificate is None else cli.certificate_to_json(outcome.certificate, f)
+
+
+def test_report_coordinates_are_the_vartest_outcomes():
+    """Every nonconstant root's report entry is what vartest answers on its
+    specialization: status, reason and serialized certificate."""
+    rng = random.Random(1905)
+    inputs = [*_seeded_hyperplanes(rng, 25), *_corpus_hyperplanes()]
+    statuses = set()
+    for a, F in inputs:
+        if F.is_zero() or a.degree_in("X") < 1:
+            continue
+        rep = analyze(Hyperplane(a, F), rng=random.Random(7))
+        for rd, outcome in zip(rep.roots, rep.coordinates):
+            _assert_one_outcome(outcome)
+            statuses.add(outcome.status)
+            f = rd.specialization
+            if f.is_constant():
+                assert (outcome.status, outcome.reason) == ("reject", "specialization is a unit")
+                continue
+            direct = vartest(f)
+            _assert_one_outcome(direct)
+            assert (outcome.status, outcome.reason) == (direct.status, direct.reason), str(f)
+            assert _certificate_json(outcome, f) == _certificate_json(direct, f), str(f)
+    assert statuses == {"accept", "reject", "reject-accepts-over-extension"}
 
 
 def test_regularity_examples():

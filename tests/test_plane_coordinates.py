@@ -33,16 +33,17 @@ from conftest import (
 
 def test_fastpath_affine_in_z():
     Z, T = zt_vars(QQ)
-    status, cert = linear_fastpath(3 * Z + 5)
-    assert status == "accept"
-    assert cert.image_of_variable("T") == 3 * Z + 5
+    outcome = linear_fastpath(3 * Z + 5)
+    assert outcome.accepted
+    assert outcome.certificate.image_of_variable("T") == 3 * Z + 5
 
 
 def test_fastpath_constant_t_coefficient():
     Z, T = zt_vars(QQ)
     f = Z * Z + 2 * T
-    status, cert = linear_fastpath(f)
-    assert status == "accept"
+    outcome = linear_fastpath(f)
+    assert outcome.accepted
+    cert = outcome.certificate
     assert cert.complement == Z
     assert cert.image_of_variable("T") == f
 
@@ -50,8 +51,8 @@ def test_fastpath_constant_t_coefficient():
 def test_fastpath_rejects_nonconstant_t_coefficient():
     Z, T = zt_vars(QQ)
     f = 1 + Z * T
-    status, reason = linear_fastpath(f)
-    assert status == "reject"
+    outcome = linear_fastpath(f)
+    assert outcome.status == "reject" and outcome.certificate is None
     assert not vartest(f).accepted
     # independent unit oracle: modulo (1 + ZT) the class of Z is invertible
     # (Z * (-T) = 1), so the residue ring has units outside the constants and
@@ -170,9 +171,8 @@ def test_insep_quadric_rejected_over_base_accepted_over_extension(f2s):
     s = MultiPoly.constant(f2s, ZT, f2s.parameter())
     f = Z * Z + s * T * T + T
     r = vartest(f)
-    assert not r.accepted
-    assert r.accepted_over_extension
-    cert = r.extension_certificate
+    assert r.status == "reject-accepts-over-extension"
+    cert = r.certificate
     promoted = f.embed(cert.embedding)
     assert cert.image_of_variable("T") == promoted
     assert verify_plane_pair(promoted, cert.complement)
@@ -308,8 +308,9 @@ def test_apply_matches_substitute_over_inseparable_extension():
     # after adjoining a square root of s, promoting its earlier steps
     F2s = rational_function_field(2)
     result = vartest(parse_polynomial("Z^2+s*T^2+T", F2s, ZT))
-    cert = result.extension_certificate
-    assert cert is not None and cert.field == cert.extension != F2s
+    assert result.status == "reject-accepts-over-extension"
+    cert = result.certificate
+    assert cert.field == cert.extension != F2s
     rng = random.Random(11)
     steps = list(cert.steps)
     for _ in range(6):
@@ -325,7 +326,7 @@ def insep_extension_field():
     """The composite extension F2(s)[...] that vartest adjoins for the
     insep_binomial_quadric fibre Z^2+s*T^2+T."""
     result = vartest(parse_polynomial("Z^2+s*T^2+T", rational_function_field(2), ZT))
-    return result.extension_certificate.field
+    return result.certificate.field
 
 
 def translated_linear_step(field, rng):
