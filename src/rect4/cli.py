@@ -510,13 +510,21 @@ def _degree_bound(text):
     return value
 
 
-def _add_common(p):
+_OPTIONS = {
+    "--seed": dict(type=int, default=20240901, help="seed for randomized subroutines"),
+    "--degree-bound": dict(type=_degree_bound, default=None, help="Kronecker total-degree bound"),
+    "--cert-out": dict(default=None, help="write certificates to this path"),
+}
+
+
+def _add_common(p, *options):
+    """The output-format flags, and those ``_OPTIONS`` that the subcommand's
+    handler reads, so that argparse refuses the others."""
     g = p.add_mutually_exclusive_group()
     g.add_argument("--json", action="store_true", help="machine-readable output")
     g.add_argument("--text", action="store_true", help="human-readable output (default)")
-    p.add_argument("--seed", type=int, default=20240901, help="seed for randomized subroutines")
-    p.add_argument("--degree-bound", type=_degree_bound, default=None, help="Kronecker total-degree bound")
-    p.add_argument("--cert-out", default=None, help="write certificates to this path")
+    for name in options:
+        p.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser():
@@ -535,13 +543,13 @@ def build_parser():
     p.add_argument("a", help="a(X), e.g. \"X^2*(X-1)\"")
     p.add_argument("F", help="F(X,Z,T), e.g. \"Z^2+T^3+1\"")
     p.add_argument("field", help="field spec: Q, F5, F2(s), Q[i]/(i^2+1)")
-    _add_common(p)
+    _add_common(p, "--seed", "--degree-bound", "--cert-out")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("vartest", help="plane-coordinate test for f(Z,T)")
     p.add_argument("f", help="f(Z,T)")
     p.add_argument("field")
-    _add_common(p)
+    _add_common(p, "--cert-out")
     p.set_defaults(func=_cmd_vartest)
 
     p = sub.add_parser("verify", help="verify a coordinate-system claim or replay a certificate")
@@ -557,13 +565,13 @@ def build_parser():
     p.add_argument("a")
     p.add_argument("F")
     p.add_argument("field")
-    _add_common(p)
+    _add_common(p, "--seed")
     p.set_defaults(func=_cmd_gr_check)
 
     p = sub.add_parser("factor", help="univariate factorization of a(X)")
     p.add_argument("poly")
     p.add_argument("field")
-    _add_common(p)
+    _add_common(p, "--seed")
     p.set_defaults(func=_cmd_factor)
     return ap
 

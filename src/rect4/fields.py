@@ -385,16 +385,39 @@ def _product(na, da, nb, db):
     return _rational(na * nb, da * db)
 
 
+# Miller-Rabin to the prime bases up to 41 decides primality exactly below
+# this bound (Sorenson and Webster, 2015)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n):
+    """Whether the integer n is prime, by deterministic Miller-Rabin; raises
+    ``FieldError`` for an n at or above the bound where that is proven exact
+    and with no factor among the bases."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MILLER_RABIN_BOUND:
+        raise FieldError(
+            f"cannot decide whether {n} is prime: the test is exact only below {_MILLER_RABIN_BOUND}"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

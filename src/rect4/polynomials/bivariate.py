@@ -15,12 +15,17 @@ removed in both directions by then, so it is primitive both ways.
 
 Over the rationals and prime fields the complete test is exhaustive Kronecker
 substitution: factor the univariate image f(Z, Z^e) once and try to un-map
-its sub-products, smallest first, as genuine bivariate divisors.
+its sub-products, smallest first, as genuine bivariate divisors, through the
+subset search :func:`rect4.polynomials.factor.recombine` that the rational
+factorizer uses too.
 
 Over a quadratic or cubic number field K = Q(g) the question is reduced to
 the rationals through the norm N = Res_g(minpoly, f_c) of a shift
 f_c = f(Z + c*g, T), with c tried in the order 0, 1, -1, 2, -2, 3, -3 until N
-is squarefree (Trager).  A shift whose coefficients all lie in Q has norm
+is squarefree (Trager).  The minimal polynomial is monic, so every norm, here
+and in the specialization certificate, is the determinant of multiplication
+by f_c on K over the basis 1, g, ..., g^(n-1): an n x n matrix over Q[Z, T]
+for n = [K:Q] <= 3.  A shift whose coefficients all lie in Q has norm
 f_c^[K:Q] and is skipped.  One factorization of the image of N serves twice:
 it certifies N squarefree and is recombined into N's irreducible factors.  The
 certificate: write N = Z^a*T^b*M with M free of monomial factors; a repeated
@@ -32,10 +37,11 @@ decides.  Beyond the configured bounds the answer is Unknown, never a guess.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import operator
 
 from ..fields import Embedding, ExtensionField, PrimeField, RationalField
-from .factor import FactorizationError, univariate_factor
+from .factor import FactorizationError, recombine, univariate_factor
 from .multipoly import (
     MultiPoly,
     PolynomialError,
@@ -188,51 +194,25 @@ def _recombine(f, image, limit=None):
     """Irreducible factors of f, with repetition, from one factorization of
     its Kronecker image: the factors multiply to f.
 
-    Sub-multisets of the image factors are tried by increasing size, in
-    combination order; each one whose un-mapped product divides the cofactor
-    is split off and its image factors are removed, as in Zassenhaus
-    recombination.  A divisor found at the smallest size is irreducible, and
-    once 2*size exceeds the image factors left the cofactor is irreducible
-    too.  With ``limit`` the search stops after that many divisors, so
+    :func:`~rect4.polynomials.factor.recombine` tries the sub-multisets of
+    the image factors; one whose un-mapped product divides the cofactor is
+    split off.  With ``limit`` the search stops after that many divisors, so
     ``limit=1`` yields f's first irreducible divisor and its cofactor.
     """
     zvar, tvar, e, fact = image
-    items = [(i, g) for i, (g, m) in enumerate(fact.factors) for _ in range(m)]
-    found = []
-    size = 1
-    while 2 * size <= len(items) and len(found) != limit:
-        split = _split_off(f, items, size, zvar, tvar, e)
-        if split is None:
-            size += 1
-            continue
-        cand, f, used = split
-        found.append(cand)
-        items = [item for k, item in enumerate(items) if k not in used]
-    return found + [f]
 
-
-def _split_off(f, items, size, zvar, tvar, e):
-    """(divisor, cofactor, used item positions) for the first size-element
-    sub-multiset of ``items`` whose un-mapped product divides f, or None."""
-    dz, dt = f.degree_in(zvar), f.degree_in(tvar)
-    seen = set()
-    for combo in itertools.combinations(range(len(items)), size):
-        key = tuple(items[k][0] for k in combo)
-        if key in seen:
-            continue
-        seen.add(key)
-        cand = items[combo[0]][1]
-        for k in combo[1:]:
-            cand = cand * items[k][1]
-        cand = _kronecker_unmap(cand, zvar, tvar, e)
-        if cand.degree_in(zvar) > dz or cand.degree_in(tvar) > dt:
-            continue
+    def split(cofactor, factors):
+        cand = _kronecker_unmap(functools.reduce(operator.mul, factors), zvar, tvar, e)
+        if any(cand.degree_in(v) > cofactor.degree_in(v) for v in (zvar, tvar)):
+            return None
         try:
-            quo = exact_divide(f, cand)
+            return cand, exact_divide(cofactor, cand)
         except PolynomialError:
-            continue
-        return cand, quo, set(combo)
-    return None
+            return None
+
+    items = [(i, g) for i, (g, m) in enumerate(fact.factors) for _ in range(m)]
+    found, f = recombine(f, items, split, limit)
+    return found + [f]
 
 
 def _kronecker_test(f, zvar, tvar):
@@ -270,27 +250,16 @@ def bivariate_gcd(f, g, main_var, coeff_var):
     content = univariate_gcd(cf, cg, coeff_var)
     if a.degree_in(main_var) < b.degree_in(main_var):
         a, b = b, a
-    while not b.is_zero() and b.degree_in(main_var) >= 0:
+    while not b.is_zero():
         if b.degree_in(main_var) == 0:
             # nonzero constant in main var: primitive parts are coprime
-            a = MultiPoly.one(f.field, f.vars)
-            b = MultiPoly.zero(f.field, f.vars)
-            break
-        r = _pseudo_remainder(a, b, main_var)
-        if r.is_zero():
-            a = b
-            b = MultiPoly.zero(f.field, f.vars)
-            break
-        a, b = b, content_free_part(r, (main_var,))[1]
-    prim = a
-    if not prim.is_constant():
-        # normalize: make the leading main_var coefficient monic if constant
-        lead = _lead_in(prim, main_var)
-        if lead.is_constant():
-            prim = prim.scale(lead.constant_value().inv())
-    else:
-        prim = MultiPoly.one(f.field, f.vars)
-    return prim * content
+            return content
+        a, b = b, content_free_part(_pseudo_remainder(a, b, main_var), (main_var,))[1]
+    # normalize: make the leading main_var coefficient monic if constant
+    lead = _lead_in(a, main_var)
+    if lead.is_constant():
+        a = a.scale(lead.constant_value().inv())
+    return a * content
 
 
 def _pseudo_remainder(a, b, main_var):
@@ -315,47 +284,33 @@ def _pseudo_remainder(a, b, main_var):
 
 def _resultant_in_generator(f, field):
     """Res_g(minpoly(g), f) where f's coefficients are written as polynomials
-    in the generator g with rational bivariate coefficients."""
-    base = field.base
-    m = field.minpoly  # dense over base, monic, degree n
-    n = field.deg
-    # write f = sum_j f_j * g^j with f_j over the base field
-    layers = [dict() for _ in range(n)]
-    for exp, c in f.terms.items():
-        for j, cj in enumerate(c):
-            layers[j][exp] = cj
-    fj = [MultiPoly(base, f.vars, layer) for layer in layers]
-    deg_f = max((j for j in range(n) if not fj[j].is_zero()), default=0)
-    # Sylvester matrix of m (degree n) and f (degree deg_f in g)
-    size = n + deg_f
-    mat = [[MultiPoly.zero(base, f.vars) for _ in range(size)] for _ in range(size)]
-    m_coeffs = [MultiPoly.constant(base, f.vars, base.element(c)) for c in m]
-    for row in range(deg_f):
-        for k, c in enumerate(m_coeffs):
-            mat[row][row + (len(m_coeffs) - 1 - k)] = c
-    f_coeffs = [fj[deg_f - k] for k in range(deg_f + 1)]
-    for row in range(n):
-        for k, c in enumerate(f_coeffs):
-            mat[deg_f + row][row + k] = c
-    return _poly_det(mat, base, f.vars)
+    in the generator g with rational bivariate coefficients.
+
+    The minimal polynomial is monic, so this is the norm prod f(alpha_i): the
+    determinant of multiplication by f on K over the basis 1, g, ...,
+    g^(n-1), whose column j holds the base layers of f*g^j.
+    """
+    base, n = field.base, field.deg
+    multiples = [f]
+    for _ in range(1, n):
+        multiples.append(multiples[-1].scale(field.generator()))
+    columns = [
+        [MultiPoly(base, f.vars, {exp: c[i] for exp, c in h.terms.items()}) for i in range(n)]
+        for h in multiples
+    ]
+    return _poly_det(columns, base, f.vars)
 
 
 def _poly_det(mat, field, vars):
-    n = len(mat)
-    if n == 0:
-        return MultiPoly.one(field, vars)
-    if n == 1:
+    """The determinant of a nonempty square matrix of polynomials, by
+    cofactor expansion along the first row."""
+    if len(mat) == 1:
         return mat[0][0]
     det = MultiPoly.zero(field, vars)
-    sign = 1
-    for j in range(n):
-        if mat[0][j].is_zero():
-            sign = -sign
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in mat[1:]]
-        term = mat[0][j] * _poly_det(minor, field, vars)
-        det = det + term if sign > 0 else det - term
-        sign = -sign
+    for j, entry in enumerate(mat[0]):
+        if not entry.is_zero():
+            term = entry * _poly_det([row[:j] + row[j + 1:] for row in mat[1:]], field, vars)
+            det = det - term if j % 2 else det + term
     return det
 
 
@@ -445,15 +400,12 @@ def _norm_test(f, zvar, tvar):
             return _unknown(
                 f, zvar, tvar, "norm too large for Kronecker factorization", checked
             )
-        factors = _recombine(norm, image)
-        for p in factors:
-            p_up = p.embed(emb)
-            if divides(shifted, p_up):
-                return IrreducibilityResult("irreducible")
+        factors = [p.embed(emb) for p in _recombine(norm, image)]
+        if any(divides(shifted, p) for p in factors):
+            return IrreducibilityResult("irreducible")
         # f is reducible: extract a witness through a gcd with some factor
         for p in factors:
-            p_up = p.embed(emb)
-            w = bivariate_gcd(shifted, p_up, tvar, zvar)
+            w = bivariate_gcd(shifted, p, tvar, zvar)
             if not w.is_constant() and w.total_degree() < shifted.total_degree():
                 unshift = w.substitute(
                     {zvar: z - gen_const.scale(field.from_int(c))}

@@ -2,15 +2,18 @@
 
 Over the rationals: squarefree decomposition (Yun), factorization modulo a
 small prime, Hensel lifting and subset recombination (Zassenhaus), on
-primitive integer polynomials.  Z[X] has no arithmetic of its own: it runs on
-the :mod:`rect4.dense` kernels through ``_ZZ``, a descriptor of the integers
-whose only invertible elements are 1 and -1, so ``dense.divmod`` divides
-exactly by a polynomial with a unit leading coefficient and refuses any other.
-Written here are only the steps that divide by other leading coefficients:
-the primitive part, a division that stops at the first leading coefficient
-that does not divide (exact quotients, pseudo-remainders), and on top of them
-the primitive remainder sequence of the gcd and Yun's decomposition.  The
-factors are monic, so the unit is the input's leading coefficient.
+primitive integer polynomials.  The subset search is :func:`recombine`, the
+one recombination of the package: it also turns the Kronecker image
+factorizations of :mod:`rect4.polynomials.bivariate` into bivariate factors.
+Z[X] has no arithmetic of its own: it runs on the :mod:`rect4.dense` kernels
+through ``_ZZ``, a descriptor of the integers whose only invertible elements
+are 1 and -1, so ``dense.divmod`` divides exactly by a polynomial with a unit
+leading coefficient and refuses any other.  Written here are only the steps
+that divide by other leading coefficients: the primitive part, a division
+that stops at the first leading coefficient that does not divide (exact
+quotients, pseudo-remainders), and on top of them the primitive remainder
+sequence of the gcd and Yun's decomposition.  The factors are monic, so the
+unit is the input's leading coefficient.
 
 Over a prime field: distinct-degree plus equal-degree (Cantor-Zassenhaus)
 splitting.  Over a one-parameter rational function field only the patterns
@@ -334,34 +337,57 @@ def _factor_squarefree_z(a, rng):
     lifted = _hensel_lift_tree(a, modular, F, k)
     pk = p**k
 
-    factors = []
-    remaining = list(range(len(lifted)))
-    current = a
-    size = 1
-    while 2 * size <= len(remaining):
-        found = True
-        while found:
-            found = False
-            for subset in itertools.combinations(remaining, size):
-                cand = (current[-1] % pk,)
-                for i in subset:
-                    cand = _zmod(dense.mul(_ZZ, cand, lifted[i]), pk)
-                cand_prim = _zprimitive(dense.trim(_ZZ, [_centered(x, pk) for x in cand]))
-                if len(cand_prim) <= 1:
-                    continue
-                division = _zdivmod(current, cand_prim)
-                if division and not division[1]:
-                    factors.append(cand_prim)
-                    current = division[0]
-                    remaining = [i for i in remaining if i not in subset]
-                    found = True
-                    break
-            if 2 * size > len(remaining):
-                break
-        size += 1
+    def split(current, factors):
+        # the centred, primitive product of the lifted factors times the
+        # leading coefficient, tried as a divisor over Z
+        cand = (current[-1] % pk,)
+        for g in factors:
+            cand = _zmod(dense.mul(_ZZ, cand, g), pk)
+        cand = _zprimitive(dense.trim(_ZZ, [_centered(x, pk) for x in cand]))
+        if len(cand) > 1:
+            division = _zdivmod(current, cand)
+            if division and not division[1]:
+                return cand, division[0]
+        return None
+
+    factors, current = recombine(a, list(enumerate(lifted)), split)
     if len(current) > 1:
         factors.append(_zprimitive(current))
     return factors
+
+
+def recombine(cofactor, items, split, limit=None):
+    """(divisors, cofactor): the divisors that subset recombination
+    (Zassenhaus) splits off ``cofactor``, and what is left of it.
+
+    ``items`` are (key, factor) pairs.  Sub-multisets of them are tried by
+    increasing size, in combination order, each distinct tuple of keys once
+    per pass, so factors that repeat with multiplicity are not tried twice.
+    ``split(cofactor, factors)`` returns (divisor, quotient) when the
+    factors' product yields a divisor of the cofactor, else None; the divisor
+    is split off, its items are removed and the same size is tried again.  A
+    divisor found at the smallest size left is irreducible, and once twice
+    the size exceeds the items left the cofactor is irreducible too.  With
+    ``limit`` the search stops after that many divisors.
+    """
+    divisors = []
+    size = 1
+    while 2 * size <= len(items) and len(divisors) != limit:
+        seen = set()
+        for combo in itertools.combinations(range(len(items)), size):
+            key = tuple(items[k][0] for k in combo)
+            if key in seen:
+                continue
+            seen.add(key)
+            found = split(cofactor, [items[k][1] for k in combo])
+            if found is not None:
+                divisor, cofactor = found
+                divisors.append(divisor)
+                items = [item for k, item in enumerate(items) if k not in combo]
+                break
+        else:
+            size += 1
+    return divisors, cofactor
 
 
 def _hensel_lift_tree(f, factors, F, k):

@@ -210,6 +210,29 @@ def test_number_field_irreducibility_matches_sympy(K, alpha, opts, monkeypatch):
 
 
 @pytest.mark.parametrize("K, alpha, opts", NUMBER_FIELDS, ids=NF_IDS)
+def test_resultant_in_generator_matches_sympy(K, alpha, opts):
+    # the determinant of multiplication by f is Res_g(minpoly, f); the
+    # coefficients reach every g-degree below [K:Q]
+    SG = sympy.Symbol("g")
+    minpoly = sum(sympy.Rational(c.numerator, c.denominator) * SG**j for j, c in enumerate(K.minpoly))
+    rng = random.Random(2015)
+    g_degrees = set()
+    for _ in range(12):
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            d = rng.randrange(K.deg)
+            g_degrees.add(d)
+            low = [QQ.from_int(rng.randint(-3, 3)) for _ in range(d)]
+            c = K.from_coeffs(low + [QQ.from_int(rng.choice((-2, -1, 1, 2)))])
+            pairs.append(((rng.randint(0, 2), rng.randint(0, 2)), c))
+        f = MultiPoly.from_terms(K, ZT, pairs)
+        norm = bivariate._resultant_in_generator(f, K)
+        want = sympy.resultant(minpoly, to_sympy(f, SG), SG)
+        assert sympy.expand(to_sympy(norm) - want) == 0, str(f)
+    assert g_degrees == set(range(K.deg))
+
+
+@pytest.mark.parametrize("K, alpha, opts", NUMBER_FIELDS, ids=NF_IDS)
 def test_base_field_coefficients_skip_shift_zero(K, alpha, opts, monkeypatch):
     # over the base field the norm at shift 0 is f^deg, never squarefree, so
     # no resultant is taken for it

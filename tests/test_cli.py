@@ -190,6 +190,43 @@ def test_degree_bound_degrades_to_unknown(capsys):
     assert doc["verdict"] == "NotRectifiable"
 
 
+# each subcommand's smallest command line, and the options its handler reads
+SUBCOMMANDS = {
+    "analyze": (["analyze", "X", "Z", "Q"], ("--seed", "--degree-bound", "--cert-out")),
+    "vartest": (["vartest", "Z+T^2", "Q"], ("--cert-out",)),
+    "verify": (["verify", "--claim-file", str(CORPUS / "claims" / "insep_binomial_quadric_claim.json")], ()),
+    "gr-check": (["gr-check", "X^2", "Z", "Q"], ("--seed",)),
+    "factor": (["factor", "X^2-1", "Q"], ("--seed",)),
+}
+OPTION_VALUES = {"--seed": "7", "--degree-bound": "3", "--cert-out": None}
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMANDS)
+@pytest.mark.parametrize("option", OPTION_VALUES)
+def test_options_are_accepted_only_where_they_are_read(capsys, tmp_path, cmd, option):
+    argv, reads = SUBCOMMANDS[cmd]
+    plain = run(capsys, argv)
+    value = OPTION_VALUES[option] or str(tmp_path / "certs.json")
+    code = cli.main(argv + [option, value])
+    captured = capsys.readouterr()
+    if option not in reads:
+        assert (code, captured.out) == (3, "")
+        assert f"unrecognized arguments: {option}" in captured.err
+        assert not any(tmp_path.iterdir())
+        return
+    # the smallest inputs do not depend on the seed or the bound, and the
+    # ones with a certificate write it
+    assert (code, captured.out) == plain and code == 0
+    if option == "--cert-out":
+        assert json.loads((tmp_path / "certs.json").read_text())
+
+
+def test_large_prime_field_answers_within_its_cap():
+    # a prime near 10^18 once took trial division past any practical time
+    proc = run_cli_capped("factor", "X^2+1", "F1000000000000000003")
+    assert (proc.returncode, proc.stdout) == (0, "unit: 1\n  X^2+1\n")
+
+
 @pytest.mark.parametrize("bound", ["-5", "-1", "two"])
 def test_degree_bound_must_be_a_nonnegative_integer(capsys, bound):
     assert cli.main(["analyze", "X", "Z^2+T^3", "Q", "--degree-bound", bound]) == 3

@@ -317,3 +317,36 @@ def test_hensel_lift_tree_lifts_the_modular_factorization():
         monic_a = [x * pow(a[-1], -1, pk) for x in a]
         assert [x % pk for x in product] == [x % pk for x in monic_a], (a, p, k)
         lifted_cases += 1
+
+
+def test_recombine_searches_sizes_in_order_with_one_try_per_key_tuple():
+    from rect4.polynomials import factor
+
+    # integers stand in for polynomials: the primes are the items, and a
+    # product in ``divisors`` is what the fake split accepts
+    calls = []
+
+    def splitter(divisors):
+        def split(cofactor, factors):
+            calls.append(tuple(factors))
+            d = math.prod(factors)
+            return (d, cofactor // d) if d in divisors else None
+
+        return split
+
+    primes = [2, 3, 5, 7, 11, 13]
+    items = list(enumerate(primes))
+    # after the six single primes, 6 splits off and the size-2 search starts
+    # again on what is left, where 35 comes first; the two primes left then
+    # are too few for a proper split
+    assert factor.recombine(30030, items, splitter({6, 35})) == ([6, 35], 143)
+    assert calls[6:] == [(2, 3), (5, 7)]
+    calls.clear()
+    assert factor.recombine(30030, items, splitter({6, 35}), limit=1) == ([6], 5005)
+    assert calls[6:] == [(2, 3)]
+    # equal keys mark one factor repeated with multiplicity: each distinct
+    # key tuple is tried once per pass, 2 of 4 at size 1 and 3 of 6 at size 2
+    calls.clear()
+    repeated = [(0, 2), (0, 2), (1, 3), (1, 3)]
+    assert factor.recombine(36, repeated, splitter(set())) == ([], 36)
+    assert calls == [(2,), (3,), (2, 2), (2, 3), (3, 3)]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rect4 import dense
+from rect4 import dense, fields
 from rect4.exprparse import parse_field_spec
 from rect4.fields import (
     GF,
@@ -280,6 +281,27 @@ def test_embedding_roundtrip_base_to_extension():
     emb = Embedding(QQ, K)
     x = QQ.coerce(Fraction(7, 3))
     assert emb(x) == K.from_base(x)
+
+
+def test_primality_agrees_with_trial_division():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(20000) if fields._is_prime(n)] == [n for n in range(20000) if trial_division(n)]
+
+
+def test_large_primes_are_decided_up_to_the_miller_rabin_bound():
+    assert GF(2**61 - 1).p == 2**61 - 1
+    assert GF(10**18 + 3).p == 10**18 + 3
+    # a strong pseudoprime to every prime base up to 37: base 41 refutes it
+    with pytest.raises(FieldError, match="318665857834031151167461 is not prime"):
+        GF(318665857834031151167461)
+    # the bound itself is composite and a strong pseudoprime to bases up to
+    # 41, so it is refused by the bound, not declared prime
+    with pytest.raises(FieldError, match="exact only below 3317044064679887385961981"):
+        GF(3317044064679887385961981)
+    with pytest.raises(FieldError, match="is not prime"):
+        GF(2 * 3317044064679887385961981)
 
 
 def test_characteristics():
