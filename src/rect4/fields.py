@@ -202,9 +202,6 @@ class FieldElement:
     def is_zero(self):
         return self.field.raw_is_zero(self.rep)
 
-    def is_one(self):
-        return self.rep == self.field.raw_one()
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.field.from_int(other)

@@ -1,8 +1,12 @@
 """Univariate factorization.
 
-Over the rationals: squarefree decomposition (Yun), factorization modulo a
-small prime, Hensel lifting and subset recombination (Zassenhaus), on
-primitive integer polynomials.  The subset search is :func:`recombine`, the
+Over the rationals: squarefree decomposition (Yun), factorization modulo
+the least odd prime that keeps the degree and the squarefreeness, Hensel
+lifting and subset recombination (Zassenhaus), on primitive integer
+polynomials.  The lifting goes by roots: the root of each linear modular
+factor by p-adic Newton iteration, and the nonlinear cofactor that is left by
+one exact division; only two or more nonlinear factors are split by the
+quadratic polynomial Hensel step.  The subset search is :func:`recombine`, the
 one recombination of the package: it also turns the Kronecker image
 factorizations of :mod:`rect4.polynomials.bivariate` into bivariate factors.
 Z[X] has no arithmetic of its own: it runs on the :mod:`rect4.dense` kernels
@@ -35,6 +39,7 @@ from ..fields import (
     PrimeField,
     RationalField,
     RationalFunctionField,
+    _is_prime,
 )
 from .multipoly import MultiPoly, PolynomialError
 
@@ -62,12 +67,6 @@ class Factorization:
     @property
     def complete(self):
         return not self.unresolved
-
-    def expand(self):
-        acc = MultiPoly.constant(self.unit.field, self.vars, self.unit)
-        for f, m in list(self.factors) + list(self.unresolved):
-            acc = acc * f**m
-        return acc
 
     def __iter__(self):
         return iter(self.factors)
@@ -251,12 +250,6 @@ def factor_mod_p(coeffs, p, rng=None):
 # rational factorization (Zassenhaus)
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES = [
-    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
-    73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-]
-
-
 def _yun_squarefree(a):
     """Yun's squarefree decomposition [(g, m)] of a primitive integer
     polynomial with a positive leading coefficient; each g is again one."""
@@ -315,17 +308,15 @@ def _factor_squarefree_z(a, rng):
         return []
     if n == 1:
         return [a]
-    for p in _SMALL_PRIMES:
+    # the odd primes in order; only those dividing lc(a)*disc(a), which is
+    # not 0 as a is squarefree, are refused, so the search ends
+    for p in filter(_is_prime, itertools.count(3)):
         if a[-1] % p == 0:
             continue
         F = PrimeField(p)
         am = _reduce_mod(F, a)
-        if len(am) - 1 != n:
-            continue
         if len(dense.gcd(F, am, dense.deriv(F, am))) == 1:
             break
-    else:
-        raise FactorizationError("no suitable prime found for reduction")
     # am is squarefree, so it is split directly, as factor_mod_p would split it
     modular = sorted(_p_split(F, dense.monic(F, am), rng), key=lambda f: (len(f), f))
     if len(modular) == 1:
@@ -391,27 +382,75 @@ def recombine(cofactor, items, split, limit=None):
 
 
 def _hensel_lift_tree(f, factors, F, k):
-    """Lift the monic factors of f mod p to mod p^k (binary splitting)."""
-    pk = F.p**k
-    # make f monic mod p^k: the single-factor case returns it, the pair
-    # lift needs it
-    f_monic = _zmod(dense.scale(_ZZ, f, pow(f[-1], -1, pk)), pk)
-    if len(factors) == 1:
-        return [f_monic]
-    mid = len(factors) // 2
-    g = h = (1,)
-    for fac in factors[:mid]:
-        g = dense.mul(F, g, fac)
-    for fac in factors[mid:]:
-        h = dense.mul(F, h, fac)
-    G, H = _hensel_pair(f_monic, g, h, F, k)
-    left = _hensel_lift_tree(G, factors[:mid], F, k)
-    right = _hensel_lift_tree(H, factors[mid:], F, k)
-    return left + right
+    """Lift the monic factors of f mod p to mod p^k: the lifted monic
+    factors, in the order given, with coefficients in [0, p^k).
+
+    Each linear factor X - r0 lifts its root by :func:`_lift_root`, and f
+    mod p^k is divided by X - r.  The roots are distinct mod p, so every
+    division is exact, and what is left is the product of the lifts of the
+    nonlinear factors.  With no nonlinear factor it is 1; with one it is that
+    factor's lift, since the lifts of a coprime factorization are unique;
+    with two or more it is split in two by :func:`_hensel_pair` and each half
+    is lifted the same way (binary splitting).
+    """
+    p, pk = F.p, F.p**k
+    cofactor = f = _zmod(dense.scale(_ZZ, f, pow(f[-1], -1, pk)), pk)
+    lifted = list(factors)
+    nonlinear = []
+    for i, fac in enumerate(factors):
+        if len(fac) > 2:
+            nonlinear.append(i)
+            continue
+        r = _lift_root(f, -fac[0] % p, p, k)
+        cofactor = _divide_root(cofactor, r, pk)
+        lifted[i] = (-r % pk, 1)
+    lifts = [cofactor]
+    if len(nonlinear) > 1:
+        rest = [factors[i] for i in nonlinear]
+        mid = len(rest) // 2
+        mul = functools.partial(dense.mul, F)
+        g = functools.reduce(mul, rest[:mid], (1,))
+        h = functools.reduce(mul, rest[mid:], (1,))
+        G, H = _hensel_pair(cofactor, g, h, F, k)
+        lifts = _hensel_lift_tree(G, rest[:mid], F, k) + _hensel_lift_tree(H, rest[mid:], F, k)
+    elif not nonlinear and cofactor != (1,):
+        raise FactorizationError("internal error: the lifted roots leave a nonconstant cofactor")
+    for i, lift in zip(nonlinear, lifts):
+        lifted[i] = lift
+    return lifted
+
+
+def _lift_root(f, r, p, k):
+    """The root of the integer polynomial f mod p^k that is r mod p, by p-adic
+    Newton iteration r <- r - f(r)/f'(r), the modulus squaring at each step
+    up to p^k; f'(r) must be a unit mod p."""
+    q, pk = p, p**k
+    while q < pk:
+        q = min(q * q, pk)
+        # Horner's rule for f(r) and f'(r) together
+        fr = dr = 0
+        for c in reversed(f):
+            dr = (dr * r + fr) % q
+            fr = (fr * r + c) % q
+        r = (r - fr * pow(dr, -1, q)) % q
+    return r
+
+
+def _divide_root(f, r, pk):
+    """f / (X - r) mod pk, by synthetic division; X - r must divide f."""
+    quo = [0] * (len(f) - 1)
+    acc = 0
+    for i in reversed(range(1, len(f))):
+        acc = quo[i - 1] = (acc * r + f[i]) % pk
+    if (acc * r + f[0]) % pk:
+        raise FactorizationError("internal error: a lifted root leaves a remainder")
+    return tuple(quo)
 
 
 def _hensel_pair(f, g, h, F, k):
-    """Quadratic Hensel: f = g*h mod p with f, g, h monic -> mod p^k."""
+    """Quadratic Hensel: f = g*h mod p with f, g, h monic and coprime mod p
+    -> mod p^k.  The Bezout pair s*g + t*h = 1 is lifted with them, except at
+    the last step, whose s and t nothing reads."""
     one, s, t = dense.xgcd(F, g, h)
     if one != (1,):
         raise FactorizationError("internal error: Hensel inputs are not coprime mod p")
@@ -426,6 +465,8 @@ def _hensel_pair(f, g, h, F, k):
         qg, r = (_zmod(x, q) for x in dense.divmod(_ZZ, mul(s, e), h))
         h = _zmod(add(h, r), q)
         g = _zmod(add(g, add(mul(t, e), mul(qg, g))), q)
+        if q >= target:
+            break
         b = _zmod(sub(add(mul(s, g), mul(t, h)), (1,)), q)
         qs, r_s = (_zmod(x, q) for x in dense.divmod(_ZZ, mul(s, b), h))
         s = _zmod(sub(s, r_s), q)

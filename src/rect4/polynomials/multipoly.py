@@ -306,10 +306,6 @@ class MultiPoly:
             raise PolynomialError("zero polynomial has no leading term")
         return min(self.terms, key=order.descending_key)
 
-    def leading_term(self, order=GREVLEX):
-        expv = self.leading_monomial(order)
-        return expv, self.field.element(self.terms[expv])
-
     def leading_form(self):
         """Homogeneous component of maximal total degree."""
         d = self.total_degree()

@@ -17,6 +17,13 @@ nothing.  From anywhere:
     python3 tests/answer_digests.py
 
 prints one JSON line, in about 15 s on one core of a 2-core x86-64 host.
+``answer_digests.json`` next to this file holds that line, and
+``test_answer_digests.py`` recomputes each digest against it.  After a
+deliberate answer change, regenerate it from the repository root with
+
+    python3 tests/answer_digests.py > tests/answer_digests.json
+
+and list the change.
 """
 
 import hashlib
@@ -69,11 +76,13 @@ def digest(texts):
     return h.hexdigest()
 
 
+SOURCES = {"hyperplane_mix": hyperplane_texts, "tame_round_trip": tame_texts, "corpus_cli": corpus_texts}
+
+
 def main():
     # the corpus pass names its claim file relative to the repository root
     os.chdir(ROOT)
-    sources = {"hyperplane_mix": hyperplane_texts, "tame_round_trip": tame_texts, "corpus_cli": corpus_texts}
-    out = {name: {str(seed): digest(texts(seed)) for seed in SEEDS} for name, texts in sources.items()}
+    out = {name: {str(seed): digest(texts(seed)) for seed in SEEDS} for name, texts in SOURCES.items()}
     print(json.dumps(out, sort_keys=True))
 
 

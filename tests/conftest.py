@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from rect4.fields import GF, QQ, ExtensionField, FieldElement, RationalField, extend, rational_function_field
-from rect4.polynomials import MultiPoly
+from rect4.polynomials import GREVLEX, MultiPoly
 from rect4.plane_coordinates import TameStep
 
 ZT = ("Z", "T")
@@ -82,6 +82,11 @@ def xzt_vars(field):
 
 def a_var(field):
     return MultiPoly.variable(field, ("X",), "X")
+
+
+def leading_coeff(poly, order=GREVLEX):
+    """The coefficient of poly's leading monomial in ``order``."""
+    return poly.coeff(poly.leading_monomial(order))
 
 
 def naive_substitute(poly, images):

@@ -13,7 +13,7 @@ from rect4.polynomials import (
     kronecker_factor,
 )
 
-from conftest import random_poly, zt_vars
+from conftest import leading_coeff, random_poly, zt_vars
 
 ZT = ("Z", "T")
 
@@ -364,7 +364,7 @@ def assert_kronecker_factorization(f, expected):
     product = MultiPoly.one(f.field, ZT)
     for g in factors:
         product = product * g
-    unit = product.scale(f.leading_term()[1] / product.leading_term()[1])
+    unit = product.scale(leading_coeff(f) / leading_coeff(product))
     assert unit == f
     got = sorted(str(monic_sympy(to_sympy(g), f.field)) for g in factors)
     assert got == sorted(str(monic_sympy(e, f.field)) for e in expected), str(f)

@@ -227,6 +227,26 @@ def test_large_prime_field_answers_within_its_cap():
     assert (proc.returncode, proc.stdout) == (0, "unit: 1\n  X^2+1\n")
 
 
+# every odd prime up to 149 divides P, so the rational factoriser has to look
+# past them for a prime that keeps the degree and the squarefreeness
+P = 746091175469639660029437868307920534273791931663432265205
+
+
+@pytest.mark.parametrize("a", [f"X^2-{P}", f"{P}*X^2+1"])
+def test_factor_over_q_finds_a_prime_past_the_small_ones(a):
+    proc = run_cli_capped("factor", a, "Q")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n  X^2") == 1 and "X^2" in proc.stdout.splitlines()[1]
+
+
+def test_kronecker_image_finds_a_prime_past_the_small_ones():
+    # the bivariate irreducibility of F goes through a Kronecker image whose
+    # reduction mod every odd prime up to 149 is not squarefree
+    proc = run_cli_capped("analyze", "X", f"Z^2+T^3+{P}*Z", "Q")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert "irreducible=true" in proc.stdout and "verdict:   NotRectifiable" in proc.stdout
+
+
 @pytest.mark.parametrize("bound", ["-5", "-1", "two"])
 def test_degree_bound_must_be_a_nonnegative_integer(capsys, bound):
     assert cli.main(["analyze", "X", "Z^2+T^3", "Q", "--degree-bound", bound]) == 3

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -28,6 +29,14 @@ def random_univariate(field, rng, max_deg=5):
     return MultiPoly.from_dense(field, ("X",), "X", coeffs)
 
 
+def expand(fact):
+    """unit * prod(f^m) over the factors and the unresolved parts of fact."""
+    acc = MultiPoly.constant(fact.unit.field, fact.vars, fact.unit)
+    for f, m in fact.factors + fact.unresolved:
+        acc = acc * f**m
+    return acc
+
+
 def normalized_factor_set(fact):
     return sorted((str(g), m) for g, m in fact.factors)
 
@@ -53,7 +62,7 @@ def test_zero_input_rejected():
 def test_constant_input_is_a_unit():
     f = MultiPoly.constant(QQ, ("X",), 5)
     fact = univariate_factor(f)
-    assert fact.factors == [] and fact.expand() == f
+    assert fact.factors == [] and expand(fact) == f
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=str)
@@ -74,7 +83,7 @@ def test_factor_merge_property(field):
         for q, m in combined.factors:
             got[str(q)] = got.get(str(q), 0) + m
         assert got == merged
-        assert combined.expand() == f * g
+        assert expand(combined) == f * g
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=str)
@@ -84,14 +93,14 @@ def test_expand_reproduces_input(field):
         f = random_univariate(field, rng)
         fact = univariate_factor(f, rng=random.Random(2))
         assert fact.complete
-        assert fact.expand() == f
+        assert expand(fact) == f
 
 
 def test_deep_rational_case():
     X = X_over(QQ)
     f = (X**3 + X + 1) * (X**2 - 2) ** 2 * (2 * X - 3)
     fact = univariate_factor(f)
-    assert fact.expand() == f
+    assert expand(fact) == f
     degs = sorted(g.total_degree() for g, m in fact.factors for _ in range(m))
     assert degs == [1, 2, 2, 3]
 
@@ -105,7 +114,7 @@ def test_inseparable_binomials_over_f2s():
     fact = univariate_factor(f)
     assert fact.complete
     assert sorted((str(g), m) for g, m in fact.factors) == [("X", 2), ("X^2+s", 1)]
-    assert fact.expand() == f
+    assert expand(fact) == f
     # X^2 - s alone is certified irreducible
     fact2 = univariate_factor(X**2 - sC)
     assert fact2.complete and fact2.factors[0][1] == 1
@@ -128,7 +137,7 @@ def test_f2s_roots_and_unresolved_flag():
     g = X**2 + X + sC
     fact2 = univariate_factor(g)
     if not fact2.complete:
-        assert fact2.unresolved and fact2.expand() == g
+        assert fact2.unresolved and expand(fact2) == g
 
 
 def test_squarefree_split_matches_factor_mod_p():
@@ -195,6 +204,16 @@ def test_univariate_factor_matches_sympy_over_q():
         ours = sorted(
             (g.to_dense("X"), m) for g, m in fact.factors
         )
+        assert (fact.unit.rep, ours) == _monic_sympy_factors(f), str(f)
+    # four to six rational roots in +-1..+-9 and a non-monic factor: many
+    # linear modular factors, lifted to a high power of p
+    X = X_over(QQ)
+    for _ in range(30):
+        f = rng.choice([2, -3, 6, 15]) * (rng.choice([2, 3, 5]) * X + rng.choice([-7, -1, 1, 4]))
+        for _ in range(rng.randint(4, 6)):
+            f = f * (X - rng.choice([-1, 1]) * rng.randint(1, 9))
+        fact = univariate_factor(f)
+        ours = sorted((g.to_dense("X"), m) for g, m in fact.factors)
         assert (fact.unit.rep, ours) == _monic_sympy_factors(f), str(f)
 
 
@@ -287,23 +306,38 @@ def test_yun_squarefree_matches_sympy():
         assert product == prim, expr
 
 
+def _modular_factors(a, p):
+    """The sorted monic factors of a mod p, as _factor_squarefree_z splits
+    them, or None when p divides lc(a) or a mod p is not squarefree."""
+    from rect4 import dense
+    from rect4.polynomials import factor
+
+    F = GF(p)
+    am = factor._reduce_mod(F, a)
+    if len(am) != len(a) or len(dense.gcd(F, am, dense.deriv(F, am))) != 1:
+        return None
+    return sorted(factor._p_split(F, dense.monic(F, am), random.Random(1)), key=lambda f: (len(f), f))
+
+
 def test_hensel_lift_tree_lifts_the_modular_factorization():
+    """Products of random integer polynomials lifted from mod p to mod p^k:
+    each lift is monic, reduces to its modular factor and has coefficients in
+    [0, p^k), and their product is a made monic mod p^k.  All three shapes of
+    the root lift occur: only linear factors, exactly one nonlinear factor
+    (the cofactor), and two or more (the binary splitting)."""
     from rect4 import dense
     from rect4.polynomials import factor
 
     rng = random.Random(6007)
-    lifted_cases = 0
-    while lifted_cases < 40:
+    shapes = [0, 0, 0]
+    while sum(shapes) < 60:
         a = [1]
-        for _ in range(rng.randint(2, 4)):
+        for _ in range(rng.randint(1, 4)):
             a = dense.mul(factor._ZZ, a, _random_zpoly(rng, 3))
         p = rng.choice((3, 5, 7, 11, 13))
         F = GF(p)
-        am = factor._reduce_mod(F, a)
-        if len(am) != len(a) or len(dense.gcd(F, am, dense.deriv(F, am))) != 1:
-            continue  # not squarefree mod p, or p divides the leading coefficient
-        modular = sorted(factor._p_split(F, dense.monic(F, am), random.Random(1)), key=lambda f: (len(f), f))
-        if len(modular) < 2:
+        modular = _modular_factors(a, p)
+        if modular is None or len(modular) < 2:
             continue
         k = rng.randint(2, 9)
         pk = p**k
@@ -316,7 +350,61 @@ def test_hensel_lift_tree_lifts_the_modular_factorization():
             product = dense.mul(factor._ZZ, product, lift)
         monic_a = [x * pow(a[-1], -1, pk) for x in a]
         assert [x % pk for x in product] == [x % pk for x in monic_a], (a, p, k)
-        lifted_cases += 1
+        shapes[min(2, sum(len(fac) > 2 for fac in modular))] += 1
+    assert min(shapes) >= 10, shapes
+
+
+def test_lift_root_is_a_root_mod_p_to_the_k():
+    """For each simple root r0 of a random integer polynomial mod p and each
+    k up to 9, odd and even: the lifted root lies in [0, p^k), is r0 mod p
+    and is a root mod p^k."""
+    from rect4 import dense
+    from rect4.polynomials import factor
+
+    rng = random.Random(8117)
+    lifted = 0
+    for _ in range(60):
+        f = _random_zpoly(rng, 6)
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        df = dense.deriv(factor._ZZ, f)
+        for r0 in range(p):
+            if dense.eval(factor._ZZ, f, r0) % p or not dense.eval(factor._ZZ, df, r0) % p:
+                continue
+            for k in range(1, 10):
+                r = factor._lift_root(tuple(f), r0, p, k)
+                assert 0 <= r < p**k and r % p == r0, (f, p, r0, k)
+                assert dense.eval(factor._ZZ, f, r) % p**k == 0, (f, p, r0, k)
+                lifted += 1
+    assert lifted >= 200
+
+
+def test_at_most_one_nonlinear_modular_factor_needs_no_hensel_step(monkeypatch):
+    """Lifting by roots leaves the polynomial Hensel step to inputs with two
+    or more nonlinear modular factors: squarefree integer polynomials with at
+    most one call it never, those with more do."""
+    from rect4 import dense
+    from rect4.polynomials import factor
+
+    calls = []
+    pair = factor._hensel_pair
+    monkeypatch.setattr(factor, "_hensel_pair", lambda *args: calls.append(args) or pair(*args))
+    rng = random.Random(9029)
+    seen = [0, 0]
+    while min(seen) < 10:
+        a = (rng.choice((1, 2, 3, 6)),)
+        for _ in range(rng.randint(2, 4)):
+            a = dense.mul(factor._ZZ, a, _random_zpoly(rng, 3))
+        a = factor._zprimitive(a)
+        if factor._yun_squarefree(a) != [(a, 1)] or len(a) < 3:
+            continue
+        calls.clear()
+        # the prime the factoriser picks is the least one that _modular_factors
+        # accepts
+        modular = next(m for m in map(functools.partial(_modular_factors, a), sympy.primerange(3, 1000)) if m is not None)
+        factor._factor_squarefree_z(a, random.Random(1))
+        several = sum(len(fac) > 2 for fac in modular) > 1
+        assert bool(calls) == several, a
+        seen[several] += 1
 
 
 def test_recombine_searches_sizes_in_order_with_one_try_per_key_tuple():
