@@ -734,13 +734,6 @@ class ExtensionField(Field):
             rep = self.base.coerce(elt).rep
         return self.element(self._pad(rep))
 
-    def from_coeffs(self, elts):
-        """Element sum elts[i]*g^i from base-field coefficients (any number)."""
-        acc = self._zero
-        for e in reversed(elts):
-            acc = self.raw_add(self.raw_mul(acc, self._gen), self._pad(self.base.coerce(e).rep))
-        return self.element(acc)
-
     def raw_zero(self):
         return self._zero
 

@@ -65,9 +65,6 @@ class FiltrationContext:
     def alpha0(self):
         return self.alpha.substitute({"X": self.field.zero()}).constant_value()
 
-    def a_degree(self):
-        return self.hyperplane.a.degree_in("X")
-
 
 @dataclass
 class AElement:
@@ -136,14 +133,6 @@ def to_normal_form(p, ctx):
     if not coeffs:
         coeffs = [MultiPoly.zero(field, ("X", "Z", "T"))]
     return AElement(ctx, coeffs)
-
-
-def a_add(e1, e2):
-    return to_normal_form(e1.polynomial() + e2.polynomial(), e1.ctx)
-
-
-def a_mul(e1, e2):
-    return to_normal_form(e1.polynomial() * e2.polynomial(), e1.ctx)
 
 
 def generators(ctx):

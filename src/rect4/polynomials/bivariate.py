@@ -1,17 +1,28 @@
 """Bivariate irreducibility testing.
 
-Two certificates run before the complete procedures; f has its content
+Three certificates run before the complete procedures; f has its content
 removed in both directions by then, so it is primitive both ways.
 
 * Linear in one variable (every field): if deg_Z f = 1 or deg_T f = 1, f is
   irreducible, since a split leaves one factor of degree 0 in that variable,
   and that factor divides the content, which is 1.
+* Degree patterns (Q, F_p and K = Q(g), after the degree caps; Musser's
+  degree-compatibility test): reduce f at a prime of degree 1 of K and set
+  T = t0.  When the image keeps deg_Z f, the Z-degree of a factor of f is a
+  degree sum of the image's irreducible factors over F_p, counted with
+  multiplicity; when the sums of several images have no value strictly
+  between 0 and deg_Z f in common, f is irreducible.  The same runs with T as
+  the main variable.  The degrees come from the squarefree and distinct-degree
+  factorizations over F_p alone, and at most ``_PATTERN_BUDGET``
+  specializations are tried per variable; then the next procedure decides.
 * Hilbert specialization (K = Q(g) only): if f(Z, t0) keeps the Z-degree of
   f and is irreducible in K[Z], then so is f, since a split of f keeps both
   Z-degrees at t0.  f(Z, t0) is irreducible over K when its norm
   Res_g(minpoly, f(Z + c*g, t0)) is irreducible over Q, since a factor over K
   would give a factor of the norm.  Both variable roles, t0 in 0, 1, -1, 2, -2
-  and c in 0, 1, -1 are tried.
+  and c in 0, 1, -1 are tried.  Some inputs need it: the degree patterns of
+  Z^6 + (2 - g)*T^3 over K = Q(2^(1/3)) never close, and its norm exceeds the
+  cap.
 
 Over the rationals and prime fields the complete test is exhaustive Kronecker
 substitution: factor the univariate image f(Z, Z^e) once and try to un-map
@@ -38,10 +49,13 @@ decides.  Beyond the configured bounds the answer is Unknown, never a guess.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
+from .. import dense
 from ..fields import Embedding, ExtensionField, PrimeField, RationalField
 from .factor import FactorizationError, recombine, univariate_factor
+from .factor import _p_distinct_degree, _p_squarefree_decomposition
 from .multipoly import (
     MultiPoly,
     PolynomialError,
@@ -54,6 +68,8 @@ from .multipoly import (
 DEFAULT_DEGREE_BOUND = 12
 _NORM_DEGREE_CAP = 16
 _NORM_KRONECKER_CAP = 220
+_PATTERN_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+_PATTERN_BUDGET = 6  # specializations per variable role
 
 
 class IrreducibilityResult:
@@ -115,6 +131,8 @@ def bivariate_irreducible(f, zvar, tvar, bound=DEFAULT_DEGREE_BOUND):
             return IrreducibilityResult(
                 "unknown", reason=f"total degree exceeds bound {bound}"
             )
+        if _degree_pattern_certifies(f, zvar, tvar):
+            return IrreducibilityResult("irreducible")
         return _kronecker_test(f, zvar, tvar)
     if isinstance(field, ExtensionField) and isinstance(field.base, RationalField):
         if field.deg > 3 or f.total_degree() > 8:
@@ -123,7 +141,7 @@ def bivariate_irreducible(f, zvar, tvar, bound=DEFAULT_DEGREE_BOUND):
                 reason="number-field reduction limited to degree <= 3 "
                 "extensions and total degree <= 8",
             )
-        if _specialization_certifies(f, zvar, tvar):
+        if _degree_pattern_certifies(f, zvar, tvar) or _specialization_certifies(f, zvar, tvar):
             return IrreducibilityResult("irreducible")
         return _norm_test(f, zvar, tvar)
     return IrreducibilityResult(
@@ -142,6 +160,102 @@ def _univariate_case(f, var):
     if len(nontrivial) == 1 and nontrivial[0][1] == 1:
         return IrreducibilityResult("irreducible")
     return IrreducibilityResult("reducible", witness=nontrivial[0][0])
+
+
+# ---------------------------------------------------------------------------
+# factor degrees of specializations mod p (Musser)
+# ---------------------------------------------------------------------------
+
+
+def _degree_pattern_certifies(f, zvar, tvar):
+    """True when the factor degrees of specializations mod p prove f
+    irreducible; False means undecided.  f must be primitive both ways.
+
+    Take main = Z (then T) with d = deg_Z f.  A split f = g*h has
+    0 < deg_Z g < d.  Reduce f at a degree-1 prime of K, whose valuation ring
+    holds its coefficients, and set T = t0; when the image keeps the Z-degree
+    d, Gauss's lemma over that ring maps the split to one of the image, so
+    deg_Z g is the degree sum of a sub-multiset of the image's irreducible
+    factors over F_p.  When no value in 1..d-1 is such a sum at every image,
+    f is irreducible.  An image whose degree drops says nothing and is
+    skipped.  At most ``_PATTERN_BUDGET`` points are tried per role: point k
+    reduces at the k-th usable place of :func:`_pattern_places`, cyclically,
+    and takes t0 = k mod p.
+    """
+    reduced = (_reduce_at(f, F, r) for F, r in _pattern_places(f.field))
+    images = list(itertools.islice(filter(None, reduced), _PATTERN_BUDGET))
+    iz, it = f.vars.index(zvar), f.vars.index(tvar)
+    for main, other in ((iz, it), (it, iz)):
+        d = max(exp[main] for exp in f.terms)
+        sums = (1 << (d + 1)) - 1
+        for k, (F, terms) in zip(range(_PATTERN_BUDGET), itertools.cycle(images)):
+            if k >= F.p * len(images):
+                continue  # the same place and t0 mod p as an earlier point
+            coeffs = [0] * (d + 1)
+            for exp, c in terms:
+                coeffs[exp[main]] += c * pow(k, exp[other], F.p)
+            image = dense.trim(F, [c % F.p for c in coeffs])
+            if len(image) == d + 1:
+                sums &= _degree_sums(F, image)
+                if not sums & ((1 << d) - 2):
+                    return True
+    return False
+
+
+@functools.lru_cache(maxsize=256)
+def _pattern_places(field):
+    """The places (F_p, r) at which :func:`_degree_pattern_certifies` reduces
+    over ``field``: (F_p, None) for F_p itself and for Q at the primes of
+    ``_PATTERN_PRIMES``; over K = Q(g) the pairs of such a p, dividing no
+    denominator of the minimal polynomial m, and a simple root r of m mod p.
+    At a simple root, (p, g - r) is a prime of Z_(p)[g] of degree 1 whose
+    localization is a discrete valuation ring, so g -> r reduces into F_p."""
+    if isinstance(field, PrimeField):
+        return ((field, None),)
+    if isinstance(field, RationalField):
+        return tuple((PrimeField(p), None) for p in _PATTERN_PRIMES)
+    places = []
+    for F in map(PrimeField, _PATTERN_PRIMES):
+        m = [_rational_mod(c, F.p) for c in field.minpoly]
+        if None not in m:
+            dm = dense.deriv(F, m)
+            places += [(F, r) for r in range(F.p) if not dense.eval(F, m, r) and dense.eval(F, dm, r)]
+    return tuple(places)
+
+
+def _rational_mod(c, p):
+    """The rational c mod p, or None when p divides its denominator."""
+    if c.denominator % p == 0:
+        return None
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
+def _reduce_at(f, F, r):
+    """(F, [(exponents, c mod p)]) for f reduced at the place (F = F_p, r),
+    or None when p divides a denominator of a coefficient."""
+    if isinstance(f.field, PrimeField):
+        return F, list(f.terms.items())
+    terms = []
+    for exp, c in f.terms.items():
+        # over Q(g) the coordinates of c in 1, g, ..., evaluated at g = r
+        parts = [_rational_mod(x, F.p) for x in (c if r is not None else (c,))]
+        if None in parts:
+            return None
+        terms.append((exp, dense.eval(F, parts, r or 0)))
+    return F, terms
+
+
+def _degree_sums(F, a):
+    """The bitmask whose bit n is set when n is the degree sum of a
+    sub-multiset of the irreducible factors of the dense polynomial a over
+    F_p, with multiplicity: from the squarefree decomposition and the
+    distinct-degree factorization, without splitting equal degrees."""
+    sums = 1
+    for g, m in _p_squarefree_decomposition(F, a):
+        for h, k in _p_distinct_degree(F, g):
+            for _ in range(m * (len(h) - 1) // k):
+                sums |= sums << k
+    return sums
 
 
 # ---------------------------------------------------------------------------

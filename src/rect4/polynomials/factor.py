@@ -282,12 +282,27 @@ def _zgcd_poly(a, b):
     a, b = _zprimitive(a), _zprimitive(b)
     if not a:
         return b or (1,)
-    while b:
+    while len(b) > 1:
         # the pseudo-remainder: lc(b)^(deg a - deg b + 1) * a divides by b
         # without fractions
         a_scaled = dense.scale(_ZZ, a, b[-1] ** max(0, len(a) - len(b) + 1))
         a, b = b, _zprimitive(_zdivmod(a_scaled, b)[1])
-    return a
+    # a nonzero constant remainder makes a and b coprime
+    return (1,) if b else a
+
+
+def _zcleared(coeffs):
+    """The dense polynomial of raw rationals times the lcm of its
+    denominators, as an integer polynomial."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def rational_gcd(field, a, b):
+    """Monic gcd of dense polynomials over the rationals ``field``, not both
+    zero, by the primitive PRS of their integer multiples, so no coefficient
+    leaves Z until the gcd is made monic."""
+    return dense.monic(field, _zgcd_poly(_zcleared(a), _zcleared(b)))
 
 
 def _mignotte_bound(a):
@@ -509,9 +524,8 @@ def univariate_factor(poly, rng=None, var=None):
 def _factor_over_q(poly, var, rng):
     field = poly.field
     coeffs = poly.to_dense(var)
-    den_lcm = math.lcm(*(c.denominator for c in coeffs))
     factors = []
-    for sf, mult in _yun_squarefree(_zprimitive([int(c * den_lcm) for c in coeffs])):
+    for sf, mult in _yun_squarefree(_zprimitive(_zcleared(coeffs))):
         for irr in _factor_squarefree_z(sf, rng):
             monic = dense.monic(field, irr)
             factors.append((MultiPoly.from_raw_dense(field, poly.vars, var, monic), mult))

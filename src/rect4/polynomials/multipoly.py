@@ -40,7 +40,7 @@ from heapq import heapify, heappop, heappush
 from operator import add as _plus, ge as _ge, neg as _neg, sub as _minus
 
 from .. import dense
-from ..fields import Embedding, ExtensionField, FieldElement, FieldMismatch, term_sum_str
+from ..fields import Embedding, ExtensionField, FieldElement, FieldMismatch, RationalField, term_sum_str
 
 
 class PolynomialError(Exception):
@@ -694,9 +694,13 @@ def univariate_gcd(f, g, var=None):
         return MultiPoly.one(f.field, f.vars)
     var = f.univariate_var(var)
     field = f.field
-    return MultiPoly.from_raw_dense(
-        field, f.vars, var, dense.gcd(field, f.to_dense(var), g.to_dense(var))
-    )
+    a, b = f.to_dense(var), g.to_dense(var)
+    if isinstance(field, RationalField):
+        # over Q the gcd stays in Z[X]; factor builds on this module
+        from .factor import rational_gcd
+
+        return MultiPoly.from_raw_dense(field, f.vars, var, rational_gcd(field, a, b))
+    return MultiPoly.from_raw_dense(field, f.vars, var, dense.gcd(field, a, b))
 
 
 def gcd_fold(polys, var):

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from rect4.fields import GF, QQ, ExtensionField, FieldElement, RationalField, extend, rational_function_field
+from rect4.filtration import to_normal_form
 from rect4.polynomials import GREVLEX, MultiPoly
 from rect4.plane_coordinates import TameStep
 
@@ -67,6 +68,25 @@ def run_cli_capped(*argv, seconds=10, memory_mb=1024):
         capture_output=True, text=True, timeout=seconds, preexec_fn=cap_memory,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
+
+
+def extension_element(K, coeffs):
+    """The element sum coeffs[i]*g^i of the extension K with generator g,
+    from base-field coefficients (any number of them)."""
+    g, acc = K.generator(), K.zero()
+    for c in reversed(coeffs):
+        acc = acc * g + K.from_base(c)
+    return acc
+
+
+def a_add(e1, e2):
+    """The sum of two elements of A = K[X, Y, Z, T]/(a*Y - F), in normal form."""
+    return to_normal_form(e1.polynomial() + e2.polynomial(), e1.ctx)
+
+
+def a_mul(e1, e2):
+    """The product of two elements of A, in normal form."""
+    return to_normal_form(e1.polynomial() * e2.polynomial(), e1.ctx)
 
 
 def zt_vars(field):

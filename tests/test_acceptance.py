@@ -22,7 +22,6 @@ from rect4.hyperplane import (
 from rect4.filtration import (
     NEG_INF,
     FiltrationContext,
-    a_mul,
     check_x_divisibility,
     generators,
     gr_relation_residual,
@@ -34,6 +33,7 @@ from rect4.verifier import verify_plane_pair
 from conftest import (
     XZT,
     ZT,
+    a_mul,
     a_var,
     random_coordinate,
     random_poly,
@@ -202,7 +202,7 @@ def test_acceptance_7_filtration_suite():
 
     def random_nf(ctx):
         field = ctx.field
-        da = ctx.a_degree()
+        da = ctx.hyperplane.a.degree_in("X")
         coeffs = []
         for i in range(rng.randint(1, 3)):
             terms = {}

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -9,11 +10,12 @@ from rect4.polynomials import (
     bivariate,
     bivariate_gcd,
     bivariate_irreducible,
+    content_free_part,
     divides,
     kronecker_factor,
 )
 
-from conftest import leading_coeff, random_poly, zt_vars
+from conftest import extension_element, leading_coeff, random_poly, zt_vars
 
 ZT = ("Z", "T")
 
@@ -185,6 +187,8 @@ def test_number_field_irreducibility_matches_sympy(K, alpha, opts, monkeypatch):
         return certified[-1]
 
     monkeypatch.setattr(bivariate, "_specialization_certifies", recording)
+    # the degree-pattern certificate would decide most inputs first
+    monkeypatch.setattr(bivariate, "_degree_pattern_certifies", lambda f, zvar, tvar: False)
     rng = random.Random(20240901 + K.deg)
     cap = 5 if K.deg == 3 else 6  # keeps deg * total degree within the norm cap
     def bivariate_poly(max_deg, n_terms):
@@ -223,7 +227,7 @@ def test_resultant_in_generator_matches_sympy(K, alpha, opts):
             d = rng.randrange(K.deg)
             g_degrees.add(d)
             low = [QQ.from_int(rng.randint(-3, 3)) for _ in range(d)]
-            c = K.from_coeffs(low + [QQ.from_int(rng.choice((-2, -1, 1, 2)))])
+            c = extension_element(K, low + [QQ.from_int(rng.choice((-2, -1, 1, 2)))])
             pairs.append(((rng.randint(0, 2), rng.randint(0, 2)), c))
         f = MultiPoly.from_terms(K, ZT, pairs)
         norm = bivariate._resultant_in_generator(f, K)
@@ -244,6 +248,8 @@ def test_base_field_coefficients_skip_shift_zero(K, alpha, opts, monkeypatch):
         return resultant(f, field)
 
     monkeypatch.setattr(bivariate, "_resultant_in_generator", recording)
+    # the degree-pattern certificate would decide some inputs before any norm
+    monkeypatch.setattr(bivariate, "_degree_pattern_certifies", lambda f, zvar, tvar: False)
     Z, T = MultiPoly.variable(K, ZT, "Z"), MultiPoly.variable(K, ZT, "T")
     two = MultiPoly.constant(K, ZT, K.from_int(2))
     for f in (Z * Z + T**3 + 1, Z * Z - two * T * T, Z * Z + T * T, Z**3 - two * T**3 + Z * T):
@@ -262,11 +268,23 @@ def test_base_field_coefficients_past_the_norm_cap_are_unknown(monkeypatch):
     K = NUMBER_FIELDS[2][0]
     Z, T = MultiPoly.variable(K, ZT, "Z"), MultiPoly.variable(K, ZT, "T")
     f = Z**6 + T**5 + 1
-    assert bivariate_irreducible(f, "Z", "T").is_irreducible  # by specialization
+    assert bivariate_irreducible(f, "Z", "T").is_irreducible  # by the degree patterns
     monkeypatch.setattr(bivariate, "_resultant_in_generator", None)
     res = bivariate._norm_test(f, "Z", "T")
     assert res.is_unknown
     assert res.reason == "norm degree exceeds the internal cap"
+
+
+def test_specialization_decides_past_the_degree_patterns_and_the_norm_cap():
+    # the degree patterns of Z^6 + (2-c)*T^3 never close and its norm exceeds
+    # the cap, so only the specialization certificate proves it irreducible
+    K, alpha, opts = NUMBER_FIELDS[2]
+    Z, T = MultiPoly.variable(K, ZT, "Z"), MultiPoly.variable(K, ZT, "T")
+    f = Z**6 + T**3 * MultiPoly.constant(K, ZT, K.from_int(2) - K.generator())
+    assert sympy_irreducible(f, alpha, opts)
+    assert not bivariate._degree_pattern_certifies(f, "Z", "T")
+    assert bivariate._norm_test(f, "Z", "T").reason == "norm degree exceeds the internal cap"
+    assert bivariate_irreducible(f, "Z", "T").is_irreducible
 
 
 @pytest.mark.parametrize("K, alpha, opts", NUMBER_FIELDS, ids=NF_IDS)
@@ -422,3 +440,129 @@ def test_kronecker_factor_over_prime_fields(p):
         for e in expected:
             f = f * _from_sympy(e, field)
         assert_kronecker_factorization(f, expected)
+
+
+# -- the degree-pattern certificate ----------------------------------------------------------------
+#
+# Q[g]/(g^2-18) is Q(sqrt 2) through the generator 3*sqrt 2, so Z[g] is not
+# the full ring of integers at 3: g^2 - 18 has the double root 0 mod 3, and
+# the norm forms u^2 - 2*v^2, reducible over K, reduce mod 3 to u^2 + v^2.
+
+PATTERN_FIELDS = [QQ, GF(5), GF(7)] + [K for K, _, _ in NUMBER_FIELDS]
+PATTERN_IDS = [str(K) for K in PATTERN_FIELDS]
+RATIONAL_POOL = (-2, -1, 1, 2, Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7))
+
+
+def random_pattern_poly(K, rng, max_deg, n_terms):
+    """Random f in K[Z, T] of positive degree in both variables; over Q some
+    coefficients have small primes in their denominators."""
+    while True:
+        if isinstance(K, ExtensionField):
+            f = random_nf_poly(K, rng, max_deg, n_terms)
+        elif isinstance(K, PrimeField):
+            f = random_poly(K, ZT, rng, max_deg=max_deg, n_terms=n_terms)
+        else:
+            terms = {(rng.randint(0, max_deg), rng.randint(0, max_deg)): K.coerce(rng.choice(RATIONAL_POOL))
+                     for _ in range(n_terms)}
+            f = MultiPoly.from_terms(K, ZT, terms.items())
+        if f.degree_in("Z") > 0 and f.degree_in("T") > 0:
+            return f
+
+
+def primitive_both_ways(f):
+    return all(content_free_part(f, (v,))[0].is_constant() for v in ZT)
+
+
+def reducible_products(K, rng, count):
+    """Seeded products g*h, both of positive degree in both variables and the
+    product primitive both ways; every fourth is a square g*g."""
+    out = []
+    while len(out) < count:
+        g = random_pattern_poly(K, rng, 2, 3)
+        h = g if len(out) % 4 == 3 else random_pattern_poly(K, rng, 2, 3)
+        f = g * h
+        if primitive_both_ways(f):
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("K", PATTERN_FIELDS, ids=PATTERN_IDS)
+def test_degree_patterns_never_certify_a_product(K):
+    rng = random.Random(7 + PATTERN_FIELDS.index(K))
+    for f in reducible_products(K, rng, 60):
+        assert not bivariate._degree_pattern_certifies(f, "Z", "T"), str(f)
+
+
+def test_degree_patterns_use_only_simple_roots_of_the_minimal_polynomial():
+    K = extend(QQ, [-18, 0, 1], "g")
+    assert [r for F, r in bivariate._pattern_places(K) if F.p == 3] == []
+    rng = random.Random(18)
+    for _ in range(60):
+        u = random_poly(K, ZT, rng, max_deg=2, n_terms=3)
+        v = random_poly(K, ZT, rng, max_deg=2, n_terms=3)
+        f = u * u - v * v.scale(K.from_int(2))  # (u - sqrt2*v)*(u + sqrt2*v)
+        if f.degree_in("Z") > 0 and f.degree_in("T") > 0 and primitive_both_ways(f):
+            assert not bivariate._degree_pattern_certifies(f, "Z", "T"), str(f)
+
+
+def sympy_opts(K):
+    if isinstance(K, ExtensionField):
+        _, alpha, opts = NUMBER_FIELDS[[k for k, _, _ in NUMBER_FIELDS].index(K)]
+        return alpha, opts
+    return None, {}
+
+
+@pytest.mark.parametrize("K", PATTERN_FIELDS, ids=PATTERN_IDS)
+def test_degree_pattern_certificates_agree_with_sympy_and_kronecker(K):
+    rng = random.Random(40 + PATTERN_FIELDS.index(K))
+    alpha, opts = sympy_opts(K)
+    certified = 0
+    for _ in range(30):
+        f = random_pattern_poly(K, rng, 3, 4)
+        if not primitive_both_ways(f) or not bivariate._degree_pattern_certifies(f, "Z", "T"):
+            continue
+        certified += 1
+        if not isinstance(K, PrimeField):
+            assert sympy_irreducible(f, alpha, opts), str(f)
+        if not isinstance(K, ExtensionField):
+            assert len(kronecker_factor(f, "Z", "T")) == 1, str(f)
+    assert certified >= 10
+
+
+@pytest.mark.parametrize("K", PATTERN_FIELDS, ids=PATTERN_IDS)
+def test_degree_patterns_decide_most_irreducible_inputs(K, monkeypatch):
+    # the irreducible inputs of degree >= 2 in both variables, by the complete
+    # procedures; then those procedures raise, so only the certificate decides
+    rng = random.Random(90 + PATTERN_FIELDS.index(K))
+    certifies = bivariate._degree_pattern_certifies
+    monkeypatch.setattr(bivariate, "_degree_pattern_certifies", lambda f, zvar, tvar: False)
+    inputs = []
+    while len(inputs) < 20:
+        f = random_pattern_poly(K, rng, 3, 4)
+        if min(f.degree_in("Z"), f.degree_in("T")) >= 2 and bivariate_irreducible(f, "Z", "T").is_irreducible:
+            inputs.append(f)
+
+    def complete(f, zvar, tvar):
+        raise AssertionError("a complete procedure ran")
+
+    monkeypatch.setattr(bivariate, "_degree_pattern_certifies", certifies)
+    monkeypatch.setattr(bivariate, "_kronecker_test", complete)
+    monkeypatch.setattr(bivariate, "_specialization_certifies", complete)
+    decided = 0
+    for f in inputs:
+        try:
+            decided += bivariate_irreducible(f, "Z", "T").is_irreducible
+        except AssertionError:
+            pass
+    assert decided >= 18
+
+
+def test_kronecker_test_finds_a_prime_past_the_small_ones():
+    # every odd prime up to 149 divides P, so the Kronecker image has no
+    # squarefree reduction below it; the degree patterns decide this input
+    # first, so the Kronecker test is called directly
+    P = 746091175469639660029437868307920534273791931663432265205
+    Z, T = zt_vars(QQ)
+    f = Z * Z + T**3 + Z.scale(QQ.from_int(P))
+    assert bivariate._kronecker_test(f, "Z", "T").is_irreducible
+    assert bivariate._degree_pattern_certifies(f, "Z", "T")

@@ -247,6 +247,18 @@ def test_kronecker_image_finds_a_prime_past_the_small_ones():
     assert "irreducible=true" in proc.stdout and "verdict:   NotRectifiable" in proc.stdout
 
 
+def test_rational_gcds_stay_in_the_integers():
+    # the squarefree test of the norm over Q(i) runs gcds over Q whose field
+    # Euclid swells the coefficients (about 12 s); the primitive PRS over Z
+    # does not
+    proc = run_cli_capped(
+        "analyze", "X^2+1",
+        "(X-1)*Z^3*T^2-2*Z^2*T^3+(-X-1)*Z*T^4+2*Z^2*T^2+2*X*Z*T^3-2*Z^3-2*X*Z^2*T-2*Z*T-2*X*T^2", "Q",
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert "irreducible=false" in proc.stdout and "verdict:   NotRectifiable" in proc.stdout
+
+
 @pytest.mark.parametrize("bound", ["-5", "-1", "two"])
 def test_degree_bound_must_be_a_nonnegative_integer(capsys, bound):
     assert cli.main(["analyze", "X", "Z^2+T^3", "Q", "--degree-bound", bound]) == 3

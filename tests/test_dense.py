@@ -21,6 +21,8 @@ from rect4.fields import GF, QQ, ExtensionField, rational_function_field
 from rect4.polynomials import MultiPoly, univariate_gcd
 from rect4.polynomials.factor import factor_mod_p
 
+from conftest import extension_element
+
 x = sympy.Symbol("x")
 FIELDS = [(QQ, None), (GF(5), 5), (GF(7), 7)]
 FIELD_IDS = ["Q", "F5", "F7"]
@@ -139,8 +141,8 @@ def test_extension_arithmetic_matches_sympy(field, p):
         for _ in range(6):
             a = random_dense(p, rng, rng.randint(0, deg - 1))
             b = random_dense(p, rng, rng.randint(0, deg - 1))
-            ea = E.from_coeffs([field.element(c) for c in a])
-            eb = E.from_coeffs([field.element(c) for c in b])
+            ea = extension_element(E, [field.element(c) for c in a])
+            eb = extension_element(E, [field.element(c) for c in b])
             A, B = to_sympy(a, p), to_sympy(b, p)
             assert trimmed((ea * eb).rep) == from_sympy((A * B).rem(M), p)
             assert trimmed(eb.inv().rep) == from_sympy(B.invert(M), p)

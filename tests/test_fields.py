@@ -18,7 +18,7 @@ from rect4.fields import (
     rational_function_field,
 )
 
-from conftest import assert_canonical_rational
+from conftest import assert_canonical_rational, extension_element
 
 
 def random_element(field, rng):
@@ -33,9 +33,7 @@ def random_element(field, rng):
         den[-1] = 1
         return field.from_polynomial(num) / field.from_polynomial(den)
     # extension
-    return field.from_coeffs(
-        [random_element(field.base, rng) for _ in range(field.deg)]
-    )
+    return extension_element(field, [random_element(field.base, rng) for _ in range(field.deg)])
 
 
 ALL_FIELDS = [

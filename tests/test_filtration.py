@@ -8,8 +8,6 @@ from rect4.filtration import (
     AElement,
     FiltrationContext,
     FiltrationError,
-    a_add,
-    a_mul,
     admissible_representation,
     check_x_divisibility,
     generators,
@@ -18,7 +16,7 @@ from rect4.filtration import (
     w_degree,
 )
 
-from conftest import a_var, xzt_vars
+from conftest import a_add, a_mul, a_var, xzt_vars
 
 V4 = ("X", "Y", "Z", "T")
 XZT = ("X", "Z", "T")
@@ -34,7 +32,7 @@ def v4(field):
 
 def random_normal_form(ctx, rng, max_y=2):
     field = ctx.field
-    da = ctx.a_degree()
+    da = ctx.hyperplane.a.degree_in("X")
     coeffs = []
     for i in range(rng.randint(1, max_y + 1)):
         terms = {}
