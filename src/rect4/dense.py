@@ -7,7 +7,7 @@ through its ``raw_*`` interface (see :class:`rect4.fields.Field`), so one
 implementation serves polynomials over Q, F_p, F_p(s) and their algebraic
 extensions: the F_p(s) field itself, the F_p factoriser, polynomial gcds, and
 Z[x] of the rational factoriser (Yun, Hensel lifting and recombination).  Z
-enters through a descriptor in ``polynomials.factor`` whose ``raw_*`` are the
+enters through a descriptor in ``polynomials.zpoly`` whose ``raw_*`` are the
 :mod:`operator` functions and whose ``raw_inv`` takes only 1 and -1, so over
 Z ``divmod`` and ``monic`` need a unit leading coefficient; ``gcd`` and
 ``xgcd`` need a field.  The residue fields K[X]/(p) do not reduce or invert

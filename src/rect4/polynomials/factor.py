@@ -9,15 +9,10 @@ one exact division; only two or more nonlinear factors are split by the
 quadratic polynomial Hensel step.  The subset search is :func:`recombine`, the
 one recombination of the package: it also turns the Kronecker image
 factorizations of :mod:`rect4.polynomials.bivariate` into bivariate factors.
-Z[X] has no arithmetic of its own: it runs on the :mod:`rect4.dense` kernels
-through ``_ZZ``, a descriptor of the integers whose only invertible elements
-are 1 and -1, so ``dense.divmod`` divides exactly by a polynomial with a unit
-leading coefficient and refuses any other.  Written here are only the steps
-that divide by other leading coefficients: the primitive part, a division
-that stops at the first leading coefficient that does not divide (exact
-quotients, pseudo-remainders), and on top of them the primitive remainder
-sequence of the gcd and Yun's decomposition.  The factors are monic, so the
-unit is the input's leading coefficient.
+Z[X] is :mod:`rect4.polynomials.zpoly` (the dense kernels through a
+descriptor of the integers, the primitive part and the primitive remainder
+sequence of the gcd); Yun's decomposition is written here on top of it.  The
+factors are monic, so the unit is the input's leading coefficient.
 
 Over a prime field: distinct-degree plus equal-degree (Cantor-Zassenhaus)
 splitting.  Over a one-parameter rational function field only the patterns
@@ -31,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random
 
 from .. import dense
@@ -42,10 +36,7 @@ from ..fields import (
     _is_prime,
 )
 from .multipoly import MultiPoly, PolynomialError
-
-
-class FactorizationError(Exception):
-    pass
+from .zpoly import ZZ, FactorizationError, zcleared, zdivmod, zgcd_poly, zmod, zprimitive
 
 
 class Factorization:
@@ -75,72 +66,6 @@ class Factorization:
         parts = [f"({f}, {m})" for f, m in self.factors]
         parts += [f"unresolved({f}, {m})" for f, m in self.unresolved]
         return f"Factorization(unit={self.unit}, {', '.join(parts)})"
-
-
-# ---------------------------------------------------------------------------
-# Z[X]: dense integer polynomials (low degree first, plain ints) on rect4.dense
-# ---------------------------------------------------------------------------
-
-
-class _Integers:
-    """The integers as a :mod:`rect4.dense` field descriptor.
-
-    The ring operations are the C-level :mod:`operator` functions.  Z is not
-    a field: ``raw_inv`` takes only the units 1 and -1 and raises
-    ``FactorizationError`` on anything else.
-    """
-
-    raw_add = operator.add
-    raw_sub = operator.sub
-    raw_mul = operator.mul
-    raw_neg = operator.neg
-    raw_is_zero = operator.not_
-    raw_from_int = int
-
-    @staticmethod
-    def raw_zero():
-        return 0
-
-    @staticmethod
-    def raw_one():
-        return 1
-
-    @staticmethod
-    def raw_inv(a):
-        if a == 1 or a == -1:
-            return a
-        raise FactorizationError(f"internal error: {a} is not a unit of Z")
-
-
-_ZZ = _Integers()
-
-
-def _zmod(a, m):
-    """The integer polynomial a with its coefficients reduced into [0, m)."""
-    return dense.trim(_ZZ, [x % m for x in a])
-
-
-def _zprimitive(a):
-    """a divided by its content, with a positive leading coefficient."""
-    c = math.gcd(*a) or 1
-    if a and a[-1] < 0:
-        c = -c
-    return tuple(x // c for x in a)
-
-
-def _zdivmod(a, b):
-    """(q, r) with a = q*b + r and deg r < deg b, for integer polynomials, or
-    None at the first leading coefficient that b's does not divide."""
-    rem, lb, deg_b = list(a), b[-1], len(b) - 1
-    quo = [0] * max(0, len(a) - deg_b)
-    for shift in reversed(range(len(quo))):
-        c, r = divmod(rem[shift + deg_b], lb)
-        if r:
-            return None
-        quo[shift] = c
-        for i, y in enumerate(b, shift):
-            rem[i] -= c * y
-    return tuple(quo), dense.trim(_ZZ, rem)
 
 
 # ---------------------------------------------------------------------------
@@ -254,55 +179,26 @@ def _yun_squarefree(a):
     """Yun's squarefree decomposition [(g, m)] of a primitive integer
     polynomial with a positive leading coefficient; each g is again one."""
     out = []
-    d = dense.deriv(_ZZ, a)
-    g = _zgcd_poly(a, d)
+    d = dense.deriv(ZZ, a)
+    g = zgcd_poly(a, d)
     if len(g) == 1:
         return [(a, 1)]
-    w = _zdivmod(a, g)[0]
-    y = _zdivmod(d, g)[0]
+    w = zdivmod(a, g)[0]
+    y = zdivmod(d, g)[0]
     m = 1
     while True:
-        z = dense.sub(_ZZ, y, dense.deriv(_ZZ, w))
+        z = dense.sub(ZZ, y, dense.deriv(ZZ, w))
         if not z:
             if len(w) > 1:
                 out.append((w, m))
             break
-        g = _zgcd_poly(w, z)
+        g = zgcd_poly(w, z)
         if len(g) > 1:
             out.append((g, m))
-        w = _zdivmod(w, g)[0]
-        y = _zdivmod(z, g)[0]
+        w = zdivmod(w, g)[0]
+        y = zdivmod(z, g)[0]
         m += 1
     return out
-
-
-def _zgcd_poly(a, b):
-    """Primitive gcd of integer polynomials by the primitive PRS; (1,) when
-    both are zero."""
-    a, b = _zprimitive(a), _zprimitive(b)
-    if not a:
-        return b or (1,)
-    while len(b) > 1:
-        # the pseudo-remainder: lc(b)^(deg a - deg b + 1) * a divides by b
-        # without fractions
-        a_scaled = dense.scale(_ZZ, a, b[-1] ** max(0, len(a) - len(b) + 1))
-        a, b = b, _zprimitive(_zdivmod(a_scaled, b)[1])
-    # a nonzero constant remainder makes a and b coprime
-    return (1,) if b else a
-
-
-def _zcleared(coeffs):
-    """The dense polynomial of raw rationals times the lcm of its
-    denominators, as an integer polynomial."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs]
-
-
-def rational_gcd(field, a, b):
-    """Monic gcd of dense polynomials over the rationals ``field``, not both
-    zero, by the primitive PRS of their integer multiples, so no coefficient
-    leaves Z until the gcd is made monic."""
-    return dense.monic(field, _zgcd_poly(_zcleared(a), _zcleared(b)))
 
 
 def _mignotte_bound(a):
@@ -348,17 +244,17 @@ def _factor_squarefree_z(a, rng):
         # leading coefficient, tried as a divisor over Z
         cand = (current[-1] % pk,)
         for g in factors:
-            cand = _zmod(dense.mul(_ZZ, cand, g), pk)
-        cand = _zprimitive(dense.trim(_ZZ, [_centered(x, pk) for x in cand]))
+            cand = zmod(dense.mul(ZZ, cand, g), pk)
+        cand = zprimitive(dense.trim(ZZ, [_centered(x, pk) for x in cand]))
         if len(cand) > 1:
-            division = _zdivmod(current, cand)
+            division = zdivmod(current, cand)
             if division and not division[1]:
                 return cand, division[0]
         return None
 
     factors, current = recombine(a, list(enumerate(lifted)), split)
     if len(current) > 1:
-        factors.append(_zprimitive(current))
+        factors.append(zprimitive(current))
     return factors
 
 
@@ -409,7 +305,7 @@ def _hensel_lift_tree(f, factors, F, k):
     is lifted the same way (binary splitting).
     """
     p, pk = F.p, F.p**k
-    cofactor = f = _zmod(dense.scale(_ZZ, f, pow(f[-1], -1, pk)), pk)
+    cofactor = f = zmod(dense.scale(ZZ, f, pow(f[-1], -1, pk)), pk)
     lifted = list(factors)
     nonlinear = []
     for i, fac in enumerate(factors):
@@ -471,21 +367,21 @@ def _hensel_pair(f, g, h, F, k):
         raise FactorizationError("internal error: Hensel inputs are not coprime mod p")
     q = F.p
     target = q**k
-    add, sub, mul = (functools.partial(op, _ZZ) for op in (dense.add, dense.sub, dense.mul))
+    add, sub, mul = (functools.partial(op, ZZ) for op in (dense.add, dense.sub, dense.mul))
     while q < target:
         q *= q
-        e = _zmod(sub(f, mul(g, h)), q)
+        e = zmod(sub(f, mul(g, h)), q)
         # h is monic, so its division over Z, reduced mod q, is the division
         # mod q
-        qg, r = (_zmod(x, q) for x in dense.divmod(_ZZ, mul(s, e), h))
-        h = _zmod(add(h, r), q)
-        g = _zmod(add(g, add(mul(t, e), mul(qg, g))), q)
+        qg, r = (zmod(x, q) for x in dense.divmod(ZZ, mul(s, e), h))
+        h = zmod(add(h, r), q)
+        g = zmod(add(g, add(mul(t, e), mul(qg, g))), q)
         if q >= target:
             break
-        b = _zmod(sub(add(mul(s, g), mul(t, h)), (1,)), q)
-        qs, r_s = (_zmod(x, q) for x in dense.divmod(_ZZ, mul(s, b), h))
-        s = _zmod(sub(s, r_s), q)
-        t = _zmod(sub(t, add(mul(t, b), mul(qs, g))), q)
+        b = zmod(sub(add(mul(s, g), mul(t, h)), (1,)), q)
+        qs, r_s = (zmod(x, q) for x in dense.divmod(ZZ, mul(s, b), h))
+        s = zmod(sub(s, r_s), q)
+        t = zmod(sub(t, add(mul(t, b), mul(qs, g))), q)
     return g, h
 
 
@@ -525,7 +421,7 @@ def _factor_over_q(poly, var, rng):
     field = poly.field
     coeffs = poly.to_dense(var)
     factors = []
-    for sf, mult in _yun_squarefree(_zprimitive(_zcleared(coeffs))):
+    for sf, mult in _yun_squarefree(zprimitive(zcleared(coeffs))):
         for irr in _factor_squarefree_z(sf, rng):
             monic = dense.monic(field, irr)
             factors.append((MultiPoly.from_raw_dense(field, poly.vars, var, monic), mult))

@@ -41,6 +41,7 @@ from operator import add as _plus, ge as _ge, neg as _neg, sub as _minus
 
 from .. import dense
 from ..fields import Embedding, ExtensionField, FieldElement, FieldMismatch, RationalField, term_sum_str
+from .zpoly import rational_gcd
 
 
 class PolynomialError(Exception):
@@ -696,9 +697,7 @@ def univariate_gcd(f, g, var=None):
     field = f.field
     a, b = f.to_dense(var), g.to_dense(var)
     if isinstance(field, RationalField):
-        # over Q the gcd stays in Z[X]; factor builds on this module
-        from .factor import rational_gcd
-
+        # over Q the gcd stays in Z[X]
         return MultiPoly.from_raw_dense(field, f.vars, var, rational_gcd(field, a, b))
     return MultiPoly.from_raw_dense(field, f.vars, var, dense.gcd(field, a, b))
 

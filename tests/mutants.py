@@ -15,15 +15,15 @@ it, the change is applied there, and every named test runs in its own
 ``pytest`` process on the copy, under the suite's own 30 s cap per test.  A
 test kills the mutant when it fails.  Stdlib only; from anywhere:
 
-    python3 tests/mutants.py [--ledger FILE] [NAME ...]
+    python3 tests/mutants.py
 
-prints one row per mutant (one column per test: ``K`` killed, ``.``
-survived) and exits 1 when any outcome differs from its ``expect``.
+runs every mutant of the ledger, prints one row per mutant (one column per
+test: ``K`` killed, ``.`` survived) and exits 1 when any outcome differs from
+its ``expect``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -39,8 +39,8 @@ PROCESS_SECONDS = 300
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", "*.egg-info")
 
 
-def load(path=LEDGER):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def load():
+    return json.loads(LEDGER.read_text(encoding="utf-8"))
 
 
 def mutate(copy, mutant):
@@ -51,12 +51,12 @@ def mutate(copy, mutant):
     path.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
 
 
-def run_mutant(mutant, root=ROOT):
-    """{test: "killed" | "survived"} for one mutant, on a mutated copy of
-    ``root``."""
+def run_mutant(mutant):
+    """{test: "killed" | "survived"} for one mutant, on a mutated copy of the
+    repository."""
     with tempfile.TemporaryDirectory(prefix="rect4-mutant-") as tmp:
         copy = Path(tmp) / "repo"
-        shutil.copytree(root, copy, ignore=SKIP)
+        shutil.copytree(ROOT, copy, ignore=SKIP)
         mutate(copy, mutant)
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         outcome = {}
@@ -75,13 +75,9 @@ def verdict(outcome):
     return "killed" if "killed" in outcome.values() else "survived"
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--ledger", default=LEDGER)
-    ap.add_argument("names", nargs="*", help="run only these mutants")
-    args = ap.parse_args(argv)
-    mutants = [m for m in load(args.ledger) if not args.names or m["name"] in args.names]
-    width = max((len(m["name"]) for m in mutants), default=0)
+def main():
+    mutants = load()
+    width = max(len(m["name"]) for m in mutants)
     mismatches = 0
     for m in mutants:
         outcome = run_mutant(m)

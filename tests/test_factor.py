@@ -229,7 +229,7 @@ def _sympy_ints(expr):
 
 def _primitive_positive(a):
     """a over its content, with a positive leading coefficient (an oracle
-    independent of factor._zprimitive)."""
+    independent of zpoly.zprimitive)."""
     c = math.gcd(*a) or 1
     return tuple(x // (-c if a and a[-1] < 0 else c) for x in a)
 
@@ -251,21 +251,21 @@ def _random_sqf_input(rng):
 
 def test_integer_descriptor_has_only_the_units_as_inverses():
     from rect4 import dense
-    from rect4.polynomials import factor
+    from rect4.polynomials import zpoly
 
-    assert factor._ZZ.raw_inv(1) == 1 and factor._ZZ.raw_inv(-1) == -1
+    assert zpoly.ZZ.raw_inv(1) == 1 and zpoly.ZZ.raw_inv(-1) == -1
     for a in (2, -2, 0, 6):
         with pytest.raises(FactorizationError):
-            factor._ZZ.raw_inv(a)
+            zpoly.ZZ.raw_inv(a)
     # so dense.divmod divides exactly by unit-leading divisors only
-    assert dense.divmod(factor._ZZ, (2, 3, 1), (1, 1)) == ((2, 1), ())
-    assert dense.divmod(factor._ZZ, (2, 3, 1), (1, -1)) == ((-4, -1), (6,))
+    assert dense.divmod(zpoly.ZZ, (2, 3, 1), (1, 1)) == ((2, 1), ())
+    assert dense.divmod(zpoly.ZZ, (2, 3, 1), (1, -1)) == ((-4, -1), (6,))
     with pytest.raises(FactorizationError):
-        dense.divmod(factor._ZZ, (2, 3, 1), (1, 2))
+        dense.divmod(zpoly.ZZ, (2, 3, 1), (1, 2))
 
 
 def test_zgcd_poly_matches_sympy():
-    from rect4.polynomials import factor
+    from rect4.polynomials import zpoly
 
     rng = random.Random(4411)
     for _ in range(60):
@@ -277,9 +277,9 @@ def test_zgcd_poly_matches_sympy():
             g = sympy.Integer(0)
         a, b = _sympy_ints(f), _sympy_ints(g)
         want = _primitive_positive(_sympy_ints(sympy.gcd(f, g)))
-        assert factor._zgcd_poly(a, b) == want, (f, g)
-        assert factor._zgcd_poly(b, a) == want, (f, g)
-    assert factor._zgcd_poly((), ()) == (1,)
+        assert zpoly.zgcd_poly(a, b) == want, (f, g)
+        assert zpoly.zgcd_poly(b, a) == want, (f, g)
+    assert zpoly.zgcd_poly((), ()) == (1,)
 
 
 def test_yun_squarefree_matches_sympy():
@@ -287,12 +287,12 @@ def test_yun_squarefree_matches_sympy():
     its parts are primitive with a positive leading coefficient, and their
     product with multiplicities is that input exactly."""
     from rect4 import dense
-    from rect4.polynomials import factor
+    from rect4.polynomials import factor, zpoly
 
     rng = random.Random(5123)
     for _ in range(60):
         a, expr = _random_sqf_input(rng)
-        prim = factor._zprimitive(a)
+        prim = zpoly.zprimitive(a)
         assert prim == _primitive_positive(a)
         parts = factor._yun_squarefree(prim)
         _, want = sympy.sqf_list(expr)
@@ -302,7 +302,7 @@ def test_yun_squarefree_matches_sympy():
         for g, m in parts:
             assert g == _primitive_positive(g)
             for _ in range(m):
-                product = dense.mul(factor._ZZ, product, g)
+                product = dense.mul(zpoly.ZZ, product, g)
         assert product == prim, expr
 
 
@@ -326,14 +326,14 @@ def test_hensel_lift_tree_lifts_the_modular_factorization():
     the root lift occur: only linear factors, exactly one nonlinear factor
     (the cofactor), and two or more (the binary splitting)."""
     from rect4 import dense
-    from rect4.polynomials import factor
+    from rect4.polynomials import factor, zpoly
 
     rng = random.Random(6007)
     shapes = [0, 0, 0]
     while sum(shapes) < 60:
         a = [1]
         for _ in range(rng.randint(1, 4)):
-            a = dense.mul(factor._ZZ, a, _random_zpoly(rng, 3))
+            a = dense.mul(zpoly.ZZ, a, _random_zpoly(rng, 3))
         p = rng.choice((3, 5, 7, 11, 13))
         F = GF(p)
         modular = _modular_factors(a, p)
@@ -347,7 +347,7 @@ def test_hensel_lift_tree_lifts_the_modular_factorization():
         for lift, fac in zip(lifted, modular):
             assert lift[-1] == 1 and all(0 <= x < pk for x in lift), (a, p, k)
             assert factor._reduce_mod(F, lift) == fac, (a, p, k)
-            product = dense.mul(factor._ZZ, product, lift)
+            product = dense.mul(zpoly.ZZ, product, lift)
         monic_a = [x * pow(a[-1], -1, pk) for x in a]
         assert [x % pk for x in product] == [x % pk for x in monic_a], (a, p, k)
         shapes[min(2, sum(len(fac) > 2 for fac in modular))] += 1
@@ -359,21 +359,21 @@ def test_lift_root_is_a_root_mod_p_to_the_k():
     k up to 9, odd and even: the lifted root lies in [0, p^k), is r0 mod p
     and is a root mod p^k."""
     from rect4 import dense
-    from rect4.polynomials import factor
+    from rect4.polynomials import factor, zpoly
 
     rng = random.Random(8117)
     lifted = 0
     for _ in range(60):
         f = _random_zpoly(rng, 6)
         p = rng.choice((2, 3, 5, 7, 11, 13))
-        df = dense.deriv(factor._ZZ, f)
+        df = dense.deriv(zpoly.ZZ, f)
         for r0 in range(p):
-            if dense.eval(factor._ZZ, f, r0) % p or not dense.eval(factor._ZZ, df, r0) % p:
+            if dense.eval(zpoly.ZZ, f, r0) % p or not dense.eval(zpoly.ZZ, df, r0) % p:
                 continue
             for k in range(1, 10):
                 r = factor._lift_root(tuple(f), r0, p, k)
                 assert 0 <= r < p**k and r % p == r0, (f, p, r0, k)
-                assert dense.eval(factor._ZZ, f, r) % p**k == 0, (f, p, r0, k)
+                assert dense.eval(zpoly.ZZ, f, r) % p**k == 0, (f, p, r0, k)
                 lifted += 1
     assert lifted >= 200
 
@@ -383,7 +383,7 @@ def test_at_most_one_nonlinear_modular_factor_needs_no_hensel_step(monkeypatch):
     or more nonlinear modular factors: squarefree integer polynomials with at
     most one call it never, those with more do."""
     from rect4 import dense
-    from rect4.polynomials import factor
+    from rect4.polynomials import factor, zpoly
 
     calls = []
     pair = factor._hensel_pair
@@ -393,8 +393,8 @@ def test_at_most_one_nonlinear_modular_factor_needs_no_hensel_step(monkeypatch):
     while min(seen) < 10:
         a = (rng.choice((1, 2, 3, 6)),)
         for _ in range(rng.randint(2, 4)):
-            a = dense.mul(factor._ZZ, a, _random_zpoly(rng, 3))
-        a = factor._zprimitive(a)
+            a = dense.mul(zpoly.ZZ, a, _random_zpoly(rng, 3))
+        a = zpoly.zprimitive(a)
         if factor._yun_squarefree(a) != [(a, 1)] or len(a) < 3:
             continue
         calls.clear()
