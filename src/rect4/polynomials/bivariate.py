@@ -31,19 +31,25 @@ subset search :func:`rect4.polynomials.factor.recombine` that the rational
 factorizer uses too.
 
 Over a quadratic or cubic number field K = Q(g) the question is reduced to
-the rationals through the norm N = Res_g(minpoly, f_c) of a shift
-f_c = f(Z + c*g, T), with c tried in the order 0, 1, -1, 2, -2, 3, -3 until N
-is squarefree (Trager).  The minimal polynomial is monic, so every norm, here
-and in the specialization certificate, is the determinant of multiplication
-by f_c on K over the basis 1, g, ..., g^(n-1): an n x n matrix over Q[Z, T]
-for n = [K:Q] <= 3.  A shift whose coefficients all lie in Q has norm
-f_c^[K:Q] and is skipped.  One factorization of the image of N serves twice:
-it certifies N squarefree and is recombined into N's irreducible factors.  The
-certificate: write N = Z^a*T^b*M with M free of monomial factors; a repeated
-factor of M is not a monomial, so neither is its image, and its square would
-show in the image factorization.  Hence a, b <= 1 and simple image factors
-apart from Z prove N squarefree; without that proof the exact gcd test
-decides.  Beyond the configured bounds the answer is Unknown, never a guess.
+the rationals by Trager's algorithm: the norm N = Res_g(minpoly, f_c) of a
+shift f_c = f(Z + c*g, T), with c tried in the order 0, 1, -1, 2, -2, 3, -3
+until N is squarefree.  A shift keeps the total and partial degrees of f, and
+N has [K:Q] times each of them, so the norm degree cap and the cap on N's
+Kronecker image are read off f before any norm is taken.  The minimal
+polynomial is monic, so every norm, here and in the specialization
+certificate, is the determinant of multiplication by f_c on K over the basis
+1, g, ..., g^(n-1): an n x n matrix over Q[Z, T] for n = [K:Q] <= 3.  A shift
+whose coefficients all lie in Q has norm f_c^[K:Q] and is skipped.  One
+factorization of the image of N serves twice: it certifies N squarefree and
+is recombined into N's first irreducible factor.  The certificate: write
+N = Z^a*T^b*M with M free of monomial factors; a repeated factor of M is not a
+monomial, so neither is its image, and its square would show in the image
+factorization.  Hence a, b <= 1 and simple image factors apart from Z prove N
+squarefree; without that proof the exact gcd test decides.  A squarefree N
+makes f_c the product of its gcds with the irreducible factors of N, one
+irreducible gcd per factor, so the first factor is enough: f is irreducible
+when N is, and otherwise the gcd of f_c with that factor, un-shifted, is a
+witness.  Beyond the configured bounds the answer is Unknown, never a guess.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from dataclasses import dataclass
 
 from .. import dense
 from ..fields import Embedding, ExtensionField, PrimeField, RationalField
@@ -72,14 +79,14 @@ _PATTERN_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 _PATTERN_BUDGET = 6  # specializations per variable role
 
 
+@dataclass
 class IrreducibilityResult:
     """status: "irreducible" | "reducible" | "unknown"; ``witness`` is a
     verified nontrivial factor in the reducible case."""
 
-    def __init__(self, status, witness=None, reason=None):
-        self.status = status
-        self.witness = witness
-        self.reason = reason
+    status: str
+    witness: MultiPoly = None
+    reason: str = None
 
     @property
     def is_irreducible(self):
@@ -92,11 +99,6 @@ class IrreducibilityResult:
     @property
     def is_unknown(self):
         return self.status == "unknown"
-
-    def __repr__(self):
-        if self.witness is not None:
-            return f"IrreducibilityResult({self.status}, witness={self.witness})"
-        return f"IrreducibilityResult({self.status})"
 
 
 def bivariate_irreducible(f, zvar, tvar, bound=DEFAULT_DEGREE_BOUND):
@@ -429,7 +431,29 @@ def _poly_det(mat, field, vars):
 
 
 _SPECIALIZATIONS = (0, 1, -1, 2, -2)
-_SPECIALIZATION_SHIFTS = (0, 1, -1)
+_SHIFTS = (0, 1, -1, 2, -2, 3, -3)
+
+
+def _shift(g, var, c):
+    """g(var + c*gen) over K = Q(gen)."""
+    if not c:
+        return g
+    field = g.field
+    shift = MultiPoly.constant(field, g.vars, field.from_int(c) * field.generator())
+    return g.substitute({var: MultiPoly.variable(field, g.vars, var) + shift})
+
+
+def _shifted_norms(g, var, shifts):
+    """(c, g_c, N(g_c)) for g_c = g(var + c*gen), c in ``shifts`` in order.
+
+    A g_c whose coefficients all lie in Q has norm g_c^[K:Q], never
+    squarefree, and is skipped.
+    """
+    is_zero = g.field.base.raw_is_zero
+    for c in shifts:
+        g_c = _shift(g, var, c)
+        if not all(is_zero(x) for coeff in g_c.terms.values() for x in coeff[1:]):
+            yield c, g_c, _resultant_in_generator(g_c, g.field)
 
 
 def _specialization_certifies(f, zvar, tvar):
@@ -441,22 +465,16 @@ def _specialization_certifies(f, zvar, tvar):
     splits proves f(main, t0) reducible (Trager), so the remaining shifts of
     that t0 are not tried.
     """
-    field = f.field
-    gen = MultiPoly.constant(field, f.vars, field.generator())
     for main, other in ((zvar, tvar), (tvar, zvar)):
-        x = MultiPoly.variable(field, f.vars, main)
         for t0 in _SPECIALIZATIONS:
-            g = f.substitute({other: MultiPoly.constant(field, f.vars, t0)})
+            g = f.substitute({other: MultiPoly.constant(f.field, f.vars, t0)})
             if g.degree_in(main) < f.degree_in(main):
                 continue
             if not univariate_gcd(g, g.partial_derivative(main), main).is_constant():
                 continue
-            for c in _SPECIALIZATION_SHIFTS:
-                shifted = (g.substitute({main: x + gen.scale(field.from_int(c))}) if c else g).monic()
-                if _in_base_field(shifted):
-                    continue
+            for _, _, norm in _shifted_norms(g.monic(), main, _SHIFTS[:3]):
                 try:
-                    fact = univariate_factor(_resultant_in_generator(shifted, field), var=main)
+                    fact = univariate_factor(norm, var=main)
                 except FactorizationError:
                     continue
                 if len(fact.factors) == 1 and fact.factors[0][1] == 1:
@@ -466,74 +484,38 @@ def _specialization_certifies(f, zvar, tvar):
     return False
 
 
-_SHIFTS = (0, 1, -1, 2, -2, 3, -3)
-
-
 def _norm_test(f, zvar, tvar):
-    # c runs through _SHIFTS in order until N(f_c) is squarefree; a shift with
-    # base-field coefficients has norm f_c^[K:Q] and is skipped.  Squarefree
-    # certificate: a repeated non-monomial factor of N = Z^a*T^b*M shows squared
-    # in the factorization of N(Z, Z^e), so a, b <= 1 and simple image factors
-    # other than Z prove N squarefree.  A squarefree N(f_c) makes f squarefree,
-    # so the repeated-factor gcds of f run once, at the first norm that is not
-    # squarefree, or before an unknown verdict when none has been seen.
-    field = f.field
-    emb = Embedding(field.base, field)
-    gen = field.generator()
+    """Trager's algorithm on f over K = Q(g), primitive both ways.
 
-    z = MultiPoly.variable(field, f.vars, zvar)
-    gen_const = MultiPoly.constant(field, f.vars, gen)
-    checked = False  # whether the repeated-factor gcds of f have run
-    for c in _SHIFTS:
-        shifted = f.substitute({zvar: z + gen_const.scale(field.from_int(c))}) if c else f
-        if _in_base_field(shifted):
-            if field.deg * shifted.total_degree() > _NORM_DEGREE_CAP:
-                return _unknown(f, zvar, tvar, "norm degree exceeds the internal cap", checked)
-            continue
-        norm = _resultant_in_generator(shifted, field)
-        if norm.is_zero():
-            continue
-        if norm.total_degree() > _NORM_DEGREE_CAP:
-            return _unknown(f, zvar, tvar, "norm degree exceeds the internal cap", checked)
-        d1 = min(norm.degree_in(zvar), norm.degree_in(tvar))
-        d2 = max(norm.degree_in(zvar), norm.degree_in(tvar))
-        image = None
-        if d1 + (d1 + 1) * d2 <= _NORM_KRONECKER_CAP:
-            image = _kronecker_image(norm, zvar, tvar)
-        if not (
-            image is not None and _image_certifies_squarefree(norm, image)
-            or _is_squarefree_bivariate(norm, zvar, tvar)
-        ):
-            if not checked:
-                checked = True
-                witness = _repeated_factor(f, zvar, tvar)
-                if witness is not None:
-                    return IrreducibilityResult("reducible", witness=witness)
-            continue
-        if image is None:
-            return _unknown(
-                f, zvar, tvar, "norm too large for Kronecker factorization", checked
-            )
-        factors = [p.embed(emb) for p in _recombine(norm, image)]
-        if any(divides(shifted, p) for p in factors):
-            return IrreducibilityResult("irreducible")
-        # f is reducible: extract a witness through a gcd with some factor
-        for p in factors:
-            w = bivariate_gcd(shifted, p, tvar, zvar)
-            if not w.is_constant() and w.total_degree() < shifted.total_degree():
-                unshift = w.substitute(
-                    {zvar: z - gen_const.scale(field.from_int(c))}
-                ) if c else w
-                if divides(unshift, f):
-                    return IrreducibilityResult("reducible", witness=unshift)
-        return _unknown(f, zvar, tvar, "norm split found but no verified witness", checked)
-    return _unknown(f, zvar, tvar, "no squarefree norm shift found", checked)
-
-
-def _in_base_field(f):
-    """True when every coefficient of f (over an extension) lies in the base."""
-    is_zero = f.field.base.raw_is_zero
-    return all(is_zero(x) for c in f.terms.values() for x in c[1:])
+    N(f_c) has [K:Q] times each degree of f, so both caps are read off f
+    before any norm is taken.  The first squarefree N(f_c) decides: f_c is
+    the product of its gcds with the irreducible factors of N(f_c), so f is
+    irreducible when N(f_c) is, and otherwise the gcd with the first factor,
+    un-shifted, is a witness.  The repeated-factor gcds of f run once, when
+    the first norm is not squarefree: a squarefree norm returns.
+    """
+    n = f.field.deg
+    if n * f.total_degree() > _NORM_DEGREE_CAP:
+        return _unknown(f, zvar, tvar, "norm degree exceeds the internal cap")
+    d1, d2 = sorted(n * f.degree_in(v) for v in (zvar, tvar))
+    if d1 + (d1 + 1) * d2 > _NORM_KRONECKER_CAP:
+        return _unknown(f, zvar, tvar, "norm too large for Kronecker factorization")
+    for k, (c, shifted, norm) in enumerate(_shifted_norms(f, zvar, _SHIFTS)):
+        image = _kronecker_image(norm, zvar, tvar)
+        if _image_certifies_squarefree(norm, image) or _repeated_factor(norm, zvar, tvar) is None:
+            factors = _recombine(norm, image, limit=1)
+            if len(factors) == 1:
+                return IrreducibilityResult("irreducible")
+            first = factors[0].embed(Embedding(f.field.base, f.field))
+            witness = _shift(bivariate_gcd(shifted, first, tvar, zvar), zvar, -c)
+            if 0 < witness.total_degree() < f.total_degree() and divides(witness, f):
+                return IrreducibilityResult("reducible", witness=witness)
+            return IrreducibilityResult("unknown", reason="norm split found but no verified witness")
+        if not k:
+            witness = _repeated_factor(f, zvar, tvar)
+            if witness is not None:
+                return IrreducibilityResult("reducible", witness=witness)
+    return IrreducibilityResult("unknown", reason="no squarefree norm shift found")
 
 
 def _image_certifies_squarefree(norm, image):
@@ -547,33 +529,22 @@ def _image_certifies_squarefree(norm, image):
     return all(m == 1 for g, m in fact.factors if len(g.terms) > 1)
 
 
-def _unknown(f, zvar, tvar, reason, checked):
-    """An unknown verdict, or reducible when f has a repeated factor; with
-    ``checked`` the gcds have already run and found none."""
-    witness = None if checked else _repeated_factor(f, zvar, tvar)
+def _unknown(f, zvar, tvar, reason):
+    """An unknown verdict, or reducible when f has a repeated factor."""
+    witness = _repeated_factor(f, zvar, tvar)
     if witness is not None:
         return IrreducibilityResult("reducible", witness=witness)
     return IrreducibilityResult("unknown", reason=reason)
 
 
 def _repeated_factor(f, zvar, tvar):
-    """A proper divisor of f from its repeated-factor gcds, or None."""
-    for g in _derivative_gcds(f, zvar, tvar):
-        if g.total_degree() < f.total_degree() and divides(g, f):
-            return g
-    return None
-
-
-def _is_squarefree_bivariate(f, zvar, tvar):
-    return next(_derivative_gcds(f, zvar, tvar), None) is None
-
-
-def _derivative_gcds(f, zvar, tvar):
-    """The nonconstant gcds of f with its nonzero partial derivatives."""
+    """A proper divisor of f from its gcds with its nonzero partial
+    derivatives, or None when f is squarefree."""
     for v, other in ((zvar, tvar), (tvar, zvar)):
         d = f.partial_derivative(v)
         if d.is_zero():
             continue
         g = bivariate_gcd(f, d, v, other)
-        if not g.is_constant():
-            yield g
+        if not g.is_constant() and g.total_degree() < f.total_degree() and divides(g, f):
+            return g
+    return None

@@ -59,9 +59,6 @@ class Factorization:
     def complete(self):
         return not self.unresolved
 
-    def __iter__(self):
-        return iter(self.factors)
-
     def __repr__(self):
         parts = [f"({f}, {m})" for f, m in self.factors]
         parts += [f"unresolved({f}, {m})" for f, m in self.unresolved]

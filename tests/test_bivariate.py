@@ -275,6 +275,27 @@ def test_base_field_coefficients_past_the_norm_cap_are_unknown(monkeypatch):
     assert res.reason == "norm degree exceeds the internal cap"
 
 
+def test_no_norm_is_taken_past_either_cap(monkeypatch):
+    # a shift keeps the degrees of f and the norm has [K:Q] times each, so
+    # both caps are read off f before any norm
+    def no_norm(f, field):
+        raise AssertionError("a norm was taken")
+
+    monkeypatch.setattr(bivariate, "_resultant_in_generator", no_norm)
+    cbrt2, gauss = NUMBER_FIELDS[2][0], NUMBER_FIELDS[0][0]
+    Z, T = zt_vars(cbrt2)
+    g = MultiPoly.constant(cbrt2, ZT, cbrt2.generator())
+    # 3 * total degree 6 exceeds the norm degree cap
+    res = bivariate._norm_test(Z**6 + g * T**5 + 1, "Z", "T")
+    assert res.is_unknown and res.reason == "norm degree exceeds the internal cap"
+    # 2 * total degree 8 is within it, but the norm has degree 16 in both
+    # variables, past the cap on its Kronecker image
+    Z, T = zt_vars(gauss)
+    g = MultiPoly.constant(gauss, ZT, gauss.generator())
+    res = bivariate._norm_test((Z**4 + g * T**4 + 1) * (Z**4 - T**4 + g), "Z", "T")
+    assert res.is_unknown and res.reason == "norm too large for Kronecker factorization"
+
+
 def test_specialization_decides_past_the_degree_patterns_and_the_norm_cap():
     # the degree patterns of Z^6 + (2-c)*T^3 never close and its norm exceeds
     # the cap, so only the specialization certificate proves it irreducible
