@@ -13,7 +13,10 @@ returns, kept as is in ``AnalysisReport.coordinates``.  An accepted f is a
 line.  An f certified over K, or over the purely inseparable L the test may
 adjoin, is irreducible, and its partner g gives Jac(f, g) = c != 0, so
 (f_Z, f_T) = (1) over L, hence over K (L[Z,T] is free over K[Z,T]).  Only
-uncertified roots reach the Kronecker and Groebner tests.
+uncertified roots reach the Kronecker and Groebner tests.  Regularity skips
+Groebner on one more kind of root, f = a0 + a1*v linear in v = Z or T with
+gcd(a0, a1) = 1, whose (f, f_v) is already (1), and stops at the first
+singular root.
 """
 
 from __future__ import annotations
@@ -295,29 +298,43 @@ def fibration_check(data, coords):
 
 
 def regularity_check(h, data, coords):
-    """Jacobian smoothness test, root by root.
+    """Jacobian smoothness test, root by root: "true" or "false".
 
     Simple roots over the closure need (f, f_Z, f_T) = (1); multiple or
     inseparable ones add the X-derivative of the original, pre-normalization
-    F.  A certified root already has (f_Z, f_T) = (1); the others get a
-    Groebner unit-ideal test.  Returns ("true"/"false", per-root booleans).
+    F.  Two closed forms show the ideal is (1) without Buchberger: a
+    certified root has (f_Z, f_T) = (1), and so does a root of the form
+    f = a0 + a1*v, v in {Z, T}, with gcd(a0, a1) = 1 in K[u] for the other
+    variable u, as (f, f_v) = (a0, a1) (see :func:`_linear_and_primitive`).
+    Every other root gets a Groebner unit-ideal test, and the first one that
+    fails makes the answer "false".
     """
-    FX = h.original_F.partial_derivative("X")
-    per_root = []
     for rd, cr in zip(data, coords):
-        if cr.certified:
-            per_root.append(True)
-            continue
         f = rd.specialization
+        if cr.certified or _linear_and_primitive(f):
+            continue
         gens = [f, f.partial_derivative("Z"), f.partial_derivative("T")]
         if not rd.kbar_simple:
+            FX = h.original_F.partial_derivative("X")
             gens.append(_at_root(FX, rd.factor, rd.residue_field))
-        gens = [g for g in gens if not g.is_zero()]
-        if not gens:
-            per_root.append(False)
-            continue
-        per_root.append(ideal_contains_one(gens))
-    return ("true" if all(per_root) else "false"), per_root
+        if not ideal_contains_one([g for g in gens if not g.is_zero()]):
+            return "false"
+    return "true"
+
+
+def _linear_and_primitive(f):
+    """True when f has degree 1 in Z or in T, say f = a0 + a1*v, and the
+    coefficients a0, a1 in K[u] have gcd 1, gcd(0, a1) being a1.
+
+    Then f_v = a1, so (f, f_v) = (a0, a1) = (1): no point of the closure has
+    f = f_v = 0, and any further generator only enlarges the ideal.
+    """
+    for v, u in (("T", "Z"), ("Z", "T")):
+        if f.degree_in(v) == 1:
+            coeffs = f.coefficients((v,)).values()
+            if gcd_fold(coeffs, u).is_constant():
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +368,7 @@ def analyze(h, degree_bound=None, rng=None):
     char = hn.field.characteristic()
     if char == 0:
         report.theorem_path.append(RULE_LINE_EQ_COORDINATE_CHAR0)
-    report.regular, _ = regularity_check(hn, data, coords)
+    report.regular = regularity_check(hn, data, coords)
     report.theorem_path.append(RULE_REGULARITY)
 
     if not complete:

@@ -11,6 +11,11 @@ an element X_i - G_i(U) with G_i tag-only; G_i is then the normal form of
 X_i, so the inverses are read off the basis instead of reduced again.  This
 module is the independent referee for every certificate the rest of the
 system produces.
+
+A plane pair (f, g) of total degree 1 needs no elimination: (Z, T) -> (f, g)
+is then an affine map, invertible exactly when the determinant of its linear
+part is nonzero, so :func:`verify_plane_pair` decides it by that 2x2
+determinant, read off f and g alone.
 """
 
 from __future__ import annotations
@@ -111,7 +116,13 @@ def verify_coordinate_system(claim):
 
 
 def verify_plane_pair(f, g):
-    """Specialization to n = 2: is (f, g) a coordinate system of K[Z, T]?"""
+    """Specialization to n = 2: is (f, g) a coordinate system of K[Z, T]?
+
+    The two variables are the ones f and g use, padded from ``f.vars`` when
+    they use fewer.  When f and g both have total degree 1 in them, the
+    answer is whether the determinant of their linear parts is nonzero;
+    every other pair goes to :func:`verify_coordinate_system`.
+    """
     if f.vars != g.vars:
         g = g.with_vars(f.vars)
     used = [v for v in f.vars if f.involves(v) or g.involves(v)]
@@ -126,6 +137,12 @@ def verify_plane_pair(f, g):
         pair_vars,
         [f.with_vars(pair_vars), g.with_vars(pair_vars)],
     )
+    f, g = claim.polynomials
+    if f.total_degree() == 1 and g.total_degree() == 1:
+        field, zero = claim.field, claim.field.raw_zero()
+        f1, f2 = (f.terms.get(e, zero) for e in ((1, 0), (0, 1)))
+        g1, g2 = (g.terms.get(e, zero) for e in ((1, 0), (0, 1)))
+        return not field.raw_is_zero(field.raw_sub(field.raw_mul(f1, g2), field.raw_mul(f2, g1)))
     return verify_coordinate_system(claim).accepted
 
 

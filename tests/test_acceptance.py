@@ -274,7 +274,7 @@ def test_acceptance_8_regularity_oracle_agreement():
             data, complete = root_data(hn)
             if not complete:
                 continue
-            got, _ = regularity_check(hn, data, coordinate_results(data))
+            got = regularity_check(hn, data, coordinate_results(data))
             G = h.defining_polynomial()
             gens = [G] + [G.partial_derivative(v) for v in ("X", "Y", "Z", "T")]
             gens = [g for g in gens if not g.is_zero()]

@@ -430,7 +430,10 @@ def _count_calls(monkeypatch, name, *modules):
     "a, F, spec, vartests, groebner_tests, regular",
     [
         ("X", "Z^2+T^3+1", "Q", 1, 1, "true"),
-        ("X^2*(X-1)", "Z*T", "F5", 3, 2, "false"),
+        # both roots give Z*T, and the first is singular
+        ("X^2*(X-1)", "Z*T", "F5", 3, 1, "false"),
+        # Z*T + 1 is linear in T with coprime coefficients
+        ("X", "Z*T+1", "Q", 1, 0, "true"),
         # corpus/insep_double_binomial.case: both roots certified
         ("X^2*(X^2-s)", "Z^2+s*T^2+T", "F2(s)", 2, 0, "true"),
     ],
@@ -439,7 +442,8 @@ def test_flags_read_the_coordinate_outcome(
     monkeypatch, a, F, spec, vartests, groebner_tests, regular
 ):
     """One coordinate test per root (plus the base-field test of the chp3
-    rule) and Groebner regularity only on uncertified roots."""
+    rule) and Groebner regularity only on roots neither certified nor linear
+    with coprime coefficients, up to the first singular one."""
     field = parse_field_spec(spec)
     h = Hyperplane(
         parse_polynomial(a, field, ("X",)), parse_polynomial(F, field, XZT)
@@ -532,15 +536,15 @@ def test_regularity_examples():
     X, Z, T = xzt_vars(QQ)
     h = normalize(build(QQ, aX, Z * Z + T**3 + 1))
     data, _ = root_data(h)
-    assert regularity_check(h, data, coordinate_results(data))[0] == "true"
+    assert regularity_check(h, data, coordinate_results(data)) == "true"
 
     h2 = normalize(build(QQ, aX * aX, Z * Z))
     data2, _ = root_data(h2)
-    assert regularity_check(h2, data2, coordinate_results(data2))[0] == "false"
+    assert regularity_check(h2, data2, coordinate_results(data2)) == "false"
 
     h3 = normalize(build(QQ, aX * aX, Z))
     data3, _ = root_data(h3)
-    assert regularity_check(h3, data3, coordinate_results(data3))[0] == "true"
+    assert regularity_check(h3, data3, coordinate_results(data3)) == "true"
 
 
 def _jacobian_smoothness_oracle(h):
@@ -570,6 +574,15 @@ def test_regularity_agrees_with_jacobian_oracle(field):
         (aX * aX + 1, Z + X * T) if field is QQ else (aX, Z + T),
         (aX, Z * Z - T * T),
         (aX * aX * (aX - 1), T + Z**3),
+        (aX, Z * T + 1),  # linear in T, coefficients coprime
+        (aX, Z * T * T + Z + T),  # linear in Z, coefficients coprime
+        (aX, Z * T + Z),  # linear, not coprime: singular at (0, -1)
+        (aX, Z * T),  # a0 = 0 and a1 = Z: singular at the origin
+        (aX * aX, Z * T + 1 + X * Z * Z),  # a double root, linear and coprime
+        # three roots: the first singular and the last regular, then the
+        # first regular and the later ones singular
+        (aX * (aX - 1) * (aX - 2), Z * T + X * (X - 1)),
+        (aX * (aX - 1) * (aX - 2), Z * T + (X - 1) * (X - 2)),
     ]
     if field.characteristic() == 2:
         # one root accepted, one accepted only over an inseparable extension
@@ -593,6 +606,6 @@ def test_regularity_agrees_with_jacobian_oracle(field):
         data, complete = root_data(hn)
         if not complete:
             continue
-        got, _ = regularity_check(hn, data, coordinate_results(data))
+        got = regularity_check(hn, data, coordinate_results(data))
         want = "true" if _jacobian_smoothness_oracle(h) else "false"
         assert got == want, f"a={a}, F={F}"

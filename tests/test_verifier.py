@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rect4 import verifier
 from rect4.exprparse import parse_field_spec, parse_polynomial
 from rect4.fields import GF, QQ, extend, rational_function_field
 from rect4.plane_coordinates import vartest
@@ -62,6 +63,70 @@ def test_plane_pairs():
     assert verify_plane_pair(T, Z)
     assert verify_plane_pair(Z + T * T, T)
     assert not verify_plane_pair(Z * Z, T)
+
+
+def _count_groebner_calls(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return groebner_basis(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "groebner_basis", counting)
+    return calls
+
+
+def test_affine_pairs_are_decided_by_their_determinant(monkeypatch):
+    calls = _count_groebner_calls(monkeypatch)
+    for field, accepted in ((QQ, True), (GF(2), False)):
+        Z = MultiPoly.variable(field, ZT, "Z")
+        T = MultiPoly.variable(field, ZT, "T")
+        # determinant -2: a unit over Q, zero over F2
+        assert verify_plane_pair(Z + T, Z - T) is accepted
+    assert calls == []
+    # degree 1 against degree 2: Buchberger, although the linear parts
+    # (0, 1) and (1, 0) have determinant -1
+    Z = MultiPoly.variable(QQ, ZT, "Z")
+    T = MultiPoly.variable(QQ, ZT, "T")
+    assert not verify_plane_pair(T, Z + Z * T)
+    assert len(calls) == 1
+
+
+AFFINE_FIELDS = [QQ, GF(2), GF(5), extend(QQ, [1, 0, 1], "i"), rational_function_field(2)]
+
+
+@pytest.mark.parametrize("field", AFFINE_FIELDS, ids=str)
+def test_affine_pairs_agree_with_the_elimination_referee(field):
+    """verify_plane_pair on pairs of total degree at most 1, with
+    coefficients in -2..2, against the Buchberger referee of the same claim
+    over (Z, T).  Both polynomials are written in (Z, T) or in (X, Z, T) with
+    X unused; a pair that uses one variable takes the padding path."""
+    rng = random.Random(24)
+    seen = set()
+    for _ in range(60):
+        variables = rng.choice((ZT, ("X", "Z", "T")))
+        Z = MultiPoly.variable(field, variables, "Z")
+        T = MultiPoly.variable(field, variables, "T")
+        one_variable = rng.random() < 0.2
+        pair = []
+        for _ in range(2):
+            c0, c1, c2 = (field.from_int(rng.randint(-2, 2)) for _ in range(3))
+            if one_variable:
+                c2 = field.zero()
+            pair.append(Z.scale(c1) + T.scale(c2) + MultiPoly.constant(field, variables, c0))
+        f, g = pair
+        want = verify_coordinate_system(CoordinateClaim(ZT, [f.with_vars(ZT), g.with_vars(ZT)])).accepted
+        assert verify_plane_pair(f, g) == want, (str(f), str(g))
+        degrees = (f.total_degree(), g.total_degree())
+        if degrees == (1, 1):
+            seen.add("accepted" if want else "determinant 0")
+        elif 0 in degrees:
+            seen.add("constant")
+        if one_variable:
+            seen.add("one variable")
+        if len(variables) == 3:
+            seen.add("unused third variable")
+    assert seen == {"accepted", "determinant 0", "constant", "one variable", "unused third variable"}
 
 
 def test_acceptance_stable_under_linear_change(rng):
