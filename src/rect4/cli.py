@@ -71,12 +71,12 @@ def certificate_to_json(cert, f):
     steps = []
     for s in cert.steps:
         if s.kind == "linear":
-            (m00, m01), (m10, m11) = s.matrix
+            show = s.field.raw_str
             steps.append(
                 {
                     "kind": "linear",
-                    "matrix": [[str(m00), str(m01)], [str(m10), str(m11)]],
-                    "translation": [str(v) for v in s.translation],
+                    "matrix": [[show(m) for m in row] for row in s.matrix],
+                    "translation": [show(v) for v in s.translation],
                 }
             )
         else:

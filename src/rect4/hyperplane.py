@@ -71,14 +71,11 @@ class Hyperplane:
     """The pair (a, F) defining a(X)Y - F(X,Z,T) over a base field.
 
     ``a`` is univariate in X of degree >= 1; ``F`` lives in the variables
-    (X, Z, T).  ``original_F`` keeps the input polynomial: the regularity
-    test differentiates the pre-normalization F with respect to X.
+    (X, Z, T).
     """
 
     a: MultiPoly
     F: MultiPoly
-    normalized: bool = False
-    original_F: MultiPoly = None
 
     def __post_init__(self):
         if self.a.degree_in("X") < 1:
@@ -89,8 +86,6 @@ class Hyperplane:
         for v in self.F.vars:
             if v not in _XVARS and self.F.involves(v):
                 raise HyperplaneError("F may involve only X, Z and T")
-        if self.original_F is None:
-            self.original_F = self.F
 
     @property
     def field(self):
@@ -151,12 +146,13 @@ def normalize(h):
 
     Rectifiability, domain-ness and every residue-field specialization are
     unchanged: the difference is a multiple of a, which vanishes at each root.
+    So is F_X at a root that is not simple over the closure, where
+    a = a' = 0 (see :func:`regularity_check`).  Dividing a normalized F again
+    returns it unchanged.
     """
-    if h.normalized and h.F.degree_in("X") < h.a.degree_in("X"):
-        return h
     a3 = h.a.with_vars(h.F.vars)
     _, r = divmod_in_variable(h.F, a3, "X")
-    return Hyperplane(h.a, r, normalized=True, original_F=h.original_F)
+    return Hyperplane(h.a, r)
 
 
 def domain_check(h):
@@ -301,11 +297,13 @@ def regularity_check(h, data, coords):
     """Jacobian smoothness test, root by root: "true" or "false".
 
     Simple roots over the closure need (f, f_Z, f_T) = (1); multiple or
-    inseparable ones add the X-derivative of the original, pre-normalization
-    F.  Two closed forms show the ideal is (1) without Buchberger: a
-    certified root has (f_Z, f_T) = (1), and so does a root of the form
-    f = a0 + a1*v, v in {Z, T}, with gcd(a0, a1) = 1 in K[u] for the other
-    variable u, as (f, f_v) = (a0, a1) (see :func:`_linear_and_primitive`).
+    inseparable ones add F_X(lambda, Z, T).  There a(lambda) = a'(lambda) = 0,
+    so (q*a)_X = q_X*a + q*a' vanishes and F_X(lambda) is the same before and
+    after :func:`normalize` subtracts q*a.  Two closed forms show the ideal is
+    (1) without Buchberger: a certified root has (f_Z, f_T) = (1), and so
+    does a root of the form f = a0 + a1*v, v in {Z, T}, with gcd(a0, a1) = 1
+    in K[u] for the other variable u, as (f, f_v) = (a0, a1) (see
+    :func:`_linear_and_primitive`).
     Every other root gets a Groebner unit-ideal test, and the first one that
     fails makes the answer "false".
     """
@@ -315,7 +313,7 @@ def regularity_check(h, data, coords):
             continue
         gens = [f, f.partial_derivative("Z"), f.partial_derivative("T")]
         if not rd.kbar_simple:
-            FX = h.original_F.partial_derivative("X")
+            FX = h.F.partial_derivative("X")
             gens.append(_at_root(FX, rd.factor, rd.residue_field))
         if not ideal_contains_one([g for g in gens if not g.is_zero()]):
             return "false"

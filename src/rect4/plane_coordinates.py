@@ -13,6 +13,14 @@ and :func:`vartest` to the hyperplane report.  An accepted input carries a
 to f exactly, plus a complement polynomial; the Groebner-based verifier
 re-checks both independently.
 
+The test computes on raw field reps only, as :mod:`rect4.polynomials.multipoly`
+does: leading forms, scalar conditions, shears and the entries of every
+:class:`TameStep` are raw reps, compared as canonical reps.  The
+:class:`TameStep` constructor is the boundary where FieldElements are
+checked and unboxed; the one place that boxes is the rare adjoining of a
+p-power root, because :func:`~rect4.fields.composite_extension` takes
+elements.
+
 In characteristic p the scalar conditions can force a purely inseparable
 extension (p-power roots).  Coordinates over K never need one, so a reduction
 that succeeds only after such an extension is the status
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import composite_extension, fresh_generator_name
+from .fields import FieldElement, composite_extension, fresh_generator_name
 from .polynomials import MultiPoly
 
 
@@ -45,14 +53,29 @@ class TameStep:
     kind "linear": images Z -> m00*Z + m01*T + v0, T -> m10*Z + m11*T + v1
     with an invertible matrix.  kind "elementary": the target variable is
     shifted by a univariate polynomial in the other variable.
+
+    ``matrix`` and ``translation`` hold raw reps of ``field``.  The
+    constructor is the boundary: it takes raw reps or FieldElements, checks
+    each element against ``field`` and unboxes it, so steps built either way
+    compare equal.
     """
 
     kind: str
     field: object
-    matrix: tuple = None  # ((m00, m01), (m10, m11)) FieldElements
-    translation: tuple = None  # (v0, v1)
+    matrix: tuple = None  # ((m00, m01), (m10, m11)), raw reps
+    translation: tuple = None  # (v0, v1), raw reps
     target: str = None  # "Z" or "T"
     shift: object = None  # MultiPoly in the other variable
+
+    def __post_init__(self):
+        if self.kind == "linear":
+            coerce = self.field.coerce
+
+            def raw(row):
+                return tuple([coerce(c).rep if isinstance(c, FieldElement) else c for c in row])
+
+            object.__setattr__(self, "matrix", tuple(map(raw, self.matrix)))
+            object.__setattr__(self, "translation", raw(self.translation))
 
     def apply(self, poly):
         """Image of ``poly`` under the substitution: one nested Horner pass,
@@ -77,7 +100,7 @@ class TameStep:
             zero = (0,) * len(vars)
             basis = ((1,) + zero[1:], (0, 1) + zero[2:], zero)  # Z, T, 1
             images = [
-                (name, [(e, c.rep) for e, c in zip(basis, (*row, v)) if not is_zero(c.rep)])
+                (name, [(e, c) for e, c in zip(basis, (*row, v)) if not is_zero(c)])
                 for name, row, v in zip(vars, self.matrix, self.translation)
             ]
         else:
@@ -87,13 +110,13 @@ class TameStep:
         return poly.substitute_terms(images)
 
     def inverse(self):
-        """The inverse step; a linear one is inverted on raw coefficients."""
+        """The inverse step."""
         field = self.field
         if self.kind == "elementary":
             return TameStep("elementary", field, target=self.target, shift=-self.shift)
         add, mul, neg = field.raw_add, field.raw_mul, field.raw_neg
-        (m00, m01), (m10, m11) = [[m.rep for m in row] for row in self.matrix]
-        v0, v1 = [v.rep for v in self.translation]
+        (m00, m01), (m10, m11) = self.matrix
+        v0, v1 = self.translation
         det = field.raw_sub(mul(m00, m11), mul(m01, m10))
         if field.raw_is_zero(det):
             raise PlaneCoordinateError("linear step is not invertible")
@@ -102,13 +125,7 @@ class TameStep:
         i10, i11 = mul(neg(m10), di), mul(m00, di)
         w0 = neg(add(mul(i00, v0), mul(i01, v1)))
         w1 = neg(add(mul(i10, v0), mul(i11, v1)))
-        el = field.element
-        return TameStep(
-            "linear",
-            field,
-            matrix=((el(i00), el(i01)), (el(i10), el(i11))),
-            translation=(el(w0), el(w1)),
-        )
+        return TameStep("linear", field, matrix=((i00, i01), (i10, i11)), translation=(w0, w1))
 
     def promote(self, embedding):
         """This step over ``embedding.dst``, its coefficients embedded."""
@@ -120,13 +137,12 @@ class TameStep:
                 target=self.target,
                 shift=self.shift.embed(embedding),
             )
-        (m00, m01), (m10, m11) = self.matrix
-        v0, v1 = self.translation
+        raw = embedding.raw
         return TameStep(
             "linear",
             new_field,
-            matrix=((embedding(m00), embedding(m01)), (embedding(m10), embedding(m11))),
-            translation=(embedding(v0), embedding(v1)),
+            matrix=tuple(tuple(map(raw, row)) for row in self.matrix),
+            translation=tuple(map(raw, self.translation)),
         )
 
 
@@ -185,11 +201,13 @@ class CoordinateOutcome:
 
 
 def _power_of_linear_univariate(coeffs, field):
-    """Decide u = lc * (W - rho)^D for a dense univariate u of degree D >= 1.
+    """Decide u = lc * (W - rho)^D for a dense univariate u of degree D >= 1,
+    given by its raw coefficients, low degree first.
 
     Returns None when u is not such a power; otherwise ("value", rho) with
-    rho in the field, or ("extension", e, rho) meaning the root generates the
-    purely inseparable extension W^(p^e) = rho (rho has no p-th root).
+    rho a raw rep of the field, or ("extension", e, rho) meaning the root
+    generates the purely inseparable extension W^(p^e) = rho (rho has no p-th
+    root).
     """
     D = len(coeffs) - 1
     lc = coeffs[-1]
@@ -201,23 +219,25 @@ def _power_of_linear_univariate(coeffs, field):
             Dprime //= p
             e += 1
     stride = p**e if p else 1
+    zero = field.raw_zero()
     for i, c in enumerate(coeffs):
-        if i % stride and not c.is_zero():
+        if i % stride and c != zero:
             return None
-    psi = [coeffs[i] for i in range(0, len(coeffs), stride)]
-    # psi has degree Dprime with p not dividing Dprime
-    denom = field.from_int(Dprime) * lc
-    rho = -psi[-2] / denom if Dprime >= 1 else field.zero()
+    psi = coeffs[::stride]
+    # psi has degree Dprime >= 1 with p not dividing Dprime
+    mul, from_int = field.raw_mul, field.raw_from_int
+    neg_rho = field.raw_div(psi[-2], mul(from_int(Dprime), lc))
     # verify psi[k] == lc * C(Dprime, k) * (-rho)^(Dprime - k), from the top
     # down, so a mismatch returns after O(Dprime - k) steps
     binom, power = 1, lc
     for k in range(Dprime, -1, -1):
-        if psi[k] != power * field.from_int(binom):
+        if psi[k] != mul(power, from_int(binom)):
             return None
         binom = binom * k // (Dprime - k + 1)
-        power = power * -rho
+        power = mul(power, neg_rho)
+    rho = field.raw_neg(neg_rho)
     while e > 0:
-        r = field.pth_root(rho)
+        r = field.raw_pth_root(rho)
         if r is None:
             break
         rho = r
@@ -228,43 +248,27 @@ def _power_of_linear_univariate(coeffs, field):
 
 
 def _analyze_leading_form(lead, zname, tname):
-    """Classify a homogeneous form as c*Z^d, c*T^d or c*(Z + g*T)^d.
+    """Classify a homogeneous form of degree d >= 2 as c*Z^d, c*T^d or
+    c*(T - rho*Z)^d with rho != 0.
 
-    Returns ("Z", c) / ("T", c) / ("shift", c, result-from-univariate-test) /
+    Returns ("Z",), ("T",), ("shift", res) with res the answer of
+    :func:`_power_of_linear_univariate` on the coefficients read along T, or
     None.
     """
-    field = lead.field
     iz = lead.vars.index(zname)
     it = lead.vars.index(tname)
     d = lead.total_degree()
-    c0 = None
-    cd = None
-    mixed = False
+    if len(lead.terms) == 1:
+        (e,) = lead.terms
+        return ("Z",) if e[iz] == d else ("T",) if e[it] == d else None
+    zero = lead.field.raw_zero()
+    u = [zero] * (d + 1)
     for e, c in lead.terms.items():
-        if e[iz] == d:
-            c0 = field.element(c)
-        elif e[it] == d:
-            cd = field.element(c)
-        else:
-            mixed = True
-    if not mixed:
-        if c0 is not None and cd is None:
-            return ("Z", c0)
-        if cd is not None and c0 is None:
-            return ("T", cd)
-    if c0 is None:
+        u[e[it]] = c
+    if u[0] == zero or u[d] == zero:
         return None
-    u = [field.zero()] * (d + 1)
-    for e, c in lead.terms.items():
-        u[e[it]] = field.element(c)
-    while u and u[-1].is_zero():
-        u.pop()
-    if len(u) - 1 != d:
-        return None
-    res = _power_of_linear_univariate(u, field)
-    if res is None:
-        return None
-    return ("shift", c0, res)
+    res = _power_of_linear_univariate(u, lead.field)
+    return None if res is None else ("shift", res)
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +287,22 @@ def linear_fastpath(f):
     zn, tn = f.vars
     if f.degree_in(tn) > 1:
         return None
+    field, vars = f.field, f.vars
     coeffs = f.coefficients((tn,))
-    zero = MultiPoly.zero(f.field, f.vars)
+    zero = MultiPoly.zero(field, vars)
     a0, a1 = coeffs.get((0,), zero), coeffs.get((1,), zero)
     if a1.is_zero():
         if f.degree_in(zn) == 1:
             return _finish(f, [])
         return CoordinateOutcome("reject", reason="polynomial is univariate of degree != 1")
     if a1.is_constant():
-        c = a1.constant_value()
         steps = []
         if not a0.is_zero():
-            shift = a0.scale(-(c.inv()))
-            step = TameStep("elementary", f.field, target=tn, shift=shift)
+            # T -> T - a0/c turns f = a0 + c*T into c*T
+            m = field.raw_neg(field.raw_inv(a1.terms[(0, 0)]))
+            mul = field.raw_mul
+            shift = MultiPoly(field, vars, {e: mul(c, m) for e, c in a0.terms.items()})
+            step = TameStep("elementary", field, target=tn, shift=shift)
             steps.append(step.inverse())
             f = step.apply(f)
         return _finish(f, steps)
@@ -314,28 +321,26 @@ def _finish(work, inv_steps, embedding=None):
     one, so the outcome rejects over the input field and carries the
     certificate over the extension."""
     field, vars = work.field, work.vars
-    zn, tn = vars
-    zero = field.zero()
-    one = field.one()
-    alpha = work.coeff(_expv(vars, {zn: 1}))
-    beta = work.coeff(_expv(vars, {tn: 1}))
-    gamma = work.constant_term()
-    if not beta.is_zero():
-        bi = beta.inv()
-        mat = ((one, zero), (-alpha * bi, bi))
-        tr = (zero, -gamma * bi)
+    zero, one = field.raw_zero(), field.raw_one()
+    neg, mul, inv = field.raw_neg, field.raw_mul, field.raw_inv
+    # work = alpha*Z + beta*T + gamma
+    alpha, beta, gamma = (work.terms.get(e, zero) for e in ((1, 0), (0, 1), (0, 0)))
+    if beta != zero:
+        bi = inv(beta)
+        mat = ((one, zero), (neg(mul(alpha, bi)), bi))
+        tr = (zero, neg(mul(gamma, bi)))
     else:
-        ai = alpha.inv()
+        ai = inv(alpha)
         mat = ((zero, ai), (one, zero))
-        tr = (-gamma * ai, zero)
+        tr = (neg(mul(gamma, ai)), zero)
     final = TameStep("linear", field, matrix=mat, translation=tr)
     check = final.apply(work)
-    expected = MultiPoly.variable(field, vars, tn)
+    expected = MultiPoly.variable(field, vars, vars[1])
     if check != expected:
         raise PlaneCoordinateError("final normalization failed to produce T")
     steps = list(inv_steps) + [final.inverse()]
     cert = CoordinateCertificate(field, vars, steps, embedding=embedding)
-    cert.complement = cert.image_of_variable(zn)
+    cert.complement = cert.image_of_variable(vars[0])
     if embedding is None:
         return CoordinateOutcome("accept", certificate=cert)
     return CoordinateOutcome(
@@ -346,10 +351,6 @@ def _finish(work, inv_steps, embedding=None):
             f"{field}, not over {embedding.src}"
         ),
     )
-
-
-def _expv(vars, assignment):
-    return tuple(assignment.get(v, 0) for v in vars)
 
 
 def vartest(f):
@@ -380,11 +381,10 @@ def vartest(f):
     degree_log = [work.total_degree()]
 
     def extend_with(e, rho):
+        # the one boxing path: composite_extension takes FieldElements
         nonlocal field, embedding, work, inv_steps
-        p = field.characteristic()
-        deg = p**e
-        psi = [field.zero()] * (deg + 1)
-        psi[0] = -rho
+        psi = [field.zero()] * (field.characteristic() ** e + 1)
+        psi[0] = field.element(field.raw_neg(rho))
         psi[-1] = field.one()
         gen_name = fresh_generator_name(field)
         L, emb, root = composite_extension(field, psi, gen_name)
@@ -392,7 +392,7 @@ def vartest(f):
         inv_steps = [s.promote(emb) for s in inv_steps]
         embedding = emb if embedding is None else embedding.then(emb)
         field = L
-        return root
+        return root.rep
 
     def resolve(res):
         # ("value", rho), or ("extension", e, rho): adjoin rho^(1/p^e)
@@ -408,37 +408,22 @@ def vartest(f):
             return CoordinateOutcome("reject", reason="reduced to a constant")
         if d == 1:
             return _finish(work, inv_steps, embedding)
-        lead = work.leading_form()
-        info = _analyze_leading_form(lead, zn, tn)
+        info = _analyze_leading_form(work.leading_form(), zn, tn)
         if info is None:
             return CoordinateOutcome(
                 "reject",
                 reason="leading form is not a scaled power of a single linear form",
             )
-        if info[0] == "T":
-            step = TameStep(
-                "linear",
-                field,
-                matrix=((field.zero(), field.one()), (field.one(), field.zero())),
-                translation=(field.zero(), field.zero()),
-            )
+        if info[0] != "Z":
+            # a swap for c*T^d; for c*(T - rho*Z)^d the shear Z -> Z + T/rho.
+            # Either makes the leading form c'*Z^d.  resolve may extend the
+            # field, so zero and one are read after it.
+            rho = resolve(info[1]) if info[0] == "shift" else None
+            zero, one = field.raw_zero(), field.raw_one()
+            mat = ((zero, one), (one, zero)) if rho is None else ((one, field.raw_inv(rho)), (zero, one))
+            step = TameStep("linear", field, matrix=mat, translation=(zero, zero))
             work = step.apply(work)
             inv_steps.append(step.inverse())
-        elif info[0] == "shift":
-            rho = resolve(info[2])
-            if rho.is_zero():
-                raise PlaneCoordinateError("degenerate linear-form ratio")
-            gamma = -(rho.inv())
-            # lead = c*(Z + gamma*T)^d; substituting Z -> Z - gamma*T makes it c*Z^d
-            step = TameStep(
-                "linear",
-                field,
-                matrix=((field.one(), -gamma), (field.zero(), field.one())),
-                translation=(field.zero(), field.zero()),
-            )
-            work = step.apply(work)
-            inv_steps.append(step.inverse())
-        # now the leading form is c * Z^d
         n = work.degree_in(tn)
         if n <= 0 or d % n != 0:
             return CoordinateOutcome(
@@ -455,12 +440,12 @@ def vartest(f):
                 reason="weighted top form obstructs any degree-lowering "
                 "elementary step",
             )
-        phi = [field.zero()] * (n + 1)
+        phi = [field.raw_zero()] * (n + 1)
         iz = work.vars.index(zn)
         it = work.vars.index(tn)
         for e, c in work.terms.items():
             if e[iz] + q * e[it] == d:
-                phi[e[it]] = field.element(c)
+                phi[e[it]] = c
         res = _power_of_linear_univariate(phi, field)
         if res is None:
             return CoordinateOutcome(
@@ -471,7 +456,7 @@ def vartest(f):
         rho = resolve(res)
         shift_exp = [0] * len(work.vars)
         shift_exp[iz] = q
-        shift = MultiPoly.from_terms(field, work.vars, [(shift_exp, rho)])
+        shift = MultiPoly(field, work.vars, {tuple(shift_exp): rho})
         step = TameStep("elementary", field, target=tn, shift=shift)
         work = step.apply(work)
         inv_steps.append(step.inverse())

@@ -5,7 +5,9 @@ dict mapping exponent tuples to nonzero raw coefficients, in the
 representation of the field's ``raw_*`` interface.  Arithmetic runs on the raw
 coefficients; :class:`~rect4.fields.FieldElement` is the public boundary only:
 constructors such as :meth:`MultiPoly.from_dense` take elements or ints, and
-readers such as :meth:`MultiPoly.coeff` return elements.  The two views stay
+readers such as :meth:`MultiPoly.coeff` return elements.  The same holds for
+the plane-coordinate test of :mod:`rect4.plane_coordinates`, whose tame steps
+hold raw reps and take elements only at their constructor.  The two views stay
 raw: :meth:`MultiPoly.coefficients` (sparse, the nonzero coefficients in some
 variables) and :meth:`MultiPoly.to_dense` (the raw tuple that
 :mod:`rect4.dense` reads; :meth:`MultiPoly.from_raw_dense` inverts it).

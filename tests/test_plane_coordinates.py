@@ -1,13 +1,16 @@
+import json
 import random
 
 import pytest
 
+from rect4.cli import certificate_to_json
 from rect4.exprparse import parse_polynomial
-from rect4.fields import GF, QQ, extend, rational_function_field
+from rect4.fields import GF, QQ, FieldElement, FieldMismatch, extend, rational_function_field
 from rect4.polynomials import MultiPoly
 from rect4 import plane_coordinates
 from rect4.hyperplane import LINE, NOT_LINE, UNKNOWN_LINE, Hyperplane, analyze
 from rect4.plane_coordinates import (
+    CoordinateCertificate,
     PlaneCoordinateError,
     TameStep,
     complement,
@@ -103,6 +106,15 @@ def test_vartest_rejects_cusp_like():
     assert not r2.accepted
 
 
+def test_a_single_mixed_top_term_is_not_a_power_of_a_linear_form():
+    Z, T = zt_vars(QQ)
+    for f in (Z * T**2 + Z, Z**2 * T**3 + T, Z * T**4 + Z**3 + 1):
+        assert plane_coordinates._analyze_leading_form(f.leading_form(), "Z", "T") is None
+        outcome = vartest(f)
+        assert outcome.status == "reject"
+        assert outcome.reason == "leading form is not a scaled power of a single linear form"
+
+
 def test_vartest_rejects_products(rng):
     for field in (QQ, GF(5)):
         count = 0
@@ -137,6 +149,39 @@ def test_round_trip_random_tame(field, cap):
         if cap <= 10 and k % 3:
             continue  # elimination bases over the extension dominate runtime
         assert verify_plane_pair(f, r.certificate.complement)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), extend(QQ, [1, 0, 1], "i"), rational_function_field(2)], ids=str)
+def test_vartest_builds_no_field_element(field, monkeypatch):
+    # the test runs on raw reps throughout; FieldElement construction is
+    # counted as the benchmark's tracer counts it, by wrapping __init__
+    rng = random.Random(31)
+    inputs = [random_coordinate(field, rng, deg_cap=12) for _ in range(15)]
+    forms = []
+    analyze = plane_coordinates._analyze_leading_form
+
+    def recording_analyze(lead, zname, tname):
+        info = analyze(lead, zname, tname)
+        forms.append(info and info[0])
+        return info
+
+    built = []
+    init = FieldElement.__init__
+
+    def counting_init(self, field, rep):
+        built.append(rep)
+        init(self, field, rep)
+
+    monkeypatch.setattr(plane_coordinates, "_analyze_leading_form", recording_analyze)
+    monkeypatch.setattr(FieldElement, "__init__", counting_init)
+    field.one()
+    assert len(built) == 1  # the wrapper counts
+    built.clear()
+    outcomes = [vartest(f) for f in inputs]
+    assert built == []
+    monkeypatch.undo()
+    assert all(o.accepted for o in outcomes)
+    assert {"Z", "T", "shift"} <= set(forms)  # every branch of the reduction ran
 
 
 def test_invariance_under_units_translation_and_linear_maps(rng):
@@ -256,8 +301,9 @@ def reference_images(step, vars):
     Z = MultiPoly.variable(field, vars, zn)
     T = MultiPoly.variable(field, vars, tn)
     if step.kind == "linear":
-        (m00, m01), (m10, m11) = step.matrix
-        v0, v1 = step.translation
+        # the entries are raw reps; MultiPoly.scale and constant take elements
+        (m00, m01), (m10, m11) = [[field.element(c) for c in row] for row in step.matrix]
+        v0, v1 = [field.element(c) for c in step.translation]
         return {
             zn: Z.scale(m00) + T.scale(m01) + MultiPoly.constant(field, vars, v0),
             tn: Z.scale(m10) + T.scale(m11) + MultiPoly.constant(field, vars, v1),
@@ -338,6 +384,12 @@ def translated_linear_step(field, rng):
             return TameStep("linear", field, matrix=((m[0], m[1]), (m[2], m[3])), translation=tuple(v))
 
 
+def is_raw_rep(field, x):
+    """x is the canonical raw rep of an element of ``field``: printed by the
+    field and parsed back, it is x again (a base rep in an extension is not)."""
+    return parse_polynomial(field.raw_str(x), field, ZT).constant_value().rep == x
+
+
 @pytest.mark.parametrize("field", TAME_FIELDS + [insep_extension_field()], ids=str)
 def test_inverse_step_undoes_the_step(field):
     rng = random.Random(23)
@@ -354,7 +406,7 @@ def test_inverse_step_undoes_the_step(field):
             inverse = step.inverse()
             assert inverse.field == field
             if step.kind == "linear":
-                assert all(x.field == field for x in inverse.matrix[0] + inverse.matrix[1] + inverse.translation)
+                assert all(is_raw_rep(field, x) for x in inverse.matrix[0] + inverse.matrix[1] + inverse.translation)
                 assert inverse.inverse() == step
             for p in (random_field_poly(field, rng), MultiPoly.variable(field, ZT, "T")):
                 assert inverse.apply(step.apply(p)) == p
@@ -381,6 +433,38 @@ def test_apply_rejects_a_polynomial_over_another_field():
             step.apply(zt_vars(GF(5))[1])
         with pytest.raises(PlaneCoordinateError):
             step.apply(zt_vars(extend(QQ, [1, 0, 1], "i"))[1])
+
+
+def test_step_entries_are_unboxed_at_the_constructor():
+    # an element of another field is refused
+    QI = extend(QQ, [1, 0, 1], "i")
+    for field, other in ((QQ, GF(5)), (QQ, QI), (GF(5), GF(7)), (QI, QQ)):
+        one, zero = other.one(), other.zero()
+        with pytest.raises(FieldMismatch):
+            TameStep("linear", field, matrix=((one, zero), (zero, one)), translation=(zero, zero))
+        with pytest.raises(FieldMismatch):
+            TameStep("linear", field, matrix=((field.one(), field.zero()), (field.zero(), field.one())),
+                     translation=(one, field.zero()))
+    # element and raw entries give the same step and the same certificate text
+    rng = random.Random(29)
+    for field in TAME_FIELDS:
+        Z, T = zt_vars(field)
+        for _ in range(5):
+            boxed = [_pool_element(field, rng, (-2, -1, 0, 1, 2)) for _ in range(6)]
+            steps = [
+                TameStep("linear", field, matrix=(c[:2], c[2:4]), translation=c[4:])
+                for c in (boxed, [x.rep for x in boxed])
+            ]
+            assert steps[0] == steps[1] and hash(steps[0]) == hash(steps[1])
+            assert steps[0].matrix == ((boxed[0].rep, boxed[1].rep), (boxed[2].rep, boxed[3].rep))
+            texts = [
+                json.dumps(certificate_to_json(CoordinateCertificate(field, ZT, [s], s.apply(Z)), s.apply(T)))
+                for s in steps
+            ]
+            assert texts[0] == texts[1]
+            doc = json.loads(texts[0])["steps"][0]
+            assert doc["matrix"] == [[str(c) for c in boxed[:2]], [str(c) for c in boxed[2:4]]]
+            assert doc["translation"] == [str(c) for c in boxed[4:]]
 
 
 # -- scaled powers of linear polynomials ---------------------------------------
@@ -438,8 +522,9 @@ def test_power_of_linear_matches_the_expanded_power(field, max_e):
         if rng.random() < 0.5:  # perturb one coefficient below the top
             k = rng.randrange(len(u) - 1)
             u[k] = u[k] + _pool_element(field, rng, (1, 2))
-        got = plane_coordinates._power_of_linear_univariate(u, field)
-        assert got == reference_power_of_linear(u, field), (u, field)
+        got = plane_coordinates._power_of_linear_univariate([c.rep for c in u], field)
+        want = reference_power_of_linear(u, field)
+        assert got == (want and (*want[:-1], want[-1].rep)), (u, field)
         outcomes.add(got[0] if got else None)
     assert {None, "value"} <= outcomes
     assert ("extension" in outcomes) == (max_e == 3)
