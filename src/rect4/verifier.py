@@ -12,10 +12,25 @@ X_i, so the inverses are read off the basis instead of reduced again.  This
 module is the independent referee for every certificate the rest of the
 system produces.
 
-A plane pair (f, g) of total degree 1 needs no elimination: (Z, T) -> (f, g)
-is then an affine map, invertible exactly when the determinant of its linear
-part is nonzero, so :func:`verify_plane_pair` decides it by that 2x2
-determinant, read off f and g alone.
+A plane pair (f, g) is decided by elimination only when no closed form
+decides it.  :func:`verify_plane_pair` has three exact routes before
+Buchberger, each an "iff", so every verdict is the one elimination gives:
+
+* an affine pair: (Z, T) -> (f, g) is invertible exactly when the 2x2
+  determinant of the linear parts is nonzero;
+* an elementary member b = c*v + h(w), with c in K*, {v, w} = {Z, T} and h in
+  K[w]: sigma: v -> (v - h(w))/c is an automorphism with b o sigma = v, so
+  K[f, g] = K[Z, T] exactly when K[v, a o sigma] = K[v][w] for the other
+  member a.  A K[v]-variable of K[v][w] has w-degree 1 with a unit leading
+  coefficient (degrees in w multiply under composition over the domain
+  K[v]), so this holds exactly when a o sigma = alpha*w + k(v) with alpha in
+  K*, a scan of its exponents (van den Essen, *Polynomial Automorphisms*,
+  2000, section 5.1);
+* one shear: a member of degree d >= 2 with a Z^d term, d != 0 in K, whose
+  leading form may be c*(Z + rho*T)^d; rho is read off its Z^(d-1)*T term,
+  Z -> Z - rho*T is applied to both members and the elementary test runs
+  once more.  rho only picks the automorphism: a wrong guess decides
+  nothing and the pair goes to Buchberger.
 """
 
 from __future__ import annotations
@@ -119,9 +134,13 @@ def verify_plane_pair(f, g):
     """Specialization to n = 2: is (f, g) a coordinate system of K[Z, T]?
 
     The two variables are the ones f and g use, padded from ``f.vars`` when
-    they use fewer.  When f and g both have total degree 1 in them, the
-    answer is whether the determinant of their linear parts is nonzero;
-    every other pair goes to :func:`verify_coordinate_system`.
+    they use fewer.  Three routes decide without elimination (see the module
+    docstring): when f and g both have total degree 1, the determinant of
+    their linear parts; when a member is elementary, c*v + h(w), whether the
+    other member, composed with the automorphism that takes that member to
+    v, is a K[v]-variable alpha*w + k(v); and the same test once more after
+    the shear read off a leading form.  Every other pair goes to
+    :func:`verify_coordinate_system`.
     """
     if f.vars != g.vars:
         g = g.with_vars(f.vars)
@@ -140,10 +159,78 @@ def verify_plane_pair(f, g):
     f, g = claim.polynomials
     if f.total_degree() == 1 and g.total_degree() == 1:
         field, zero = claim.field, claim.field.raw_zero()
-        f1, f2 = (f.terms.get(e, zero) for e in ((1, 0), (0, 1)))
-        g1, g2 = (g.terms.get(e, zero) for e in ((1, 0), (0, 1)))
+        f1, f2 = (f.terms.get(e, zero) for e in _UNITS)
+        g1, g2 = (g.terms.get(e, zero) for e in _UNITS)
         return not field.raw_is_zero(field.raw_sub(field.raw_mul(f1, g2), field.raw_mul(f2, g1)))
+    verdict = _elementary_verdict(f, g)
+    if verdict is None:
+        sheared = _shear(f, g)
+        if sheared is not None:
+            verdict = _elementary_verdict(*sheared)
+    if verdict is not None:
+        return verdict
     return verify_coordinate_system(claim).accepted
+
+
+# exponents of the two plane variables x_0, x_1
+_UNITS = ((1, 0), (0, 1))
+
+
+def _elementary(p, i):
+    """The coefficient c when p = c*x_i + h(x_j), with c in K* and h in
+    K[x_j] for the other variable x_j; otherwise None."""
+    unit = _UNITS[i]
+    c = p.terms.get(unit)
+    if c is not None and all(e[i] == 0 or e == unit for e in p.terms):
+        return c
+    return None
+
+
+def _straighten(a, b, i, c):
+    """a o sigma for sigma: x_i -> (x_i - h(x_j))/c, where b = c*x_i + h(x_j)
+    and so b o sigma = x_i."""
+    field = a.field
+    inv = field.raw_inv(c)
+    unit, scale = _UNITS[i], field.raw_neg(inv)
+    image = [(e, inv if e == unit else field.raw_mul(scale, cf)) for e, cf in b.terms.items()]
+    return a.substitute_terms([(a.vars[i], image)])
+
+
+def _elementary_verdict(f, g):
+    """Whether K[f, g] = K[x_0, x_1] when f or g is elementary, else None:
+    for b = c*x_i + h(x_j), whether the other member a makes a o sigma of
+    :func:`_straighten` a K[x_i]-variable alpha*x_j + k(x_i) (see the module
+    docstring)."""
+    for b, a in ((f, g), (g, f)):
+        for i in (0, 1):
+            c = _elementary(b, i)
+            if c is not None:
+                return _elementary(_straighten(a, b, i, c), 1 - i) is not None
+    return None
+
+
+def _shear(f, g):
+    """(f, g) o (x_0 -> x_0 - rho*x_1), or None when no shear is read.
+
+    rho is read off the first member b of total degree d >= 2 that has an
+    x_0^d term and d != 0 in K: coef(x_0^(d-1)*x_1) / (d*coef(x_0^d)), so
+    that a leading form c*(x_0 + rho*x_1)^d becomes c*x_0^d.  rho only picks
+    the automorphism to try: a wrong guess leaves both members
+    non-elementary and the pair goes to Buchberger.
+    """
+    field = f.field
+    for b in (f, g):
+        d = b.total_degree()
+        top, n = b.terms.get((d, 0)), field.raw_from_int(d)
+        if d < 2 or top is None or field.raw_is_zero(n):
+            continue
+        rho = b.terms.get((d - 1, 1))
+        if rho is None:
+            return None
+        rho = field.raw_div(rho, field.raw_mul(n, top))
+        image = [(_UNITS[0], field.raw_one()), (_UNITS[1], field.raw_neg(rho))]
+        return tuple(p.substitute_terms([(p.vars[0], image)]) for p in (f, g))
+    return None
 
 
 def replay_inverses(claim, outcome):

@@ -130,6 +130,7 @@ def test_domain_agrees_with_per_root_splitting_oracle(rng):
     "a,F,field,code,line",
     [
         ("X", "Z^10000000+T^2", "Q", 1, "verdict:   NotRectifiable"),
+        ("X", "Z^10000000+T", "Q", 0, "verdict:   Rectifiable"),
         ("X", "X*Z^10000000+X*T", "Q", 3, "common factor: X"),
         ("X^2+1", "Z^10000000*T^2+T^3", "F5", 2, "verdict:   Inconclusive"),
     ],

@@ -84,11 +84,17 @@ def test_affine_pairs_are_decided_by_their_determinant(monkeypatch):
         # determinant -2: a unit over Q, zero over F2
         assert verify_plane_pair(Z + T, Z - T) is accepted
     assert calls == []
-    # degree 1 against degree 2: Buchberger, although the linear parts
-    # (0, 1) and (1, 0) have determinant -1
+    # degree 1 against degree 2 is not affine, although the linear parts
+    # (0, 1) and (1, 0) have determinant -1: T is elementary, and Z + Z*T
+    # is not a K[T]-variable
     Z = MultiPoly.variable(QQ, ZT, "Z")
     T = MultiPoly.variable(QQ, ZT, "T")
     assert not verify_plane_pair(T, Z + Z * T)
+    # one variable used: T is padded in, and Z is elementary
+    assert not verify_plane_pair(Z, Z * Z)
+    assert calls == []
+    # no member elementary and no shear read: Buchberger, once
+    assert not verify_plane_pair(Z * T, Z * Z + T * T)
     assert len(calls) == 1
 
 
@@ -127,6 +133,193 @@ def test_affine_pairs_agree_with_the_elimination_referee(field):
         if len(variables) == 3:
             seen.add("unused third variable")
     assert seen == {"accepted", "determinant 0", "constant", "one variable", "unused third variable"}
+
+
+def _unit(field, rng):
+    """A random nonzero element, with the generator or the parameter of the
+    field mixed in now and then."""
+    while True:
+        c = field.from_int(rng.choice((1, 2, 3, -1, -2)))
+        for name in ("generator", "parameter"):
+            if hasattr(field, name) and rng.random() < 0.3:
+                c = c + getattr(field, name)()
+        if not c.is_zero():
+            return c
+
+
+def _univariate(field, rng, var, deg):
+    """A random polynomial in ``var`` alone of degree exactly ``deg``; zero
+    when ``deg`` is negative."""
+    if deg < 0:
+        return MultiPoly.zero(field, ZT)
+    coeffs = [field.from_int(rng.randint(-2, 2)) for _ in range(deg)] + [_unit(field, rng)]
+    return MultiPoly.from_dense(field, ZT, var, coeffs)
+
+
+def _elementary_member(field, rng, v, w, deg=None):
+    """c*v + h(w) with c a unit and h of degree ``deg`` (random in -1..3,
+    -1 for h = 0, when None)."""
+    deg = rng.randint(-1, 3) if deg is None else deg
+    return MultiPoly.variable(field, ZT, v).scale(_unit(field, rng)) + _univariate(field, rng, w, deg)
+
+
+def _second_member(field, rng, v, w, accepted):
+    """A in K[v, w]: alpha*w + k(v) with alpha a unit when ``accepted``, else
+    that form spoiled by a term v^i*w, a term w^2 or a missing w."""
+    k = _univariate(field, rng, v, rng.randint(-1, 2))
+    W = MultiPoly.variable(field, ZT, w)
+    if accepted:
+        return W.scale(_unit(field, rng)) + k
+    V = MultiPoly.variable(field, ZT, v)
+    spoil = rng.choice(("v^i*w", "w^2", "no w"))
+    if spoil == "v^i*w":
+        return W.scale(_unit(field, rng)) + V ** rng.randint(1, 2) * W.scale(_unit(field, rng)) + k
+    if spoil == "w^2":
+        return (W * W).scale(_unit(field, rng)) + W.scale(field.from_int(rng.randint(-2, 2))) + k
+    return k
+
+
+def _is_elementary(p):
+    """Test-side oracle: p = c*v + h(w) for some order {v, w} = {Z, T}."""
+    return any(
+        unit in p.terms and all(e[i] == 0 or e == unit for e in p.terms)
+        for i, unit in enumerate(((1, 0), (0, 1)))
+    )
+
+
+def _plane_pair(field, rng, kind):
+    """A pair over (Z, T) built to take the route ``kind``, or None when the
+    draw does not have the shape that route needs."""
+    Z, T = (MultiPoly.variable(field, ZT, x) for x in ZT)
+    if kind in ("elementary", "shear"):
+        if kind == "elementary":
+            v, w = rng.sample(ZT, 2)
+            b = _elementary_member(field, rng, v, w)
+        else:
+            # the shear is read off a degree d with d != 0 in K
+            v, w = "T", "Z"
+            b = _elementary_member(field, rng, v, w, rng.choice([d for d in (2, 3) if not field.from_int(d).is_zero()]))
+        accepted = rng.random() < 0.5
+        # a o sigma = A for sigma: v -> (v - h(w))/c, since b o sigma = v
+        a = _second_member(field, rng, v, w, accepted).substitute({v: b})
+        pair = [b, a]
+        if kind == "shear":
+            # Z -> Z + rho*T; the referee reads rho back off b's leading form,
+            # and off a's too when both are powers of the same linear form
+            image = Z + T.scale(_unit(field, rng))
+            pair = [p.substitute({"Z": image}) for p in pair]
+            if any(_is_elementary(p) for p in pair):
+                return None
+            if not accepted:
+                # b first: a spoiled a need not have a power of that linear
+                # form as its leading form, so rho is read off b
+                return pair
+        rng.shuffle(pair)
+        return pair
+    if kind == "shear fails":
+        # a leading form (Z + rho*T)^3 that the shear straightens, but no
+        # member becomes elementary
+        line = Z + T.scale(_unit(field, rng))
+        f = line**3 + random_poly(field, ZT, rng, max_deg=1)
+        g = random_poly(field, ZT, rng, max_deg=2) + (Z * T).scale(_unit(field, rng))
+        return [f, g]
+    if kind == "no shear":
+        # no x_0^d term with its x_0^(d-1)*x_1 partner (or d = 0 in K)
+        return [(Z * T).scale(_unit(field, rng)) + MultiPoly.constant(field, ZT, rng.randint(-2, 2)),
+                (Z * Z).scale(_unit(field, rng)) + (T * T).scale(_unit(field, rng))]
+    if kind == "constant":
+        v, w = rng.sample(ZT, 2)
+        return [MultiPoly.constant(field, ZT, rng.randint(-2, 2)), _elementary_member(field, rng, v, w)]
+    # "one variable": c*v + k0 against a univariate polynomial in v
+    v = rng.choice(ZT)
+    return [_elementary_member(field, rng, v, v, deg=0), _univariate(field, rng, v, rng.randint(2, 3))]
+
+
+ROUTE_KINDS = ("elementary", "shear", "shear fails", "no shear", "constant", "one variable")
+
+
+@pytest.mark.parametrize("field", AFFINE_FIELDS, ids=str)
+def test_closed_forms_agree_with_the_elimination_referee(field, monkeypatch):
+    """verify_plane_pair on seeded pairs built for every route it has
+    against the Buchberger referee of the same claim over (Z, T).
+
+    The route a pair took is observed: whether the shear was read and
+    whether Buchberger ran.  A pair built with an elementary member must be
+    decided without Buchberger, and one built as an elementary pair after a
+    shear must be decided by that shear.  Rejections are seeded on purpose:
+    the spoiled second members of ``_second_member``, a constant member and
+    the one-variable pairs.
+    """
+    rng = random.Random(26)
+    calls = _count_groebner_calls(monkeypatch)
+    shear, sheared = verifier._shear, []
+
+    def recording(f, g):
+        out = shear(f, g)
+        sheared.append(out is not None)
+        return out
+
+    monkeypatch.setattr(verifier, "_shear", recording)
+    seen = set()
+    for kind in ROUTE_KINDS * 12:
+        pair = _plane_pair(field, rng, kind)
+        if pair is None:
+            continue
+        variables = rng.choice((ZT, ("X", "Z", "T")))
+        f, g = (p.with_vars(variables) for p in pair)
+        del calls[:], sheared[:]
+        got = verify_plane_pair(f, g)
+        route = {
+            ((), False): "closed form",
+            ((True,), False): "shear",
+            ((True,), True): "shear fails",
+            ((False,), True): "Buchberger",
+        }[tuple(sheared), bool(calls)]
+        assert len(calls) <= 1
+        want = verify_coordinate_system(CoordinateClaim(ZT, list(pair))).accepted
+        assert got == want, (kind, str(f), str(g))
+        if kind == "elementary":
+            assert route == "closed form", (str(f), str(g))
+        if kind == "shear":
+            assert route == "shear", (str(f), str(g))
+        verdict = "accept" if want else "reject"
+        seen.add(f"{route} {verdict}" if route in ("closed form", "shear") else route)
+        if kind in ("constant", "one variable"):
+            seen.add(kind)
+        if len(variables) == 3:
+            seen.add("unused third variable")
+    assert seen >= {
+        "closed form accept",
+        "closed form reject",
+        "shear accept",
+        "shear reject",
+        "shear fails",
+        "Buchberger",
+        "constant",
+        "one variable",
+        "unused third variable",
+    }
+
+
+@pytest.mark.parametrize("field", AFFINE_FIELDS, ids=str)
+def test_straightening_is_the_substitution(field):
+    """verifier._straighten(a, b, i, c) is a o sigma for sigma: x_i ->
+    (x_i - h)/c, where b = c*x_i + h(x_j): it takes b to x_i, and it agrees
+    with MultiPoly.substitute, also on a monomial b."""
+    rng = random.Random(26)
+    monomials = 0
+    for _ in range(20):
+        i = rng.randint(0, 1)
+        v, w = ZT[i], ZT[1 - i]
+        b = _elementary_member(field, rng, v, w)
+        monomials += len(b.terms) == 1
+        x = MultiPoly.variable(field, ZT, v)
+        c = b.coeff((1, 0) if i == 0 else (0, 1))
+        sigma = {v: (x - (b - x.scale(c))).scale(c.inv())}
+        assert verifier._straighten(b, b, i, c.rep) == x
+        a = random_poly(field, ZT, rng)
+        assert verifier._straighten(a, b, i, c.rep) == a.substitute(sigma), (str(a), str(b))
+    assert monomials
 
 
 def test_acceptance_stable_under_linear_change(rng):
