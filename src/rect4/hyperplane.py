@@ -12,18 +12,22 @@ Each criterion reads the root's coordinate outcome first: the
 returns, kept as is in ``AnalysisReport.coordinates``.  An accepted f is a
 line.  An f certified over K, or over the purely inseparable L the test may
 adjoin, is irreducible, and its partner g gives Jac(f, g) = c != 0, so
-(f_Z, f_T) = (1) over L, hence over K (L[Z,T] is free over K[Z,T]).  Only
-uncertified roots reach the Kronecker and Groebner tests.  Regularity skips
-Groebner on one more kind of root, f = a0 + a1*v linear in v = Z or T with
-gcd(a0, a1) = 1, whose (f, f_v) is already (1), and stops at the first
-singular root.
+(f_Z, f_T) = (1) over L, hence over K (L[Z,T] is free over K[Z,T]).  An
+uncertified root of the form f = a0 + a1*v, linear in v = Z or T with
+gcd(a0, a1) = 1 in K[u] for the other variable u, carries one more closed
+form, the linear-fibre certificate (:attr:`RootDatum.linear_fibre`),
+computed once and read by two flags: such an f is irreducible, since a split
+leaves a factor in K[u] dividing both a0 and a1, and (f, f_v) = (a0, a1) is
+already (1).  Only the other roots reach the Kronecker and Groebner tests,
+and regularity stops at the first singular root.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dataclass_field
 
-from .fields import ExtensionField, fresh_generator_name
+from .fields import Embedding, ExtensionField, fresh_generator_name
 from .polynomials import (
     MultiPoly,
     bivariate_irreducible,
@@ -114,6 +118,13 @@ class RootDatum:
         separable (equivalently a'(lambda) != 0)."""
         return self.simple and self.separable
 
+    @functools.cached_property
+    def linear_fibre(self):
+        """The linear-fibre certificate :func:`_linear_and_primitive` of the
+        specialization, computed once and read by both :func:`ufd_check` and
+        :func:`regularity_check`."""
+        return _linear_and_primitive(self.specialization)
+
 
 @dataclass
 class AnalysisReport:
@@ -147,9 +158,12 @@ def normalize(h):
     Rectifiability, domain-ness and every residue-field specialization are
     unchanged: the difference is a multiple of a, which vanishes at each root.
     So is F_X at a root that is not simple over the closure, where
-    a = a' = 0 (see :func:`regularity_check`).  Dividing a normalized F again
-    returns it unchanged.
+    a = a' = 0 (see :func:`regularity_check`).  An F of X-degree below
+    deg a is its own remainder, so h is returned as it is, without a
+    division; in particular a normalized F is.
     """
+    if h.F.degree_in("X") < h.a.degree_in("X"):
+        return h  # the remainder is F itself
     a3 = h.a.with_vars(h.F.vars)
     _, r = divmod_in_variable(h.F, a3, "X")
     return Hyperplane(h.a, r)
@@ -216,9 +230,21 @@ def root_data(h, rng=None):
 
 def _at_root(poly, p, K):
     """poly(lambda, Z, T) in K[Z,T] for a base-field poly in (X, Z, T), where
-    lambda is the root of the monic factor p that generates K."""
-    lam = -p.constant_term() if K == poly.field else K.generator()
-    return poly.substitute({"X": lam}).with_vars(("Z", "T"))
+    lambda is the root of the monic factor p that generates K.
+
+    One :meth:`~MultiPoly.substitute_terms` on raw reps: lambda is -p(0) when
+    p is linear and K the base field, else the generator of K, into which
+    poly is embedded first.  The image of X is a list of nonzero terms, so
+    lambda = 0 is the empty list.
+    """
+    field = poly.field
+    if K == field:
+        lam = field.raw_neg(p.to_dense("X")[0])
+    else:
+        poly = poly.embed(Embedding(field, K))
+        lam = K._gen
+    image = [] if K.raw_is_zero(lam) else [((0,) * len(poly.vars), lam)]
+    return poly.substitute_terms([("X", image)]).with_vars(("Z", "T"))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +267,9 @@ def ufd_check(data, coords, degree_bound=None):
     """"true" iff every specialization is irreducible or a nonzero constant.
 
     A certified root is irreducible (irreducibility descends from any field
-    extension), so only the others reach the Kronecker machinery.  Returns
+    extension), and so is a root with the linear-fibre certificate
+    (:attr:`RootDatum.linear_fibre`, the one that :func:`regularity_check`
+    reads too), so only the others reach the Kronecker machinery.  Returns
     the flag, the per-root verdicts and the per-root reasons (the cause of an
     "unknown" verdict, else None).
     """
@@ -249,7 +277,7 @@ def ufd_check(data, coords, degree_bound=None):
     for rd, cr in zip(data, coords):
         f = rd.specialization
         reason = None
-        if f.is_constant() or cr.certified:
+        if f.is_constant() or cr.certified or rd.linear_fibre:
             verdict = "true"  # a nonzero constant is a unit
         else:
             kwargs = {} if degree_bound is None else {"bound": degree_bound}
@@ -302,15 +330,16 @@ def regularity_check(h, data, coords):
     after :func:`normalize` subtracts q*a.  Two closed forms show the ideal is
     (1) without Buchberger: a certified root has (f_Z, f_T) = (1), and so
     does a root of the form f = a0 + a1*v, v in {Z, T}, with gcd(a0, a1) = 1
-    in K[u] for the other variable u, as (f, f_v) = (a0, a1) (see
-    :func:`_linear_and_primitive`).
+    in K[u] for the other variable u, as (f, f_v) = (a0, a1): the
+    linear-fibre certificate :attr:`RootDatum.linear_fibre`, which
+    :func:`ufd_check` has already computed for the same root.
     Every other root gets a Groebner unit-ideal test, and the first one that
     fails makes the answer "false".
     """
     for rd, cr in zip(data, coords):
-        f = rd.specialization
-        if cr.certified or _linear_and_primitive(f):
+        if cr.certified or rd.linear_fibre:
             continue
+        f = rd.specialization
         gens = [f, f.partial_derivative("Z"), f.partial_derivative("T")]
         if not rd.kbar_simple:
             FX = h.F.partial_derivative("X")

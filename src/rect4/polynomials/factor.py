@@ -259,34 +259,50 @@ def recombine(cofactor, items, split, limit=None):
     """(divisors, cofactor): the divisors that subset recombination
     (Zassenhaus) splits off ``cofactor``, and what is left of it.
 
-    ``items`` are (key, factor) pairs.  Sub-multisets of them are tried by
-    increasing size, in combination order, each distinct tuple of keys once
-    per pass, so factors that repeat with multiplicity are not tried twice.
-    ``split(cofactor, factors)`` returns (divisor, quotient) when the
-    factors' product yields a divisor of the cofactor, else None; the divisor
-    is split off, its items are removed and the same size is tried again.  A
-    divisor found at the smallest size left is irreducible, and once twice
-    the size exceeds the items left the cofactor is irreducible too.  With
-    ``limit`` the search stops after that many divisors.
+    ``items`` are (key, factor) pairs, grouped by key: equal keys are
+    adjacent and hold equal factors, one factor repeated with multiplicity.
+    Sub-multisets of them are tried by increasing size, each once per pass,
+    in the order in which ``itertools.combinations`` over the items first
+    meets their key tuples (see :func:`_sub_multisets`).  ``split(cofactor,
+    factors)`` returns (divisor, quotient) when the factors' product yields a
+    divisor of the cofactor, else None; the divisor is split off, its items
+    are removed and the same size is tried again.  A divisor found at the
+    smallest size left is irreducible, and once twice the size exceeds the
+    items left the cofactor is irreducible too.  With ``limit`` the search
+    stops after that many divisors.
     """
+    groups = [list(group) for _, group in itertools.groupby(items, key=lambda item: item[0])]
+    factors = [group[0][1] for group in groups]
+    counts = [len(group) for group in groups]
     divisors = []
     size = 1
-    while 2 * size <= len(items) and len(divisors) != limit:
-        seen = set()
-        for combo in itertools.combinations(range(len(items)), size):
-            key = tuple(items[k][0] for k in combo)
-            if key in seen:
-                continue
-            seen.add(key)
-            found = split(cofactor, [items[k][1] for k in combo])
+    while 2 * size <= sum(counts) and len(divisors) != limit:
+        for taken in _sub_multisets(counts, size):
+            found = split(cofactor, [g for g, n in zip(factors, taken) for _ in range(n)])
             if found is not None:
                 divisor, cofactor = found
                 divisors.append(divisor)
-                items = [item for k, item in enumerate(items) if k not in combo]
+                counts = [c - n for c, n in zip(counts, taken)]
                 break
         else:
             size += 1
     return divisors, cofactor
+
+
+def _sub_multisets(counts, size):
+    """Every way to take ``size`` items from groups of ``counts`` items, as
+    the tuple of the numbers taken per group: the first group as often as
+    the size and the groups after it allow, most first, then the rest the
+    same way.  That is the lexicographic order of the key tuples, the order
+    in which ``itertools.combinations`` over grouped items first meets them.
+    """
+    if not counts:
+        yield ()
+        return
+    first, rest = counts[0], counts[1:]
+    for n in range(min(first, size), max(0, size - sum(rest)) - 1, -1):
+        for tail in _sub_multisets(rest, size - n):
+            yield (n, *tail)
 
 
 def _hensel_lift_tree(f, factors, F, k):

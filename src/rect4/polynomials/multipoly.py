@@ -686,7 +686,14 @@ def divmod_in_variable(f, g, var):
 
 def univariate_gcd(f, g, var=None):
     """Monic gcd of two polynomials that are univariate in a common variable;
-    1 at once when either is a nonzero constant."""
+    1 at once when either is a nonzero constant.
+
+    A linear argument b = b0 + b1*x decides by one evaluation, over every
+    field: the gcd is monic(b) when the other argument a has a(-b0/b1) = 0,
+    and 1 otherwise.  Other gcds run the integer primitive PRS over Q
+    (:func:`~rect4.polynomials.zpoly.rational_gcd`) and Euclid's algorithm
+    (:func:`rect4.dense.gcd`) elsewhere; all return the same monic gcd.
+    """
     if f.is_zero():
         return g.monic() if not g.is_zero() else g
     if g.is_zero():
@@ -698,6 +705,13 @@ def univariate_gcd(f, g, var=None):
     var = f.univariate_var(var)
     field = f.field
     a, b = f.to_dense(var), g.to_dense(var)
+    if len(a) == 2:
+        a, b = b, a
+    if len(b) == 2:
+        c = field.raw_div(b[0], b[1])  # monic(b) = c + x
+        if field.raw_is_zero(dense.eval(field, a, field.raw_neg(c))):
+            return MultiPoly.from_raw_dense(field, f.vars, var, (c, field.raw_one()))
+        return MultiPoly.one(field, f.vars)
     if isinstance(field, RationalField):
         # over Q the gcd stays in Z[X]
         return MultiPoly.from_raw_dense(field, f.vars, var, rational_gcd(field, a, b))

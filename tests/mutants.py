@@ -13,7 +13,9 @@ package, one entry each:
 For each mutant the repository is copied into a temporary directory outside
 it, the change is applied there, and every named test runs in its own
 ``pytest`` process on the copy, under the suite's own 30 s cap per test.  A
-test kills the mutant when it fails.  Stdlib only; from anywhere:
+test kills the mutant when it fails.  Mutants run concurrently, one per CPU
+this process may use (``os.sched_getaffinity``), each on its own copy; the
+rows are printed in ledger order.  Stdlib only; from anywhere:
 
     python3 tests/mutants.py
 
@@ -30,6 +32,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,13 +82,14 @@ def main():
     mutants = load()
     width = max(len(m["name"]) for m in mutants)
     mismatches = 0
-    for m in mutants:
-        outcome = run_mutant(m)
-        got = verdict(outcome)
-        mismatches += got != m["expect"]
-        cells = " ".join("K" if outcome[t] == "killed" else "." for t in m["tests"])
-        flag = "" if got == m["expect"] else f"   expected {m['expect']}"
-        print(f"{m['name']:<{width}}  {got:<8}  {cells}  {' '.join(m['tests'])}{flag}", flush=True)
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        outcomes = pool.map(run_mutant, mutants)
+        for m, outcome in zip(mutants, outcomes):
+            got = verdict(outcome)
+            mismatches += got != m["expect"]
+            cells = " ".join("K" if outcome[t] == "killed" else "." for t in m["tests"])
+            flag = "" if got == m["expect"] else f"   expected {m['expect']}"
+            print(f"{m['name']:<{width}}  {got:<8}  {cells}  {' '.join(m['tests'])}{flag}", flush=True)
     return 1 if mismatches else 0
 
 

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,8 @@ from rect4.polynomials import (
     MultiPoly,
     univariate_factor,
 )
+
+from conftest import run_cli_capped
 
 
 def X_over(field):
@@ -438,3 +441,71 @@ def test_recombine_searches_sizes_in_order_with_one_try_per_key_tuple():
     repeated = [(0, 2), (0, 2), (1, 3), (1, 3)]
     assert factor.recombine(36, repeated, splitter(set())) == ([], 36)
     assert calls == [(2,), (3,), (2, 2), (2, 3), (3, 3)]
+
+
+def _recombine_by_combinations(cofactor, items, split, limit=None):
+    """The reference enumeration: index combinations by increasing size, each
+    key tuple tried once per pass, as ``factor.recombine`` searched before it
+    enumerated sub-multisets of the distinct keys directly."""
+    import itertools
+
+    divisors = []
+    size = 1
+    while 2 * size <= len(items) and len(divisors) != limit:
+        seen = set()
+        for combo in itertools.combinations(range(len(items)), size):
+            key = tuple(items[k][0] for k in combo)
+            if key in seen:
+                continue
+            seen.add(key)
+            found = split(cofactor, [items[k][1] for k in combo])
+            if found is not None:
+                divisor, cofactor = found
+                divisors.append(divisor)
+                items = [item for k, item in enumerate(items) if k not in combo]
+                break
+        else:
+            size += 1
+    return divisors, cofactor
+
+
+def test_recombine_tries_the_candidates_of_the_reference_enumeration():
+    """On seeded multisets (1-6 distinct primes, each repeated 1-3 times,
+    grouped by key), the sub-multiset search tries the same candidates in the
+    same order as the index combinations with a seen set, and splits off the
+    same divisors, with and without ``limit``."""
+    from rect4.polynomials import factor
+
+    rng = random.Random(1515)
+    primes = [2, 3, 5, 7, 11, 13]
+    splits = 0
+    for _ in range(300):
+        keys = rng.sample(range(len(primes)), rng.randint(1, 6))
+        items = [(k, primes[k]) for k in keys for _ in range(rng.randint(1, 3))]
+        accepted = {math.prod(rng.sample([g for _, g in items], rng.randint(1, len(items))))
+                    for _ in range(rng.randint(0, 3))}
+        for limit in (None, 1, 2):
+            logs = []
+            for search in (factor.recombine, _recombine_by_combinations):
+                calls = []
+
+                def split(cofactor, factors):
+                    calls.append(tuple(factors))
+                    d = math.prod(factors)
+                    return (d, cofactor // d) if d in accepted and cofactor % d == 0 else None
+
+                logs.append((search(math.prod(g for _, g in items), items, split, limit), calls))
+            assert logs[0] == logs[1], (items, accepted, limit)
+            splits += len(logs[0][0][0])
+    assert splits > 100
+
+
+def test_recombine_near_square_over_f5_finishes():
+    # the Kronecker image has linear factors of multiplicity 9, 25 and 26:
+    # 62 items but few distinct sub-multisets
+    proc = run_cli_capped(
+        "analyze", "X", "Z^10+2*Z^5*T^5+T^10+3*Z^9+3*Z^4*T^5+4*Z^5*T+4*T^6", "F5", "--json"
+    )
+    assert proc.returncode == 2, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["verdict"], doc["ufd"], doc["roots"][0]["irreducible"]) == ("Inconclusive", "false", "false")

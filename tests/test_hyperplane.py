@@ -4,8 +4,8 @@ import pytest
 
 from rect4 import cli, hyperplane, plane_coordinates
 from rect4.exprparse import parse_field_spec, parse_polynomial
-from rect4.fields import GF, QQ, rational_function_field
-from rect4.polynomials import MultiPoly, ideal_contains_one
+from rect4.fields import GF, QQ, ExtensionField, FieldElement, rational_function_field
+from rect4.polynomials import MultiPoly, bivariate_irreducible, ideal_contains_one
 from rect4.hyperplane import (
     VERDICT_INCONCLUSIVE,
     VERDICT_NOT_RECTIFIABLE,
@@ -21,7 +21,19 @@ from rect4.hyperplane import (
 from rect4.plane_coordinates import vartest
 from rect4.verifier import verify_plane_pair
 
-from conftest import ROOT, XZT, a_var, load_case, random_coordinate, random_poly, run_cli_capped, xzt_vars
+from conftest import (
+    ROOT,
+    XZT,
+    ZT,
+    _pool_element,
+    a_var,
+    load_case,
+    random_coordinate,
+    random_poly,
+    run_cli_capped,
+    xzt_vars,
+    zt_vars,
+)
 
 V4 = ("X", "Y", "Z", "T")
 
@@ -609,3 +621,126 @@ def test_regularity_agrees_with_jacobian_oracle(field):
         got = regularity_check(hn, data, coordinate_results(data))
         want = "true" if _jacobian_smoothness_oracle(h) else "false"
         assert got == want, f"a={a}, F={F}"
+
+
+# -- closed forms before the general algorithms -------------------------------------
+
+
+def test_normalize_divides_only_an_unreduced_f(monkeypatch):
+    """An F of X-degree below deg a is its own remainder and is returned
+    without a division; otherwise F is divided."""
+    aX = a_var(QQ)
+    X, Z, T = xzt_vars(QQ)
+    divisions = _count_calls(monkeypatch, "divmod_in_variable", hyperplane)
+    reduced = build(QQ, aX**2 + 1, X * Z + T * T)
+    assert normalize(reduced) is reduced
+    assert divisions == []
+    assert normalize(build(QQ, aX**2, X * X * Z + X * T + 1)).F == X * T + 1
+    assert normalize(build(QQ, aX**2 + 1, X**3 * Z + T)).F == T - X * Z
+    assert len(divisions) == 2
+
+
+LINEAR_FIBRE_FIELDS = [QQ, GF(5), rational_function_field(2), parse_field_spec("Q[i]/(i^2+1)")]
+
+
+@pytest.mark.parametrize("field", LINEAR_FIBRE_FIELDS, ids=str)
+def test_linear_fibre_certificate_agrees_with_the_general_tests(field):
+    """On f = a0 + a1*v, linear in v = Z or T: the certificate gcd(a0, a1) = 1
+    holds exactly when bivariate_irreducible (where it decides) calls f
+    irreducible, and when it holds, (f, f_Z, f_T) is the unit ideal."""
+    rng = random.Random(7351)
+    Z, T = zt_vars(field)
+
+    def in_u(u):
+        coeffs = [_pool_element(field, rng, (-2, -1, 0, 1, 2)) for _ in range(rng.randint(1, 3))]
+        return sum(((u**k).scale(c) for k, c in enumerate(coeffs)), MultiPoly.zero(field, ZT))
+
+    kinds = set()
+    for _ in range(40):
+        v, u = rng.choice([(Z, T), (T, Z)])
+        a0, a1 = in_u(u), in_u(u)
+        if a1.is_zero():
+            continue
+        kind = rng.choice(["plain", "a0 = 0", "common factor"])
+        if kind == "a0 = 0":
+            a0 = MultiPoly.zero(field, ZT)
+        elif kind == "common factor":
+            common = u + MultiPoly.constant(field, ZT, _pool_element(field, rng, (-1, 0, 1)))
+            a0, a1 = a0 * common, a1 * common
+        f = a0 + a1 * v
+        if f.is_constant():
+            continue
+        certified = hyperplane._linear_and_primitive(f)
+        kinds.add((kind, certified))
+        res = bivariate_irreducible(f, "Z", "T")
+        if not res.is_unknown:
+            assert certified == res.is_irreducible, str(f)
+        if certified:
+            gens = [g for g in (f, f.partial_derivative("Z"), f.partial_derivative("T")) if not g.is_zero()]
+            assert ideal_contains_one(gens), str(f)
+    assert {("plain", True), ("a0 = 0", False), ("common factor", False)} <= kinds
+
+
+@pytest.mark.parametrize(
+    "a, F, spec, linear_tests, bivariate_tests, ufd, regular",
+    [
+        # Z*T + 1 is linear in T with coprime coefficients, and not a coordinate
+        ("X", "Z*T+1", "Q", 1, 0, "true", "true"),
+        ("X^2+1", "Z*T+X", "Q", 1, 0, "true", "true"),
+        # Z*T + Z = Z*(T + 1): the certificate fails and the general test decides
+        ("X", "Z*T+Z", "Q", 1, 1, "false", "false"),
+        # a certified root needs neither
+        ("X", "Z+T^2", "Q", 0, 0, "true", "true"),
+        # roots Z*T (not primitive, singular) and Z*T + 1 (primitive)
+        ("X*(X-1)", "Z*T+X", "F5", 2, 1, "false", "false"),
+    ],
+)
+def test_one_linear_fibre_certificate_serves_both_flags(
+    monkeypatch, a, F, spec, linear_tests, bivariate_tests, ufd, regular
+):
+    """The certificate runs at most once per uncertified root, and a root it
+    certifies reaches neither bivariate_irreducible nor Groebner."""
+    field = parse_field_spec(spec)
+    h = Hyperplane(parse_polynomial(a, field, ("X",)), parse_polynomial(F, field, XZT))
+    linear = _count_calls(monkeypatch, "_linear_and_primitive", hyperplane)
+    bivariate = _count_calls(monkeypatch, "bivariate_irreducible", hyperplane)
+    rep = analyze(h)
+    assert len(linear) == linear_tests
+    assert len(bivariate) == bivariate_tests
+    assert (rep.ufd, rep.regular) == (ufd, regular)
+
+
+def test_at_root_is_the_substitution_on_raw_reps(monkeypatch):
+    """_at_root is F(lambda, Z, T) at lambda = 0, at a nonzero lambda in k and
+    at the generator of an extension K, stores no zero coefficient, and builds
+    no FieldElement."""
+    rng = random.Random(5521)
+    cases = []
+    for field in (QQ, GF(5), rational_function_field(2)):
+        X = a_var(field)
+        quadratic = X * X + X + 1 if field.characteristic() == 2 else X * X + 2
+        K = ExtensionField(field, quadratic.to_dense("X"), "g")
+        roots = [(X, field), (X - 2, field), (X + 1, field), (quadratic, K)]
+        X3, Z, T = xzt_vars(field)
+        polys = [X3 * Z + T, X3 * X3 * T + Z * Z + 1, X3 * Z * T, Z + T]
+        polys += [random_poly(field, XZT, rng, max_deg=3, n_terms=6) for _ in range(4)]
+        cases += [(F, p, K) for F in polys for p, K in roots]
+    expected = []
+    for F, p, K in cases:
+        lam = K.generator() if K != F.field else -p.constant_term()
+        expected.append(F.substitute({"X": lam}).with_vars(("Z", "T")))
+    built = []
+    init = FieldElement.__init__
+
+    def counting_init(self, field, rep):
+        built.append(rep)
+        init(self, field, rep)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting_init)
+    got = [hyperplane._at_root(F, p, K) for F, p, K in cases]
+    assert built == []
+    monkeypatch.undo()
+    assert got == expected
+    for f in got:
+        assert not any(f.field.raw_is_zero(c) for c in f.terms.values())
+    assert any(f.is_zero() for f in got)  # X*Z*T at lambda = 0

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rect4.fields import QQ, GF, Embedding, FieldMismatch, extend, rational_function_field
+from rect4 import dense
+from rect4.fields import QQ, GF, Embedding, FieldMismatch, RationalField, extend, rational_function_field
 from rect4.polynomials import (
     MultiPoly,
     PolynomialError,
@@ -13,6 +14,7 @@ from rect4.polynomials import (
     exact_divide,
     univariate_gcd,
 )
+from rect4.polynomials.zpoly import rational_gcd
 
 from conftest import XZT, _pool_element, naive_substitute, random_poly, zt_vars
 
@@ -23,6 +25,15 @@ def test_product_difference_of_squares():
     X = MultiPoly.variable(QQ, XY, "X")
     Y = MultiPoly.variable(QQ, XY, "Y")
     assert (X + Y) * (X - Y) == X * X - Y * Y
+
+
+def test_sum_drops_cancelled_terms():
+    # a coefficient that cancels leaves no zero entry behind, so the sum is
+    # equal to, and prints as, the polynomial without that term
+    Z, T = zt_vars(GF(5))
+    f = (Z + T) + (4 * T + 1)
+    assert f == Z + 1 and str(f) == "Z+1"
+    assert ((Z * T + 2) + (4 * Z * T + 3)).is_zero()
 
 
 def test_divmod_univariate_example():
@@ -249,6 +260,44 @@ def test_univariate_gcd():
     for f, g in ((X**5 + 1, three), (three, X**5 + 1), (three, three)):
         assert univariate_gcd(f, g) == 1
     assert univariate_gcd(X * 2, MultiPoly.zero(QQ, ("X",))) == X
+
+
+LINEAR_GCD_FIELDS = [QQ, GF(5), extend(QQ, [1, 0, 1], "i"), rational_function_field(2)]
+
+
+@pytest.mark.parametrize("field", LINEAR_GCD_FIELDS, ids=str)
+def test_linear_gcd_is_the_general_gcd(field):
+    """A linear argument b decides the gcd by evaluating the other argument
+    at the root of b; the answer is the monic gcd that the PRS over Q and
+    Euclid elsewhere return, in both argument orders, for a divisor and a
+    non-divisor, and for a root at 0."""
+    rng = random.Random(4417)
+    X = MultiPoly.variable(field, ("X",), "X")
+
+    def general(f, g):
+        a, b = f.to_dense("X"), g.to_dense("X")
+        if isinstance(field, RationalField):
+            return rational_gcd(field, a, b)
+        return dense.gcd(field, a, b)
+
+    def element(pool):
+        c = field.zero()
+        while c.is_zero():
+            c = _pool_element(field, rng, pool)
+        return c
+
+    seen = set()
+    for _ in range(40):
+        root = field.zero() if rng.random() < 0.3 else _pool_element(field, rng, (-2, -1, 1, 2, 3))
+        b = (X - MultiPoly.constant(field, ("X",), root)).scale(element((-3, -1, 2, 5)))
+        low = [_pool_element(field, rng, (-2, 0, 1, 3)) for _ in range(rng.randint(1, 4))]
+        q = MultiPoly.from_dense(field, ("X",), "X", low + [element((1, 2))])
+        for a in (b * q, b * q + MultiPoly.constant(field, ("X",), element((1, 2, 3)))):
+            for f, g in ((a, b), (b, a)):
+                got = univariate_gcd(f, g)
+                assert got.to_dense("X") == general(f, g), (str(f), str(g))
+                seen.add((got.is_constant(), root.is_zero()))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def _extra_constant(field):
