@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 
 from .exprparse import ParseError, parse_field_spec, parse_polynomial
@@ -45,7 +44,7 @@ from .hyperplane import (
     analyze,
 )
 from .plane_coordinates import CoordinateCertificate, TameStep, certificate_fault, vartest
-from .polynomials import FactorizationError, MultiPoly, PolynomialError, univariate_factor
+from .polynomials import DEFAULT_DEGREE_BOUND, FactorizationError, MultiPoly, PolynomialError, univariate_factor
 from .verifier import CoordinateClaim, VerifierError, replay_inverses, verify_coordinate_system
 
 SCHEMA_REPORT = "rect4-report-v1"
@@ -308,9 +307,8 @@ def _cmd_analyze(args):
     field = parse_field_spec(args.field)
     a = parse_polynomial(args.a, field, ("X",))
     F = parse_polynomial(args.F, field, ("X", "Z", "T"))
-    rng = random.Random(args.seed)
     h = Hyperplane(a, F)
-    report = analyze(h, degree_bound=args.degree_bound, rng=rng)
+    report = analyze(h, degree_bound=args.degree_bound)
     doc = analysis_to_json(report, field, args.a, args.F)
     _print_report(doc, args.json)
     if args.cert_out:
@@ -426,7 +424,7 @@ def _cmd_gr_check(args):
     except FiltrationError as e:
         if "a(0)" not in str(e):
             raise
-        lam = _find_rational_root(a, field, args.seed)
+        lam = _find_rational_root(a)
         if lam is None:
             raise CliError(
                 "a(0) != 0 and a has no root in the base field to shift to"
@@ -469,8 +467,8 @@ def _cmd_gr_check(args):
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-def _find_rational_root(a, field, seed):
-    fact = univariate_factor(a, rng=random.Random(seed))
+def _find_rational_root(a):
+    fact = univariate_factor(a)
     for p, _ in fact.factors:
         if p.degree_in("X") == 1:
             return -p.constant_term()
@@ -480,7 +478,7 @@ def _find_rational_root(a, field, seed):
 def _cmd_factor(args):
     field = parse_field_spec(args.field)
     poly = parse_polynomial(args.poly, field, ("X",))
-    fact = univariate_factor(poly, rng=random.Random(args.seed))
+    fact = univariate_factor(poly)
     doc = {
         "schema": SCHEMA_REPORT,
         "command": "factor",
@@ -511,8 +509,7 @@ def _degree_bound(text):
 
 
 _OPTIONS = {
-    "--seed": dict(type=int, default=20240901, help="seed for randomized subroutines"),
-    "--degree-bound": dict(type=_degree_bound, default=None, help="Kronecker total-degree bound"),
+    "--degree-bound": dict(type=_degree_bound, default=DEFAULT_DEGREE_BOUND, help="Kronecker total-degree bound"),
     "--cert-out": dict(default=None, help="write certificates to this path"),
 }
 
@@ -543,7 +540,7 @@ def build_parser():
     p.add_argument("a", help="a(X), e.g. \"X^2*(X-1)\"")
     p.add_argument("F", help="F(X,Z,T), e.g. \"Z^2+T^3+1\"")
     p.add_argument("field", help="field spec: Q, F5, F2(s), Q[i]/(i^2+1)")
-    _add_common(p, "--seed", "--degree-bound", "--cert-out")
+    _add_common(p, "--degree-bound", "--cert-out")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("vartest", help="plane-coordinate test for f(Z,T)")
@@ -565,13 +562,13 @@ def build_parser():
     p.add_argument("a")
     p.add_argument("F")
     p.add_argument("field")
-    _add_common(p, "--seed")
+    _add_common(p)
     p.set_defaults(func=_cmd_gr_check)
 
     p = sub.add_parser("factor", help="univariate factorization of a(X)")
     p.add_argument("poly")
     p.add_argument("field")
-    _add_common(p, "--seed")
+    _add_common(p)
     p.set_defaults(func=_cmd_factor)
     return ap
 

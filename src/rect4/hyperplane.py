@@ -29,6 +29,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .fields import Embedding, ExtensionField, fresh_generator_name
 from .polynomials import (
+    DEFAULT_DEGREE_BOUND,
     MultiPoly,
     bivariate_irreducible,
     divmod_in_variable,
@@ -190,14 +191,14 @@ def domain_check(h):
 # ---------------------------------------------------------------------------
 
 
-def root_data(h, rng=None):
+def root_data(h):
     """One datum per irreducible factor of a; requires a normalized domain.
 
     Returns (data, complete): ``complete`` is False when the factorization of
     a over F_p(s) could not be finished; analysis then proceeds on the known
     factors only.
     """
-    fact = univariate_factor(h.a, rng=rng)
+    fact = univariate_factor(h.a)
     data = []
     field = h.field
     for p, mult in fact.factors:
@@ -263,7 +264,7 @@ def coordinate_results(data):
     ]
 
 
-def ufd_check(data, coords, degree_bound=None):
+def ufd_check(data, coords, degree_bound=DEFAULT_DEGREE_BOUND):
     """"true" iff every specialization is irreducible or a nonzero constant.
 
     A certified root is irreducible (irreducibility descends from any field
@@ -280,8 +281,7 @@ def ufd_check(data, coords, degree_bound=None):
         if f.is_constant() or cr.certified or rd.linear_fibre:
             verdict = "true"  # a nonzero constant is a unit
         else:
-            kwargs = {} if degree_bound is None else {"bound": degree_bound}
-            res = bivariate_irreducible(f, "Z", "T", **kwargs)
+            res = bivariate_irreducible(f, "Z", "T", bound=degree_bound)
             if res.is_irreducible:
                 verdict = "true"
             elif res.is_reducible:
@@ -369,7 +369,7 @@ def _linear_and_primitive(f):
 # ---------------------------------------------------------------------------
 
 
-def analyze(h, degree_bound=None, rng=None):
+def analyze(h, degree_bound=DEFAULT_DEGREE_BOUND):
     """Full analysis: domain, structure flags, coordinate data and verdict."""
     is_domain, witness = domain_check(h)
     if not is_domain:
@@ -378,7 +378,7 @@ def analyze(h, degree_bound=None, rng=None):
         return report
 
     hn = normalize(h)
-    data, complete = root_data(hn, rng=rng)
+    data, complete = root_data(hn)
     report = AnalysisReport(domain=True)
     report.factor_complete = complete
     report.roots = data

@@ -15,10 +15,15 @@ sequence of the gcd); Yun's decomposition is written here on top of it.  The
 factors are monic, so the unit is the input's leading coefficient.
 
 Over a prime field: distinct-degree plus equal-degree (Cantor-Zassenhaus)
-splitting.  Over a one-parameter rational function field only the patterns
-the analyzer needs are certified (monomials, Eisenstein at a small prime of
-F_p[s], and inseparable binomials X^(p^e) - c); anything else is left
-unresolved and flagged.
+splitting.  The equal-degree splitting draws from a generator seeded with the
+constant ``_SEED``.  The draws set only the running time, never the answer: a
+factorization is unique, and both users of the splitting sort the factors
+before anything reads them.
+
+Over a one-parameter rational function field only the patterns the analyzer
+needs are certified (monomials, Eisenstein at a small prime of F_p[s], and
+inseparable binomials X^(p^e) - c); anything else is left unresolved and
+flagged.
 """
 
 from __future__ import annotations
@@ -37,6 +42,9 @@ from ..fields import (
 )
 from .multipoly import MultiPoly, PolynomialError
 from .zpoly import ZZ, FactorizationError, zcleared, zdivmod, zgcd_poly, zmod, zprimitive
+
+# seeds the generator of the equal-degree splitting (see the module docstring)
+_SEED = 20240901
 
 
 class Factorization:
@@ -149,21 +157,22 @@ def _reduce_mod(F, coeffs):
     return dense.trim(F, map(F.raw_from_int, coeffs))
 
 
-def _p_split(F, a, rng):
+def _p_split(F, a):
     """Monic irreducible factors of monic squarefree a, distinct-degree then
-    equal-degree, in that order."""
+    equal-degree, in that order.  Each call seeds a new generator with
+    ``_SEED`` for the equal-degree splitting, so the draws depend on a alone."""
+    rng = random.Random(_SEED)
     return [irr for h, d in _p_distinct_degree(F, a) for irr in _p_equal_degree(F, h, d, rng)]
 
 
-def factor_mod_p(coeffs, p, rng=None):
+def factor_mod_p(coeffs, p):
     """Full monic factorization over F_p: returns (unit, [(dense, mult)])."""
-    rng = rng or random.Random(20240901)
     F = PrimeField(p)
     a = _reduce_mod(F, coeffs)
     if not a:
         raise FactorizationError("cannot factor the zero polynomial")
     unit = a[-1]
-    factors = [(irr, m) for g, m in _p_squarefree_decomposition(F, a) for irr in _p_split(F, g, rng)]
+    factors = [(irr, m) for g, m in _p_squarefree_decomposition(F, a) for irr in _p_split(F, g)]
     factors.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return unit, factors
 
@@ -209,7 +218,7 @@ def _centered(x, m):
     return x - m if x > m // 2 else x
 
 
-def _factor_squarefree_z(a, rng):
+def _factor_squarefree_z(a):
     """Irreducible factors of a primitive squarefree integer polynomial."""
     n = len(a) - 1
     if n <= 0:
@@ -226,7 +235,7 @@ def _factor_squarefree_z(a, rng):
         if len(dense.gcd(F, am, dense.deriv(F, am))) == 1:
             break
     # am is squarefree, so it is split directly, as factor_mod_p would split it
-    modular = sorted(_p_split(F, dense.monic(F, am), rng), key=lambda f: (len(f), f))
+    modular = sorted(_p_split(F, dense.monic(F, am)), key=lambda f: (len(f), f))
     if len(modular) == 1:
         return [a]
     bound = 2 * _mignotte_bound(a) + 1
@@ -403,7 +412,7 @@ def _hensel_pair(f, g, h, F, k):
 # ---------------------------------------------------------------------------
 
 
-def univariate_factor(poly, rng=None, var=None):
+def univariate_factor(poly, var=None):
     """Complete irreducible factorization of a univariate polynomial.
 
     Supported coefficient fields: the rationals, prime fields, and (with the
@@ -417,12 +426,11 @@ def univariate_factor(poly, rng=None, var=None):
         var = poly.univariate_var(var)
     except PolynomialError as exc:
         raise FactorizationError(str(exc)) from None
-    rng = rng or random.Random(20240901)
 
     if isinstance(field, RationalField):
-        return _factor_over_q(poly, var, rng)
+        return _factor_over_q(poly, var)
     if isinstance(field, PrimeField):
-        return _factor_over_gfp(poly, var, rng)
+        return _factor_over_gfp(poly, var)
     if isinstance(field, RationalFunctionField):
         return _factor_over_rff(poly, var)
     raise FactorizationError(
@@ -430,12 +438,12 @@ def univariate_factor(poly, rng=None, var=None):
     )
 
 
-def _factor_over_q(poly, var, rng):
+def _factor_over_q(poly, var):
     field = poly.field
     coeffs = poly.to_dense(var)
     factors = []
     for sf, mult in _yun_squarefree(zprimitive(zcleared(coeffs))):
-        for irr in _factor_squarefree_z(sf, rng):
+        for irr in _factor_squarefree_z(sf):
             monic = dense.monic(field, irr)
             factors.append((MultiPoly.from_raw_dense(field, poly.vars, var, monic), mult))
     factors.sort(key=lambda fm: (fm[0].total_degree(), str(fm[0])))
@@ -443,10 +451,10 @@ def _factor_over_q(poly, var, rng):
     return Factorization(field.element(coeffs[-1]), factors, vars=poly.vars)
 
 
-def _factor_over_gfp(poly, var, rng):
+def _factor_over_gfp(poly, var):
     field = poly.field
     p = field.p
-    unit, dense_factors = factor_mod_p(poly.to_dense(var), p, rng)
+    unit, dense_factors = factor_mod_p(poly.to_dense(var), p)
     factors = [
         (MultiPoly.from_raw_dense(field, poly.vars, var, f), m)
         for f, m in dense_factors

@@ -37,8 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import dense
-from .fields import RationalFunctionField
 from .polynomials import MonomialOrder, MultiPoly, groebner_basis
 
 
@@ -113,7 +111,7 @@ def verify_coordinate_system(claim):
         terms = {pad + pad[:j] + (1,) + pad[j + 1 :]: one}
         for e, c in h.terms.items():
             terms[e + pad] = neg(c)
-        gens.append(_clear_denominators(MultiPoly(field, allvars, terms)))
+        gens.append(MultiPoly(field, allvars, terms))
     basis = groebner_basis(gens, order)
 
     by_lead = {b.leading_monomial(order): b for b in basis}
@@ -249,21 +247,3 @@ def replay_inverses(claim, outcome):
         if bound != MultiPoly.variable(claim.field, allvars, name):
             return False
     return True
-
-
-def _clear_denominators(g):
-    """Scale a generator by the lcm of its coefficient denominators over F_p(s).
-
-    A unit scaling: the ideal is unchanged, but Buchberger then starts from
-    polynomial-only coefficients, which keeps fraction growth down.
-    """
-    field = g.field
-    if not isinstance(field, RationalFunctionField) or g.is_zero():
-        return g
-    base = field.base
-    lcm = (1,)
-    for _, den in g.terms.values():
-        lcm = dense.lcm(base, lcm, den)
-    if lcm == (1,):
-        return g
-    return g.scale(field.element((lcm, (1,))))

@@ -192,11 +192,11 @@ def test_degree_bound_degrades_to_unknown(capsys):
 
 # each subcommand's smallest command line, and the options its handler reads
 SUBCOMMANDS = {
-    "analyze": (["analyze", "X", "Z", "Q"], ("--seed", "--degree-bound", "--cert-out")),
+    "analyze": (["analyze", "X", "Z", "Q"], ("--degree-bound", "--cert-out")),
     "vartest": (["vartest", "Z+T^2", "Q"], ("--cert-out",)),
     "verify": (["verify", "--claim-file", str(CORPUS / "claims" / "insep_binomial_quadric_claim.json")], ()),
-    "gr-check": (["gr-check", "X^2", "Z", "Q"], ("--seed",)),
-    "factor": (["factor", "X^2-1", "Q"], ("--seed",)),
+    "gr-check": (["gr-check", "X^2", "Z", "Q"], ()),
+    "factor": (["factor", "X^2-1", "Q"], ()),
 }
 OPTION_VALUES = {"--seed": "7", "--degree-bound": "3", "--cert-out": None}
 
@@ -214,8 +214,8 @@ def test_options_are_accepted_only_where_they_are_read(capsys, tmp_path, cmd, op
         assert f"unrecognized arguments: {option}" in captured.err
         assert not any(tmp_path.iterdir())
         return
-    # the smallest inputs do not depend on the seed or the bound, and the
-    # ones with a certificate write it
+    # the smallest inputs do not depend on the bound, and the ones with a
+    # certificate write it
     assert (code, captured.out) == plain and code == 0
     if option == "--cert-out":
         assert json.loads((tmp_path / "certs.json").read_text())

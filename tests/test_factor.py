@@ -75,9 +75,9 @@ def test_factor_merge_property(field):
     for _ in range(40):
         f = random_univariate(field, rng)
         g = random_univariate(field, rng)
-        ff = univariate_factor(f, rng=random.Random(1))
-        fg = univariate_factor(g, rng=random.Random(1))
-        combined = univariate_factor(f * g, rng=random.Random(1))
+        ff = univariate_factor(f)
+        fg = univariate_factor(g)
+        combined = univariate_factor(f * g)
         merged = {}
         for fact in (ff, fg):
             for q, m in fact.factors:
@@ -94,7 +94,7 @@ def test_expand_reproduces_input(field):
     rng = random.Random(31)
     for _ in range(30):
         f = random_univariate(field, rng)
-        fact = univariate_factor(f, rng=random.Random(2))
+        fact = univariate_factor(f)
         assert fact.complete
         assert expand(fact) == f
 
@@ -146,7 +146,7 @@ def test_f2s_roots_and_unresolved_flag():
 def test_squarefree_split_matches_factor_mod_p():
     # _factor_squarefree_z splits the reduction of a squarefree polynomial
     # directly; factor_mod_p, which first decomposes it again, must give the
-    # same factors in the same order and draw the same random numbers
+    # same factors in the same order
     from rect4 import dense
     from rect4.polynomials import factor
 
@@ -159,12 +159,10 @@ def test_squarefree_split_matches_factor_mod_p():
         am = factor._reduce_mod(F, a)
         if len(am) != len(a) or len(dense.gcd(F, am, dense.deriv(F, am))) != 1:
             continue
-        rng_split, rng_full = random.Random(compared), random.Random(compared)
-        split = sorted(factor._p_split(F, dense.monic(F, am), rng_split), key=lambda f: (len(f), f))
-        _, full = factor.factor_mod_p(a, p, rng_full)
+        split = sorted(factor._p_split(F, dense.monic(F, am)), key=lambda f: (len(f), f))
+        _, full = factor.factor_mod_p(a, p)
         assert split == [f for f, _ in full], (a, p)
         assert all(m == 1 for _, m in full)
-        assert rng_split.getstate() == rng_full.getstate()
         compared += 1
 
 
@@ -189,6 +187,40 @@ def _monic_sympy_factors(f):
         monic = tuple(Fraction(int(c.p), int(c.q)) for c in (x / lc for x in coeffs))
         out.append((monic, m))
     return unit, sorted(out)
+
+
+def _same_degree_products(field, rng, count):
+    """Seeded products over ``field`` of monic factors of degrees 1 to 3, some
+    of them squared: most split into several irreducibles of one degree."""
+    X = X_over(field)
+    for _ in range(count):
+        f = MultiPoly.one(field, ("X",))
+        for _ in range(rng.randint(3, 5)):
+            g = X ** rng.randint(1, 3)
+            for e in range(g.total_degree()):
+                g = g + MultiPoly.constant(field, ("X",), field.from_int(rng.randint(-4, 4))) * X**e
+            f = f * g ** rng.choice((1, 1, 2))
+        yield f
+
+
+def test_factorizations_do_not_depend_on_the_splitting_seed(monkeypatch):
+    # the seed of the equal-degree splitting sets only the running time: the
+    # factors come out sorted, whatever the draws split off first
+    from rect4.polynomials import factor
+
+    rng = random.Random(2809)
+    inputs = [f for field in (QQ, GF(2), GF(5), GF(7)) for f in _same_degree_products(field, rng, 25)]
+    answers = []
+    for seed in (factor._SEED, 1, 2, 3):
+        monkeypatch.setattr(factor, "_SEED", seed)
+        facts = [univariate_factor(f) for f in inputs]
+        answers.append([(str(fact.unit), [(str(g), m) for g, m in fact.factors], fact.unresolved) for fact in facts])
+    assert answers[1:] == answers[:1] * 3
+    # the inputs reach the splitting with repeated factors and with several
+    # irreducible factors of one degree
+    degrees = [[g.total_degree() for g, _ in fact.factors] for fact in facts]
+    assert sum(len(d) > len(set(d)) for d in degrees) > 50
+    assert sum(any(m > 1 for _, m in fact.factors) for fact in facts) > 50
 
 
 def test_univariate_factor_matches_sympy_over_q():
@@ -319,7 +351,7 @@ def _modular_factors(a, p):
     am = factor._reduce_mod(F, a)
     if len(am) != len(a) or len(dense.gcd(F, am, dense.deriv(F, am))) != 1:
         return None
-    return sorted(factor._p_split(F, dense.monic(F, am), random.Random(1)), key=lambda f: (len(f), f))
+    return sorted(factor._p_split(F, dense.monic(F, am)), key=lambda f: (len(f), f))
 
 
 def test_hensel_lift_tree_lifts_the_modular_factorization():
@@ -404,7 +436,7 @@ def test_at_most_one_nonlinear_modular_factor_needs_no_hensel_step(monkeypatch):
         # the prime the factoriser picks is the least one that _modular_factors
         # accepts
         modular = next(m for m in map(functools.partial(_modular_factors, a), sympy.primerange(3, 1000)) if m is not None)
-        factor._factor_squarefree_z(a, random.Random(1))
+        factor._factor_squarefree_z(a)
         several = sum(len(fac) > 2 for fac in modular) > 1
         assert bool(calls) == several, a
         seen[several] += 1

@@ -528,7 +528,7 @@ def test_report_coordinates_are_the_vartest_outcomes():
     for a, F in inputs:
         if F.is_zero() or a.degree_in("X") < 1:
             continue
-        rep = analyze(Hyperplane(a, F), rng=random.Random(7))
+        rep = analyze(Hyperplane(a, F))
         for rd, outcome in zip(rep.roots, rep.coordinates):
             _assert_one_outcome(outcome)
             statuses.add(outcome.status)
@@ -541,6 +541,26 @@ def test_report_coordinates_are_the_vartest_outcomes():
             assert (outcome.status, outcome.reason) == (direct.status, direct.reason), str(f)
             assert _certificate_json(outcome, f) == _certificate_json(direct, f), str(f)
     assert statuses == {"accept", "reject", "reject-accepts-over-extension"}
+
+
+def test_analysis_does_not_depend_on_the_splitting_seed(monkeypatch):
+    """The seed of the equal-degree splitting sets only the running time:
+    every JSON report is the same under each seed."""
+    from rect4.polynomials import factor
+
+    rng = random.Random(2810)
+    inputs = [
+        (a, F)
+        for a, F in (*_seeded_hyperplanes(rng, 15), *_corpus_hyperplanes())
+        if not F.is_zero() and a.degree_in("X") >= 1
+    ]
+    reports = []
+    for seed in (factor._SEED, 1, 2, 3):
+        monkeypatch.setattr(factor, "_SEED", seed)
+        reports.append([
+            cli.analysis_to_json(analyze(Hyperplane(a, F)), a.field, str(a), str(F)) for a, F in inputs
+        ])
+    assert reports[1:] == reports[:1] * 3
 
 
 def test_regularity_examples():
