@@ -1,23 +1,42 @@
 """Univariate factorization.
 
-Over the rationals: squarefree decomposition (Yun), factorization modulo
-the least odd prime that keeps the degree and the squarefreeness, Hensel
-lifting and subset recombination (Zassenhaus), on primitive integer
-polynomials.  The lifting goes by roots: the root of each linear modular
-factor by p-adic Newton iteration, and the nonlinear cofactor that is left by
-one exact division; only two or more nonlinear factors are split by the
-quadratic polynomial Hensel step.  The subset search is :func:`recombine`, the
-one recombination of the package: it also turns the Kronecker image
-factorizations of :mod:`rect4.polynomials.bivariate` into bivariate factors.
-Z[X] is :mod:`rect4.polynomials.zpoly` (the dense kernels through a
-descriptor of the integers, the primitive part and the primitive remainder
-sequence of the gcd); Yun's decomposition is written here on top of it.  The
-factors are monic, so the unit is the input's leading coefficient.
+Roots first, over the rationals and over a prime field: the linear factors
+are split off before any general algorithm runs, and a root-free cofactor of
+degree 2 or 3 is irreducible, since any split of it would have a linear
+factor.  Only a root-free cofactor of degree 4 or more goes on to the
+general algorithms below.  The factor lists are sorted the same way on every
+route.
 
-Over a prime field: distinct-degree plus equal-degree (Cantor-Zassenhaus)
-splitting.  The equal-degree splitting draws from a generator seeded with the
-constant ``_SEED``.  The draws set only the running time, never the answer: a
-factorization is unique, and both users of the splitting sort the factors
+Over the rationals the roots are read off the squarefree part s of the
+primitive integer polynomial: the roots of s modulo the least odd prime p
+that keeps its degree and leaves every root mod p simple are lifted by
+p-adic Newton iteration past 2*lc(s)*(1 + max|s_i|), which bounds lc(s)
+times a root (Cauchy), and each candidate d*X - c divides the polynomial as
+often as it can.  The general algorithms are squarefree decomposition (Yun),
+factorization modulo the least odd prime that keeps the degree and the
+squarefreeness, Hensel lifting and subset recombination (Zassenhaus), on
+primitive integer polynomials.  The lifting
+goes by roots: the root of each linear modular factor by p-adic Newton
+iteration, and the nonlinear cofactor that is left by one exact division;
+only two or more nonlinear factors are split by the quadratic polynomial
+Hensel step.  The subset search is :func:`recombine`, the one recombination
+of the package: it also turns the Kronecker image factorizations of
+:mod:`rect4.polynomials.bivariate` into bivariate factors.  Z[X] is
+:mod:`rect4.polynomials.zpoly` (the dense kernels through a descriptor of
+the integers, the primitive part and the primitive remainder sequence of the
+gcd); Yun's decomposition is written here on top of it.  The factors are
+monic, so the unit is the input's leading coefficient.
+
+Over a prime field F_p with p < 64 the roots are found by evaluation at
+every element and synthetic division: p evaluations of n steps each against
+the Frobenius power X^p mod a polynomial of degree n, about log2(p)
+squarings of n^2 steps each, and below 64 the evaluation was as fast or
+faster at every degree timed (see :func:`_evaluates`).  For a larger p the general
+algorithms take the whole polynomial.  They are squarefree decomposition,
+distinct-degree and equal-degree (Cantor-Zassenhaus) splitting.  The
+equal-degree splitting draws from a generator seeded with the constant
+``_SEED``.  The draws set only the running time, never the answer: a
+factorization is unique, and every user of the splitting sorts the factors
 before anything reads them.
 
 Over a one-parameter rational function field only the patterns the analyzer
@@ -158,6 +177,26 @@ def _reduce_mod(F, coeffs):
 
 
 def _p_split(F, a):
+    """Monic irreducible factors of monic squarefree a.  When
+    :func:`_evaluates` says so, the linear ones come first, by evaluation,
+    and the root-free rest goes to :func:`_p_split_root_free`; otherwise all
+    of a goes to :func:`_p_distinct_equal_degree`."""
+    if not _evaluates(F.p):
+        return _p_distinct_equal_degree(F, a)
+    roots, a = _p_roots_by_evaluation(F.p, a)
+    return [(-c % F.p, 1) for c, _ in roots] + _p_split_root_free(F, a)
+
+
+def _p_split_root_free(F, a):
+    """Monic irreducible factors of monic squarefree a with no root in F_p:
+    up to degree 3 a itself, since a split would have a linear factor, and
+    beyond by :func:`_p_distinct_equal_degree`."""
+    if len(a) <= 4:
+        return [a] if len(a) > 1 else []
+    return _p_distinct_equal_degree(F, a)
+
+
+def _p_distinct_equal_degree(F, a):
     """Monic irreducible factors of monic squarefree a, distinct-degree then
     equal-degree, in that order.  Each call seeds a new generator with
     ``_SEED`` for the equal-degree splitting, so the draws depend on a alone."""
@@ -165,14 +204,64 @@ def _p_split(F, a):
     return [irr for h, d in _p_distinct_degree(F, a) for irr in _p_equal_degree(F, h, d, rng)]
 
 
+def _evaluates(p):
+    """Whether the roots over F_p are found by evaluation at every element
+    before the general algorithms run.  Evaluation takes p*n steps for the
+    degree n, the Frobenius power X^p mod the polynomial about
+    log2(p)*n^2, so the crossover grows with n.  Timed under CPython 3.11 on
+    an x86-64 host, on products of linear factors and quadratics, it lay
+    between 61 and 67 for n = 1 and past 127 for every n from 2 to 12; on
+    root-poor polynomials of degree 4 to 12 the two ran level below 64."""
+    return p < 64
+
+
+def _p_roots_by_evaluation(p, a):
+    """([(c, m)], cofactor): the roots c of the dense polynomial a over F_p,
+    in increasing order, with their multiplicities m, and a divided by every
+    (X - c)^m, by synthetic division at every element of F_p."""
+    roots = []
+    for c in range(p):
+        m = 0
+        while len(a) > 1:
+            quo, rem = _synthetic_division(a, c, p)
+            if rem:
+                break
+            a, m = quo, m + 1
+        if m:
+            roots.append((c, m))
+    return roots, a
+
+
+def _p_simple_roots(p, s):
+    """The roots of the integer polynomial s mod p, by evaluation at every
+    element of F_p, or None when one of them is a multiple root; lc(s) must
+    not vanish mod p."""
+    roots = _p_roots_by_evaluation(p, _reduce_mod(PrimeField(p), s))[0]
+    return None if any(m > 1 for _, m in roots) else [c for c, _ in roots]
+
+
 def factor_mod_p(coeffs, p):
-    """Full monic factorization over F_p: returns (unit, [(dense, mult)])."""
+    """Full monic factorization over F_p: returns (unit, [(dense, mult)]).
+
+    When :func:`_evaluates` says so, the roots come first, with their
+    multiplicities, and only a root-free cofactor of degree 4 or more is
+    decomposed and split.
+    """
     F = PrimeField(p)
     a = _reduce_mod(F, coeffs)
     if not a:
         raise FactorizationError("cannot factor the zero polynomial")
     unit = a[-1]
-    factors = [(irr, m) for g, m in _p_squarefree_decomposition(F, a) for irr in _p_split(F, g)]
+    a = dense.monic(F, a)
+    if _evaluates(p):
+        roots, a = _p_roots_by_evaluation(p, a)
+        factors = [((-c % p, 1), m) for c, m in roots]
+        # a root-free cofactor of degree 2 or 3 is irreducible
+        parts = _p_squarefree_decomposition(F, a) if len(a) > 4 else [(a, 1)]
+        factors += [(irr, m) for g, m in parts for irr in _p_split_root_free(F, g)]
+    else:
+        parts = _p_squarefree_decomposition(F, a)
+        factors = [(irr, m) for g, m in parts for irr in _p_distinct_equal_degree(F, g)]
     factors.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return unit, factors
 
@@ -218,13 +307,50 @@ def _centered(x, m):
     return x - m if x > m // 2 else x
 
 
+def _rational_roots(a):
+    """([(linear, m)], cofactor): the linear factors of the primitive integer
+    polynomial a, of degree 1 or more and with a positive leading
+    coefficient, as primitive integer polynomials with their multiplicities,
+    and a divided by all of them.
+
+    Every rational root c/d (lowest terms) of a is a root of its squarefree
+    part s, and d divides lc(s).  Modulo the least odd prime p that does not
+    divide lc(s) and at which every root of s mod p is simple, c/d is such a
+    root, so it is the p-adic Newton lift of that root.  Only the primes
+    that divide lc(s)*disc(s) are refused.  Cauchy's bound
+    |c/d| < 1 + max|s_i|/lc(s) puts lc(s)*c/d below lc(s)*(1 + max|s_i|), so
+    above twice that the lift times lc(s), centred, is that integer, and
+    lc(s)*X - lc(s)*c/d over its content is d*X - c.  Each such candidate
+    divides a as often as it can.
+    """
+    g = zgcd_poly(a, dense.deriv(ZZ, a))
+    s = zdivmod(a, g)[0] if len(g) > 1 else a
+    if len(s) == 2:
+        return [(s, len(a) - 1)], (1,)
+    lc = s[-1]
+    # disc(s) is not 0 as s is squarefree, so the search ends
+    for p in filter(_is_prime, itertools.count(3)):
+        if lc % p and (roots := _p_simple_roots(p, s)) is not None:
+            break
+    bound = 2 * lc * (1 + max(map(abs, s)))
+    k = 1
+    while p**k <= bound:
+        k += 1
+    pk = p**k
+    linear = []
+    for r in roots:
+        cand = zprimitive((-_centered(lc * _lift_root(s, r, p, k), pk), lc))
+        m = 0
+        while (division := zdivmod(a, cand)) and not division[1]:
+            a, m = division[0], m + 1
+        if m:
+            linear.append((cand, m))
+    return linear, a
+
+
 def _factor_squarefree_z(a):
-    """Irreducible factors of a primitive squarefree integer polynomial."""
-    n = len(a) - 1
-    if n <= 0:
-        return []
-    if n == 1:
-        return [a]
+    """Irreducible factors of a primitive squarefree integer polynomial of
+    degree 1 or more."""
     # the odd primes in order; only those dividing lc(a)*disc(a), which is
     # not 0 as a is squarefree, are refused, so the search ends
     for p in filter(_is_prime, itertools.count(3)):
@@ -370,14 +496,20 @@ def _lift_root(f, r, p, k):
 
 
 def _divide_root(f, r, pk):
-    """f / (X - r) mod pk, by synthetic division; X - r must divide f."""
+    """f / (X - r) mod pk; X - r must divide f."""
+    quo, rem = _synthetic_division(f, r, pk)
+    if rem:
+        raise FactorizationError("internal error: a lifted root leaves a remainder")
+    return quo
+
+
+def _synthetic_division(f, r, m):
+    """(q, f(r)) mod m with f = q*(X - r) + f(r), for f of degree 1 or more."""
     quo = [0] * (len(f) - 1)
     acc = 0
     for i in reversed(range(1, len(f))):
-        acc = quo[i - 1] = (acc * r + f[i]) % pk
-    if (acc * r + f[0]) % pk:
-        raise FactorizationError("internal error: a lifted root leaves a remainder")
-    return tuple(quo)
+        acc = quo[i - 1] = (acc * r + f[i]) % m
+    return tuple(quo), (acc * r + f[0]) % m
 
 
 def _hensel_pair(f, g, h, F, k):
@@ -418,6 +550,13 @@ def univariate_factor(poly, var=None):
     Supported coefficient fields: the rationals, prime fields, and (with the
     documented pattern restrictions) one-parameter rational function fields.
     Factors are monic; the unit collects the leading coefficient.
+
+    Over the rationals and over F_p the roots come first (see the module
+    docstring): over F_p by evaluation at every element when p < 64, where
+    that is faster than one Frobenius power X^p mod the polynomial at every
+    degree.  What is left has no root, so up to degree
+    3 it is irreducible (a split would have a linear factor), and only from
+    degree 4 on does it reach the general algorithms.
     """
     if poly.is_zero():
         raise FactorizationError("cannot factor the zero polynomial")
@@ -441,12 +580,27 @@ def univariate_factor(poly, var=None):
 def _factor_over_q(poly, var):
     field = poly.field
     coeffs = poly.to_dense(var)
+    a = zprimitive(zcleared(coeffs))
+    irreducibles = []
+    if len(a) > 1:
+        irreducibles, a = _rational_roots(a)
+    # a is now root-free: up to degree 3 it is irreducible, since a split
+    # would have a linear factor
+    if 1 < len(a) <= 4:
+        irreducibles.append((a, 1))
+    elif len(a) > 4:
+        for sf, mult in _yun_squarefree(a):
+            parts = [sf] if len(sf) <= 4 else _factor_squarefree_z(sf)
+            irreducibles += [(irr, mult) for irr in parts]
+    by_degree = {}
+    for irr, mult in irreducibles:
+        monic = MultiPoly.from_raw_dense(field, poly.vars, var, dense.monic(field, irr))
+        by_degree.setdefault(len(irr), []).append((monic, mult))
     factors = []
-    for sf, mult in _yun_squarefree(zprimitive(zcleared(coeffs))):
-        for irr in _factor_squarefree_z(sf):
-            monic = dense.monic(field, irr)
-            factors.append((MultiPoly.from_raw_dense(field, poly.vars, var, monic), mult))
-    factors.sort(key=lambda fm: (fm[0].total_degree(), str(fm[0])))
+    # by degree, and by text only among the factors of one degree
+    for n in sorted(by_degree):
+        group = by_degree[n]
+        factors += sorted(group, key=lambda fm: str(fm[0])) if len(group) > 1 else group
     # the factors are monic, so the unit is the leading coefficient
     return Factorization(field.element(coeffs[-1]), factors, vars=poly.vars)
 

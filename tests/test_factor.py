@@ -252,6 +252,171 @@ def test_univariate_factor_matches_sympy_over_q():
         assert (fact.unit.rep, ours) == _monic_sympy_factors(f), str(f)
 
 
+# -- roots first -----------------------------------------------------------------
+
+
+def _reference_factor_over_q(f):
+    """(unit, factors) of f over Q as the factoriser found them before it
+    split off the linear factors first: Yun's decomposition, then the
+    Zassenhaus factorization of every part, sorted by degree and text."""
+    from rect4 import dense
+    from rect4.polynomials import factor, zpoly
+
+    coeffs = f.to_dense("X")
+    factors = []
+    for sf, mult in factor._yun_squarefree(zpoly.zprimitive(zpoly.zcleared(coeffs))):
+        for irr in factor._factor_squarefree_z(sf):
+            factors.append((MultiPoly.from_raw_dense(QQ, f.vars, "X", dense.monic(QQ, irr)), mult))
+    factors.sort(key=lambda fm: (fm[0].total_degree(), str(fm[0])))
+    return QQ.element(coeffs[-1]), factors
+
+
+def _reference_factor_mod_p(coeffs, p):
+    """``factor_mod_p`` before the roots came first: the squarefree
+    decomposition, then distinct-degree and equal-degree splitting of every
+    part."""
+    from rect4.polynomials import factor
+
+    F = GF(p)
+    a = factor._reduce_mod(F, coeffs)
+    parts = factor._p_squarefree_decomposition(F, a)
+    factors = [(irr, m) for g, m in parts for irr in factor._p_distinct_equal_degree(F, g)]
+    factors.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return a[-1], factors
+
+
+# root-free over Q and reducible: the general algorithms split them
+SPLIT_ROOT_FREE_Q = (
+    "X^4+4", "(X^2+1)*(X^2+2)", "X^4+X^2+1", "(X^2+1)*(X^2+2)*(X^2+3)", "(X^3-2)*(X^3+3)", "X^6+27",
+)
+# the root c/d = (3^65 + 1)/8 of the squarefree s: lc(s)*c/d = (3^65 + 1)/2
+# lies just above half the least power of 3 past 2*(1 + max|s_i|), so a lift
+# to a bound without lc(s) misses it
+BOUND_NEEDS_LC = "(2*X-{})*(2*X+1)*(X^2+1)".format((3**65 + 1) // 4)
+
+
+def _roots_first_products(field, rng, count):
+    """Seeded products over ``field`` of two to four factors, each to a power
+    1-4: X, non-monic linear factors (over Q some with roots of 30 to 45
+    digits), random quadratics and cubics, and root-free reducible quartics
+    and sextics.  Yields (polynomial, the kinds of its factors)."""
+    from rect4.exprparse import parse_polynomial
+
+    X = X_over(field)
+
+    def const(n):
+        return MultiPoly.constant(field, ("X",), field.from_int(n))
+
+    def coefficient():
+        return rng.randint(-9, 9) if field.kind == "rationals" else rng.randrange(field.p)
+
+    for _ in range(count):
+        f, kinds = const(rng.choice((1, 2, -3)) if field.kind == "rationals" else rng.randrange(1, field.p)), set()
+        for _ in range(rng.randint(2, 4)):
+            kind = rng.choice(("zero", "linear", "linear", "big", "quadratic", "cubic", "split"))
+            if kind == "zero":
+                g = X
+            elif kind in ("linear", "big"):
+                c = rng.randint(10**29, 10**44) if kind == "big" and field.kind == "rationals" else coefficient()
+                g = const(rng.choice((1, 2, 3, 5, -7))) * X - const(c * rng.choice((1, -1)))
+            elif kind in ("quadratic", "cubic"):
+                n = 2 if kind == "quadratic" else 3
+                g = const(rng.choice((1, 2, -3))) * X**n
+                for e in range(n):
+                    g = g + const(coefficient()) * X**e
+            elif field.kind == "rationals":
+                g = parse_polynomial(rng.choice(SPLIT_ROOT_FREE_Q), field, ("X",))
+            else:
+                g = MultiPoly.one(field, ("X",))
+                for _ in range(rng.randint(2, 3)):
+                    g = g * (X**2 + const(coefficient()) * X + const(coefficient()))
+            if g.is_zero() or g.total_degree() == 0:
+                continue
+            m = rng.choice((1, 1, 2, 3, 4))
+            f = f * g**m
+            kinds |= {kind, f"power {m}"}
+        yield f, kinds
+
+
+ROOTS_FIRST_FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7), GF(101), GF(1000003)]
+
+
+@pytest.mark.parametrize("field", ROOTS_FIRST_FIELDS, ids=str)
+def test_roots_first_factorization_is_the_general_one(field):
+    """Unit, factors and their order agree with the factoriser that ran the
+    general algorithms on everything; over Q also with sympy."""
+    from rect4.exprparse import parse_polynomial
+    from rect4.polynomials import factor
+
+    rng = random.Random(2900 + ROOTS_FIRST_FIELDS.index(field))
+    products = list(_roots_first_products(field, rng, 60 if field.kind == "rationals" else 45))
+    if field.kind == "rationals":
+        products.append((parse_polynomial(BOUND_NEEDS_LC, field, ("X",)), set()))
+    for f, kinds in products:
+        fact = univariate_factor(f)
+        assert fact.complete and expand(fact) == f, str(f)
+        ours = (fact.unit, [(str(g), m) for g, m in fact.factors])
+        if field.kind == "rationals":
+            unit, factors = _reference_factor_over_q(f)
+            assert ours == (unit, [(str(g), m) for g, m in factors]), str(f)
+            dense_factors = sorted((g.to_dense("X"), m) for g, m in fact.factors)
+            assert (fact.unit.rep, dense_factors) == _monic_sympy_factors(f), str(f)
+        else:
+            coeffs = f.to_dense("X")
+            assert factor.factor_mod_p(coeffs, field.p) == _reference_factor_mod_p(coeffs, field.p), str(f)
+    # every kind of factor and every power occurs
+    seen = set().union(*(kinds for _, kinds in products))
+    assert {"zero", "linear", "quadratic", "cubic", "split", "power 4"} <= seen, seen
+    if field.kind == "rationals":
+        assert "big" in seen
+
+
+def test_roots_first_route(monkeypatch):
+    """A polynomial whose root-free cofactor has degree 3 or less reaches
+    none of the general algorithms; a root-free quartic that splits does;
+    over F_1000003, past the primes where evaluation at every element is
+    the faster, the evaluation stage is skipped."""
+    from rect4.exprparse import parse_polynomial
+    from rect4.polynomials import factor
+
+    calls = []
+    names = ("_yun_squarefree", "_p_squarefree_decomposition", "_p_distinct_degree",
+             "_hensel_lift_tree", "_p_roots_by_evaluation")
+    for name in names:
+        monkeypatch.setattr(factor, name, functools.partial(
+            lambda name, real, *args: calls.append(name) or real(*args), name, getattr(factor, name)))
+
+    def route(text, field):
+        f = parse_polynomial(text, field, ("X",))
+        calls.clear()
+        assert expand(univariate_factor(f)) == f
+        return set(calls)
+
+    general = {"_yun_squarefree", "_p_squarefree_decomposition", "_p_distinct_degree", "_hensel_lift_tree"}
+    assert route("X^2*(X-1)^3*(2*X+3)^4*(X^2+1)", QQ) == {"_p_roots_by_evaluation"}
+    assert route("X^2*(X-1)^3*(X+2)^4*(X^2+2)", GF(5)) == {"_p_roots_by_evaluation"}
+    assert {"_yun_squarefree", "_p_distinct_degree"} <= route("X^4+4", QQ)
+    assert {"_p_squarefree_decomposition", "_p_distinct_degree"} <= route("(X^2+2)*(X^2+3)", GF(5))
+    used = route("X^2*(X-1)^3*(X+2)^4*(X^2+2)", GF(1000003))
+    assert "_p_roots_by_evaluation" not in used and "_p_distinct_degree" in used
+    assert not general & route(BOUND_NEEDS_LC, QQ)
+
+
+def test_factor_cli_lifts_a_large_non_monic_root():
+    # a squared non-monic linear factor with the 40-digit root 10^40/3, next
+    # to a repeated root and a quadratic, pinned to the output of the
+    # factoriser that ran the general algorithms on everything
+    proc = run_cli_capped("factor", "(3*X-10^40)^2*(X+1)^3*(X^2+1)", "Q", "--json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        '{\n  "schema": "rect4-report-v1",\n  "command": "factor",\n  "field": "Q",\n  "inputs": {\n'
+        '    "poly": "(3*X-10^40)^2*(X+1)^3*(X^2+1)"\n  },\n  "unit": "9",\n  "factors": [\n    [\n'
+        '      "X+(-10000000000000000000000000000000000000000/3)",\n      2\n    ],\n    [\n'
+        '      "X+1",\n      3\n    ],\n    [\n      "X^2+1",\n      1\n    ]\n  ],\n'
+        '  "unresolved": []\n}\n'
+    )
+
+
 # -- the Z[X] kernels of the rational factoriser -------------------------------
 
 
