@@ -11,7 +11,12 @@ Every answer is one :class:`CoordinateOutcome`, from :func:`linear_fastpath`
 and :func:`vartest` to the hyperplane report.  An accepted input carries a
 :class:`CoordinateCertificate`: a list of tame steps whose composite maps T
 to f exactly, plus a complement polynomial; the Groebner-based verifier
-re-checks both independently.
+re-checks both independently.  A step is applied by the cheapest kernel its
+form allows (:meth:`TameStep.apply`): the swap permutes exponents, a shear or
+a one-term shift expands by the binomial theorem, a variable the step leaves
+alone or that does not occur costs no pass, and only the other steps run a
+nested Horner pass.  The last step of a certificate is written down from the
+linear polynomial the reduction ends at, not built as its inverse.
 
 The test computes on raw field reps only, as :mod:`rect4.polynomials.multipoly`
 does: leading forms, scalar conditions, shears and the entries of every
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 
 from .fields import FieldElement, composite_extension, fresh_generator_name
 from .polynomials import MultiPoly
+from .polynomials.multipoly import binomial_shift, swapped_terms
 
 
 class PlaneCoordinateError(Exception):
@@ -78,36 +84,61 @@ class TameStep:
             object.__setattr__(self, "translation", raw(self.translation))
 
     def apply(self, poly):
-        """Image of ``poly`` under the substitution: one nested Horner pass,
-        :meth:`MultiPoly.substitute_terms`, on the raw terms of the images.
+        """Image of ``poly``, a polynomial in the two plane variables, under
+        the substitution.  The step reads its own form first:
 
-        A linear step binds Z and T to their affine images at once, Z first,
-        so Horner's rule runs in the image of Z outside the one of T.  The
-        shears of :func:`vartest` move only Z (Z -> Z - gamma*T, T -> T), so
-        the inner pass in the image of T only shifts exponents and the image
-        of Z is multiplied in once per degree in Z: on (Z+T)^d + 1 that is
-        O(d^2) term operations, against O(d^3) in the other order.  An
-        elementary step binds the target to target + shift.
+        * a binding that is the identity (v -> v), or whose variable does not
+          occur in ``poly``, is dropped, and with no binding left ``poly`` is
+          its own image;
+        * the swap Z <-> T permutes the exponents;
+        * a lone binding v -> v + beta*u^q, u the other variable (the shears
+          of :func:`vartest` and their inverses, q = 1, and every elementary
+          step with a one-term shift), is expanded by the binomial theorem,
+          :func:`~rect4.polynomials.multipoly.binomial_shift`.
+
+        Every other step, one with a translation, two moving rows or a shift
+        of several terms, binds its variables to their images at once by one
+        nested Horner pass, :meth:`MultiPoly.substitute_terms`, Z outside T.
         """
         field = self.field
         if poly.field is not field and poly.field != field:
             raise PlaneCoordinateError(
                 f"tame step over {field} applied to a polynomial over {poly.field}"
             )
-        vars = poly.vars
+        vars, terms = poly.vars, poly.terms
+        if len(vars) != 2:
+            raise PlaneCoordinateError("a tame step acts on polynomials in two variables")
+        zero, one = field.raw_zero(), field.raw_one()
         if self.kind == "linear":
-            is_zero = field.raw_is_zero
-            zero = (0,) * len(vars)
-            basis = ((1,) + zero[1:], (0, 1) + zero[2:], zero)  # Z, T, 1
-            images = [
-                (name, [(e, c) for e, c in zip(basis, (*row, v)) if not is_zero(c)])
-                for name, row, v in zip(vars, self.matrix, self.translation)
+            if self.matrix == ((zero, one), (one, zero)) and self.translation == (zero, zero):
+                return MultiPoly._trusted(field, vars, swapped_terms(terms))
+            moving = [
+                (i, row, v)
+                for i, (row, v) in enumerate(zip(self.matrix, self.translation))
+                if (row[i] != one or row[1 - i] != zero or v != zero) and any(e[i] for e in terms)
             ]
-        else:
-            shift = self.shift if self.shift.vars == vars else self.shift.with_vars(vars)
-            target = tuple([int(v == self.target) for v in vars])
-            images = [(self.target, [*shift.terms.items(), (target, field.raw_one())])]
-        return poly.substitute_terms(images)
+            if not moving:
+                return poly
+            if len(moving) == 1:
+                i, row, v = moving[0]
+                if row[i] == one and v == zero:
+                    return MultiPoly._trusted(field, vars, binomial_shift(field, terms, i, row[1 - i], 1))
+            basis = ((1, 0), (0, 1), (0, 0))  # Z, T, 1
+            images = [
+                (vars[i], [(e, c) for e, c in zip(basis, (*row, v)) if c != zero])
+                for i, row, v in moving
+            ]
+            return poly.substitute_terms(images)
+        i = poly._var_index(self.target)
+        if not any(e[i] for e in terms):
+            return poly
+        shift = self.shift if self.shift.vars == vars else self.shift.with_vars(vars)
+        if len(shift.terms) == 1:
+            ((e, beta),) = shift.terms.items()
+            if not e[i]:
+                return MultiPoly._trusted(field, vars, binomial_shift(field, terms, i, beta, e[1 - i]))
+        target = (int(i == 0), int(i == 1))
+        return poly.substitute_terms([(self.target, [*shift.terms.items(), (target, one)])])
 
     def inverse(self):
         """The inverse step."""
@@ -296,16 +327,14 @@ def linear_fastpath(f):
             return _finish(f, [])
         return CoordinateOutcome("reject", reason="polynomial is univariate of degree != 1")
     if a1.is_constant():
+        c = a1.terms[(0, 0)]
         steps = []
         if not a0.is_zero():
-            # T -> T - a0/c turns f = a0 + c*T into c*T
-            m = field.raw_neg(field.raw_inv(a1.terms[(0, 0)]))
-            mul = field.raw_mul
-            shift = MultiPoly(field, vars, {e: mul(c, m) for e, c in a0.terms.items()})
-            step = TameStep("elementary", field, target=tn, shift=shift)
-            steps.append(step.inverse())
-            f = step.apply(f)
-        return _finish(f, steps)
+            # T -> T + a0/c maps c*T to f = a0 + c*T, so c*T is left to finish
+            ci, mul = field.raw_inv(c), field.raw_mul
+            shift = MultiPoly(field, vars, {e: mul(a, ci) for e, a in a0.terms.items()})
+            steps.append(TameStep("elementary", field, target=tn, shift=shift))
+        return _finish(MultiPoly(field, vars, {(0, 1): c}), steps)
     return CoordinateOutcome(
         "reject",
         reason="the coefficient of T is nonconstant, so the residue ring has "
@@ -314,7 +343,11 @@ def linear_fastpath(f):
 
 
 def _finish(work, inv_steps, embedding=None):
-    """work has total degree 1; append the closing linear step and certify.
+    """work has total degree 1; append the last step and certify.
+
+    With work = alpha*Z + beta*T + gamma the last step, which maps T to work,
+    is written down: Z -> Z, T -> alpha*Z + beta*T + gamma when beta != 0,
+    and Z -> T, T -> alpha*Z + gamma when beta = 0 (then alpha != 0).
 
     With ``embedding`` set the steps left the input field for a purely
     inseparable extension.  A coordinate over the input field never needs
@@ -322,23 +355,15 @@ def _finish(work, inv_steps, embedding=None):
     certificate over the extension."""
     field, vars = work.field, work.vars
     zero, one = field.raw_zero(), field.raw_one()
-    neg, mul, inv = field.raw_neg, field.raw_mul, field.raw_inv
-    # work = alpha*Z + beta*T + gamma
     alpha, beta, gamma = (work.terms.get(e, zero) for e in ((1, 0), (0, 1), (0, 0)))
     if beta != zero:
-        bi = inv(beta)
-        mat = ((one, zero), (neg(mul(alpha, bi)), bi))
-        tr = (zero, neg(mul(gamma, bi)))
+        mat = ((one, zero), (alpha, beta))
     else:
-        ai = inv(alpha)
-        mat = ((zero, ai), (one, zero))
-        tr = (neg(mul(gamma, ai)), zero)
-    final = TameStep("linear", field, matrix=mat, translation=tr)
-    check = final.apply(work)
-    expected = MultiPoly.variable(field, vars, vars[1])
-    if check != expected:
-        raise PlaneCoordinateError("final normalization failed to produce T")
-    steps = list(inv_steps) + [final.inverse()]
+        mat = ((zero, one), (alpha, zero))
+    last = TameStep("linear", field, matrix=mat, translation=(zero, gamma))
+    if last.apply(MultiPoly.variable(field, vars, vars[1])) != work:
+        raise PlaneCoordinateError("the last step does not map T to the reduced polynomial")
+    steps = list(inv_steps) + [last]
     cert = CoordinateCertificate(field, vars, steps, embedding=embedding)
     cert.complement = cert.image_of_variable(vars[0])
     if embedding is None:

@@ -13,11 +13,15 @@ variables) and :meth:`MultiPoly.to_dense` (the raw tuple that
 :mod:`rect4.dense` reads; :meth:`MultiPoly.from_raw_dense` inverts it).
 Values are treated as immutable; all operations return new polynomials.
 
-Three kernels on raw terms carry the arithmetic: :func:`add_multiple`
+Kernels on raw terms carry the arithmetic: :func:`add_multiple`
 (``out += c * x^shift * p``); :func:`_nested_horner`, the substitution behind
-:meth:`MultiPoly.substitute_terms`, which every tame step calls with the raw
-terms of its images and :meth:`MultiPoly.substitute` calls once it has
-coerced its bindings; and :func:`heap_divide`, a division over a heap of
+:meth:`MultiPoly.substitute_terms`, which :meth:`MultiPoly.substitute` calls
+once it has coerced its bindings and the tame steps of
+:mod:`rect4.plane_coordinates` call with the raw terms of their images; the
+two kernels of those steps that need no Horner pass, written for the two
+plane variables: :func:`swapped_terms`, the swap as an exponent permutation, and
+:func:`binomial_shift`, a binding x_i -> x_i + beta*x_j^q expanded by the
+binomial theorem; and :func:`heap_divide`, a division over a heap of
 monomials (Yan, *The geobucket data structure for polynomials*, 1998) by
 divisors that :func:`prepare_divisor` has put in the form it reads.  It serves
 ``groebner.normal_form``, the reductions inside ``groebner.groebner_basis``
@@ -39,6 +43,7 @@ too, since an embedding of fields is injective.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import comb
 from operator import add as _plus, ge as _ge, neg as _neg, sub as _minus
 
 from .. import dense
@@ -557,6 +562,58 @@ def _nested_horner(field, terms, images):
                 add_multiple(field, c, acc.items(), e, v)
         acc = c
     return acc
+
+
+def swapped_terms(terms):
+    """Raw terms in two variables with the variables exchanged: an exponent
+    permutation, no field operation."""
+    return {(b, a): c for (a, b), c in terms.items()}
+
+
+def binomial_shift(field, terms, i, beta, q):
+    """Raw terms in two variables with variable i replaced by
+    x_i + beta * x_j^q, where j is the other variable, beta a nonzero raw
+    rep and q >= 0.
+
+    By the binomial theorem a term c * x_i^n * x_j^m becomes the sum over k
+    of c * C(n, k) * beta^(n-k) * x_i^k * x_j^(m + q*(n-k)).  Each row of
+    factors C(n, k) * beta^(n-k) is built once, for the first term of
+    degree n in x_i, and leaves out the factors that vanish (in
+    characteristic p, where p divides C(n, k)); the factor 1 of k = n is
+    held as None and not multiplied in.
+    """
+    add, mul, is_zero, from_int = field.raw_add, field.raw_mul, field.raw_is_zero, field.raw_from_int
+    powers = [field.raw_one()]
+    rows = {}
+    out = {}
+    get = out.get
+    for e, c in terms.items():
+        n = e[i]
+        row = rows.get(n)
+        if row is None:
+            while len(powers) <= n:
+                powers.append(mul(powers[-1], beta))
+            row = []
+            for k in range(n + 1):
+                b = from_int(comb(n, k))
+                if not is_zero(b):
+                    # the exponent x_i^k * x_j^(q*(n-k)), in the order of the variables
+                    d = (k, q * (n - k)) if i == 0 else (q * (n - k), k)
+                    row.append((d, mul(b, powers[n - k]) if k < n else None))
+            rows[n] = row
+        # the term's exponent with x_i's part removed
+        a0, a1 = (0, e[1]) if i == 0 else (e[0], 0)
+        for (d0, d1), b in row:
+            m = (a0 + d0, a1 + d1)
+            v = c if b is None else mul(c, b)
+            old = get(m)
+            if old is not None:
+                v = add(old, v)
+                if is_zero(v):
+                    del out[m]
+                    continue
+            out[m] = v
+    return out
 
 
 def prepare_divisor(g, key):

@@ -368,6 +368,190 @@ def test_apply_matches_substitute_over_inseparable_extension():
             assert_apply_matches_substitute(step, random_field_poly(cert.field, rng))
 
 
+# -- the kernels of TameStep.apply and the last step ---------------------------
+
+KERNEL_FIELDS = [
+    QQ,
+    GF(2),
+    GF(5),
+    extend(QQ, [1, 0, 1], "i"),
+    rational_function_field(2),
+]
+
+
+def nonzero_element(field, rng):
+    while True:
+        c = _pool_element(field, rng, (-3, -2, -1, 1, 2, 3))
+        if not c.is_zero():
+            return c
+
+
+def kernel_steps(field, rng):
+    """(label, step) for every form that avoids the Horner pass: the swap,
+    shears Z -> Z + b*T and T -> T + b*Z with b = 1, -1 and a drawn b, each
+    followed by its inverse, and the one-term shifts target -> target +
+    b*other^q for q = 1 to 4 on both targets."""
+    zero, one = field.zero(), field.one()
+    steps = [("swap", TameStep("linear", field, matrix=((zero, one), (one, zero)), translation=(zero, zero)))]
+    for beta in (one, -one, nonzero_element(field, rng)):
+        for mat in (((one, beta), (zero, one)), ((one, zero), (beta, one))):
+            shear = TameStep("linear", field, matrix=mat, translation=(zero, zero))
+            steps += [("shear", shear), ("shear", shear.inverse())]
+        for target, other in (("T", "Z"), ("Z", "T")):
+            for q in range(1, 5):
+                shift = MultiPoly.from_terms(field, ZT, [((q, 0) if other == "Z" else (0, q), beta)])
+                steps.append((f"shift {target} q={q}", TameStep("elementary", field, target=target, shift=shift)))
+    return steps
+
+
+def assert_kernel_matches_references(step, poly):
+    """apply agrees with the expanded substitution and with the nested Horner
+    pass, and stores no zero coefficient."""
+    images = reference_images(step, poly.vars)
+    image = step.apply(poly)
+    assert image == naive_substitute(poly, images)
+    assert image == poly.substitute(images)
+    assert not any(poly.field.raw_is_zero(c) for c in image.terms.values())
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_kernels_match_the_expanded_substitution(field):
+    """Every form, on polynomials of degree up to 9 in each variable (past p,
+    where some C(n, k) vanish mod p), on polynomials free of the step's
+    variable, and on 0."""
+    rng = random.Random(3000 + KERNEL_FIELDS.index(field))
+    labels = set()
+    for _ in range(4):
+        for label, step in kernel_steps(field, rng):
+            labels.add(label)
+            for _ in range(2):
+                assert_kernel_matches_references(step, random_field_poly(field, rng, max_deg=9, n_terms=10))
+            # a polynomial in one variable: the step's target is absent from
+            # one of them
+            for var in ZT:
+                poly = MultiPoly.from_dense(field, ZT, var, [nonzero_element(field, rng) for _ in range(9)])
+                assert_kernel_matches_references(step, poly)
+            assert_kernel_matches_references(step, MultiPoly.zero(field, ZT))
+            assert_kernel_matches_references(step, MultiPoly.constant(field, ZT, 3))
+    assert labels == {"swap", "shear"} | {f"shift {t} q={q}" for t in ZT for q in range(1, 5)}
+
+
+def test_binomial_kernel_drops_the_coefficients_that_vanish_mod_p():
+    # (Z + T)^p = Z^p + T^p over F_p: the shear Z -> Z + T maps Z^p to it
+    for p in (2, 5):
+        field = GF(p)
+        Z, T = zt_vars(field)
+        one, zero = field.one(), field.zero()
+        shear = TameStep("linear", field, matrix=((one, one), (zero, one)), translation=(zero, zero))
+        assert shear.apply(Z**p) == Z**p + T**p
+        assert shear.apply(Z**p - T**p) == Z**p
+        assert set(shear.apply(Z**(p + 1)).terms) == {(p + 1, 0), (p, 1), (1, p), (0, p + 1)}
+
+
+def test_a_step_leaves_a_polynomial_without_its_variable_as_it_is():
+    rng = random.Random(31)
+    for field in KERNEL_FIELDS:
+        zero, one = field.zero(), field.one()
+        poly = MultiPoly.from_dense(field, ZT, "Z", [nonzero_element(field, rng) for _ in range(5)])
+        shift = MultiPoly.from_dense(field, ZT, "Z", [one, one, nonzero_element(field, rng)])
+        steps = [
+            TameStep("elementary", field, target="T", shift=shift),
+            TameStep("linear", field, matrix=((one, zero), (nonzero_element(field, rng), one)), translation=(zero, one)),
+            TameStep("linear", field, matrix=((one, zero), (zero, one)), translation=(zero, zero)),
+        ]
+        for step in steps:
+            assert step.apply(poly) is poly
+        zero_poly = MultiPoly.zero(field, ZT)
+        shift_in_t = MultiPoly.from_dense(field, ZT, "T", [one, nonzero_element(field, rng)])
+        for step in steps + [TameStep("elementary", field, target="Z", shift=shift_in_t)]:
+            assert step.apply(zero_poly) is zero_poly
+
+
+def test_apply_takes_polynomials_in_two_variables_only():
+    one, zero = QQ.one(), QQ.zero()
+    step = TameStep("linear", QQ, matrix=((one, one), (zero, one)), translation=(zero, zero))
+    with pytest.raises(PlaneCoordinateError, match="two variables"):
+        step.apply(MultiPoly.variable(QQ, ("Z", "T", "X"), "Z"))
+
+
+def test_only_the_other_steps_run_a_horner_pass(monkeypatch):
+    """Swaps, shears and one-term shifts never reach the nested Horner pass;
+    an affine step with a translation, a step with two moving rows and a
+    shift of several terms do."""
+    from rect4.polynomials import multipoly
+
+    calls = []
+    real = multipoly._nested_horner
+    monkeypatch.setattr(multipoly, "_nested_horner", lambda *args: calls.append(1) or real(*args))
+    rng = random.Random(37)
+    for field in KERNEL_FIELDS:
+        Z, T = zt_vars(field)
+        poly = random_field_poly(field, rng, max_deg=6, n_terms=8) + Z**2 * T
+        calls.clear()
+        for _, step in kernel_steps(field, rng):
+            step.apply(poly)
+        assert not calls
+        zero, one = field.zero(), field.one()
+        beta = nonzero_element(field, rng)
+        others = [
+            TameStep("linear", field, matrix=((one, beta), (zero, one)), translation=(one, zero)),
+            TameStep("linear", field, matrix=((one, beta), (beta, one + beta * beta)), translation=(zero, zero)),
+            TameStep("elementary", field, target="T", shift=MultiPoly.from_dense(field, ZT, "Z", [zero, one, beta])),
+        ]
+        for step in others:
+            calls.clear()
+            assert_kernel_matches_references(step, poly)
+            assert calls
+
+
+def reference_last_step(work):
+    """The last step as it was built before it was written down: the linear
+    step that maps work = alpha*Z + beta*T + gamma to T, inverted."""
+    field = work.field
+    zero, one = field.raw_zero(), field.raw_one()
+    neg, mul, inv = field.raw_neg, field.raw_mul, field.raw_inv
+    alpha, beta, gamma = (work.terms.get(e, zero) for e in ((1, 0), (0, 1), (0, 0)))
+    if beta != zero:
+        bi = inv(beta)
+        final = TameStep("linear", field, matrix=((one, zero), (neg(mul(alpha, bi)), bi)), translation=(zero, neg(mul(gamma, bi))))
+    else:
+        ai = inv(alpha)
+        final = TameStep("linear", field, matrix=((zero, ai), (one, zero)), translation=(neg(mul(gamma, ai)), zero))
+    assert final.apply(work) == MultiPoly.variable(field, ZT, "T")
+    return final.inverse()
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_last_step_is_the_inverse_of_the_normalization(field):
+    rng = random.Random(4000 + KERNEL_FIELDS.index(field))
+    Z, T = zt_vars(field)
+    kinds = set()
+    for _ in range(30):
+        alpha, gamma = (_pool_element(field, rng, (-2, -1, 0, 1, 2)) for _ in range(2))
+        beta = field.zero() if rng.random() < 0.4 else nonzero_element(field, rng)
+        if alpha.is_zero() and beta.is_zero():
+            continue
+        kinds.add(beta.is_zero())
+        work = Z.scale(alpha) + T.scale(beta) + MultiPoly.constant(field, ZT, gamma)
+        cert = plane_coordinates._finish(work, []).certificate
+        (last,) = cert.steps
+        reference = reference_last_step(work)
+        assert last == reference
+        assert json.dumps(certificate_to_json(cert, work)) == json.dumps(
+            certificate_to_json(CoordinateCertificate(field, ZT, [reference], cert.complement), work))
+        assert cert.image_of_variable("T") == work
+    assert kinds == {True, False}
+
+
+def test_last_step_refuses_a_polynomial_of_higher_degree():
+    # the self-check of the last step: T does not map to a nonlinear work
+    for field in KERNEL_FIELDS:
+        Z, T = zt_vars(field)
+        for work in (Z + T**2, Z * T + T, Z**2 + Z):
+            with pytest.raises(PlaneCoordinateError, match="last step"):
+                plane_coordinates._finish(work, [])
+
+
 def insep_extension_field():
     """The composite extension F2(s)[...] that vartest adjoins for the
     insep_binomial_quadric fibre Z^2+s*T^2+T."""
