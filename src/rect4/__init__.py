@@ -39,8 +39,6 @@ from .hyperplane import (  # noqa: F401
 from .filtration import (  # noqa: F401
     AElement,
     FiltrationContext,
-    admissible_representation,
-    check_x_divisibility,
     gr_relation_residual,
     to_normal_form,
     w_degree,

@@ -133,11 +133,6 @@ class Field:
             return self.element(self.raw_div(num, den))
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
-    def pth_root(self, elt):
-        elt = self.coerce(elt)
-        rep = self.raw_pth_root(elt.rep)
-        return None if rep is None else self.element(rep)
-
 
 class FieldElement:
     """Immutable element of a :class:`Field`, stored in canonical form."""

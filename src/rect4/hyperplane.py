@@ -96,11 +96,6 @@ class Hyperplane:
     def field(self):
         return self.F.field
 
-    def defining_polynomial(self):
-        vars4 = ("X", "Y", "Z", "T")
-        Y = MultiPoly.variable(self.field, vars4, "Y")
-        return self.a.with_vars(vars4) * Y - self.F.with_vars(vars4)
-
 
 @dataclass
 class RootDatum:

@@ -132,7 +132,7 @@ class TameStep:
         i = poly._var_index(self.target)
         if not any(e[i] for e in terms):
             return poly
-        shift = self.shift if self.shift.vars == vars else self.shift.with_vars(vars)
+        shift = self.shift.with_vars(vars)
         if len(shift.terms) == 1:
             ((e, beta),) = shift.terms.items()
             if not e[i]:

@@ -26,7 +26,6 @@ from .bivariate import (
     IrreducibilityResult,
     bivariate_gcd,
     bivariate_irreducible,
-    kronecker_factor,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "IrreducibilityResult",
     "bivariate_gcd",
     "bivariate_irreducible",
-    "kronecker_factor",
 ]

@@ -338,13 +338,6 @@ def _kronecker_test(f, zvar, tvar):
     return IrreducibilityResult("reducible", witness=factors[0])
 
 
-def kronecker_factor(f, zvar, tvar):
-    """Irreducible factorization (list of factors, with repetition, whose
-    product is f) of a nonconstant f over Q or F_p, from one factorization of
-    its Kronecker image.  Exponential worst case; intended for small inputs."""
-    return _recombine(f, _kronecker_image(f, zvar, tvar))
-
-
 # ---------------------------------------------------------------------------
 # bivariate gcd by a primitive polynomial remainder sequence
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Buchberger's algorithm with the coprimality and chain criteria.
 
-Produces reduced (monic, auto-reduced) bases; ideal membership is decided by
-:func:`normal_form`.  Default order is graded reverse lexicographic;
+Produces reduced (monic, auto-reduced) bases; :func:`ideal_contains_one`
+reads the unit ideal off the basis.  :func:`normal_form`, the remainder
+under a basis, has no caller in the package: the test suite and the
+benchmark's tracer use it.  Default order is graded reverse lexicographic;
 elimination uses a block order.
 
 :func:`groebner_basis` enters the generators in ascending order of their

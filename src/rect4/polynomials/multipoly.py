@@ -11,7 +11,9 @@ hold raw reps and take elements only at their constructor.  The two views stay
 raw: :meth:`MultiPoly.coefficients` (sparse, the nonzero coefficients in some
 variables) and :meth:`MultiPoly.to_dense` (the raw tuple that
 :mod:`rect4.dense` reads; :meth:`MultiPoly.from_raw_dense` inverts it).
-Values are treated as immutable; all operations return new polynomials.
+Values are treated as immutable, so an operation that changes nothing may
+return its operand: :meth:`MultiPoly.with_vars` on the same variables and
+:meth:`MultiPoly.substitute` without bindings do.
 
 Kernels on raw terms carry the arithmetic: :func:`add_multiple`
 (``out += c * x^shift * p``); :func:`_nested_horner`, the substitution behind
@@ -24,9 +26,8 @@ plane variables: :func:`swapped_terms`, the swap as an exponent permutation, and
 binomial theorem; and :func:`heap_divide`, a division over a heap of
 monomials (Yan, *The geobucket data structure for polynomials*, 1998) by
 divisors that :func:`prepare_divisor` has put in the form it reads.  It serves
-``groebner.normal_form``, the reductions inside ``groebner.groebner_basis``
-(which prepares each basis element once), :func:`exact_divide` and
-:func:`divmod_in_variable`.
+the reductions inside ``groebner.groebner_basis`` (which prepares each basis
+element once), :func:`exact_divide` and :func:`divmod_in_variable`.
 
 The constructor checks its terms: each exponent has one entry per variable,
 and zero coefficients are dropped.  Kernel outputs are canonical already, so
@@ -47,7 +48,7 @@ from math import comb
 from operator import add as _plus, ge as _ge, neg as _neg, sub as _minus
 
 from .. import dense
-from ..fields import Embedding, ExtensionField, FieldElement, FieldMismatch, RationalField, term_sum_str
+from ..fields import FieldElement, FieldMismatch, RationalField, term_sum_str
 from .zpoly import rational_gcd
 
 
@@ -351,30 +352,20 @@ class MultiPoly:
         at once, by :meth:`substitute_terms` in the order the bindings are
         given.
 
-        Binding values may live in an extension of this polynomial's field;
-        the result is promoted accordingly.  Unbound variables are unchanged.
+        Each value is taken as an operand of ``+`` is: a polynomial over this
+        field and these variables, or a constant of this field.  A value over
+        another field raises :class:`~rect4.fields.FieldMismatch`, a
+        polynomial in other variables :class:`PolynomialError`; embed or
+        :meth:`with_vars` it first.  Unbound variables are unchanged.
         """
         if not bindings:
             return self
-        field = self.field
-        for v in bindings.values():
-            if isinstance(v, (MultiPoly, FieldElement)) and v.field is not field and v.field != field:
-                field = _join_fields(field, v.field)
-        poly = self
-        if field is not self.field:
-            poly = poly.embed(Embedding(self.field, field))
-        vars = poly.vars
         images = []
         for name, value in bindings.items():
-            if not isinstance(value, MultiPoly):
-                own = value.field if isinstance(value, FieldElement) else field
-                value = MultiPoly.constant(own, vars, value)
-            elif value.vars != vars:
-                value = value.with_vars(vars)
-            if value.field is not field and value.field != field:
-                value = value.embed(Embedding(value.field, field))
+            value = self._coerce(value)
+            self._check_compatible(value)
             images.append((name, list(value.terms.items())))
-        return poly.substitute_terms(images)
+        return self.substitute_terms(images)
 
     def substitute_terms(self, images):
         """:meth:`substitute` on raw terms, by :func:`_nested_horner`.
@@ -398,8 +389,11 @@ class MultiPoly:
         return MultiPoly._trusted(emb.dst, self.vars, {e: raw(c) for e, c in self.terms.items()})
 
     def with_vars(self, new_vars):
-        """Reinterpret over a different variable tuple (superset or reorder)."""
+        """Reinterpret over a different variable tuple (superset or reorder);
+        this polynomial itself when the tuple is unchanged."""
         new_vars = tuple(new_vars)
+        if new_vars == self.vars:
+            return self
         mapping = []
         for v in self.vars:
             if v not in new_vars:
@@ -495,16 +489,6 @@ _new = object.__new__
 _set_field = MultiPoly.field.__set__  # the slots, past the immutable __setattr__
 _set_vars = MultiPoly.vars.__set__
 _set_terms = MultiPoly.terms.__set__
-
-
-def _join_fields(f1, f2):
-    """The larger of two distinct fields when one embeds canonically in the
-    other."""
-    if isinstance(f2, ExtensionField) and f2.base == f1:
-        return f2
-    if isinstance(f1, ExtensionField) and f1.base == f2:
-        return f1
-    raise FieldMismatch(f"no canonical common field for {f1} and {f2}")
 
 
 # ---------------------------------------------------------------------------

@@ -140,8 +140,7 @@ def verify_plane_pair(f, g):
     the shear read off a leading form.  Every other pair goes to
     :func:`verify_coordinate_system`.
     """
-    if f.vars != g.vars:
-        g = g.with_vars(f.vars)
+    g = g.with_vars(f.vars)
     used = [v for v in f.vars if f.involves(v) or g.involves(v)]
     if len(used) > 2:
         raise VerifierError("plane pair involves more than two variables")

@@ -79,6 +79,12 @@ def extension_element(K, coeffs):
     return acc
 
 
+def pth_root(elt):
+    """The p-th root of a field element, or None: ``raw_pth_root`` boxed."""
+    rep = elt.field.raw_pth_root(elt.rep)
+    return None if rep is None else elt.field.element(rep)
+
+
 def a_add(e1, e2):
     """The sum of two elements of A = K[X, Y, Z, T]/(a*Y - F), in normal form."""
     return to_normal_form(e1.polynomial() + e2.polynomial(), e1.ctx)

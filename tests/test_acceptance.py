@@ -22,7 +22,6 @@ from rect4.hyperplane import (
 from rect4.filtration import (
     NEG_INF,
     FiltrationContext,
-    check_x_divisibility,
     generators,
     gr_relation_residual,
     w_degree,
@@ -39,6 +38,7 @@ from conftest import (
     random_poly,
     xzt_vars,
 )
+from filtration_oracle import check_x_divisibility, defining_polynomial
 
 
 def run_cli_json(argv):
@@ -275,7 +275,7 @@ def test_acceptance_8_regularity_oracle_agreement():
             if not complete:
                 continue
             got = regularity_check(hn, data, coordinate_results(data))
-            G = h.defining_polynomial()
+            G = defining_polynomial(h)
             gens = [G] + [G.partial_derivative(v) for v in ("X", "Y", "Z", "T")]
             gens = [g for g in gens if not g.is_zero()]
             want = "true" if ideal_contains_one(gens) else "false"

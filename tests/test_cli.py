@@ -351,6 +351,17 @@ def test_vartest_reject(capsys, schema):
     assert doc["verdict"] == "Reject"
 
 
+@pytest.mark.parametrize("f, reason", [
+    ("Z^4+Z*T^2", "weighted top form obstructs any degree-lowering elementary step"),
+    ("Z^4+T^2", "the scalar condition for the elementary step has no multiplicity-n root"),
+])
+def test_vartest_reject_reasons(capsys, schema, f, reason):
+    code, doc = run_json(capsys, ["vartest", f, "Q"])
+    assert code == 1
+    validate(doc, schema)
+    assert (doc["verdict"], doc["reason"], doc["certificate"]) == ("Reject", reason, None)
+
+
 def test_vartest_char2_extension_certificate(capsys, schema, tmp_path):
     cert_path = tmp_path / "cert.json"
     code, doc = run_json(

@@ -202,7 +202,9 @@ def test_rational_function_arithmetic_matches_sympy(p):
 def _factor_inputs():
     """52 seeded polynomials over F2, F3, F5, F7.  Every fourth one, and a
     few more, has a factor g^p or g(X^p), which takes the inseparable branch
-    of the squarefree decomposition."""
+    of the squarefree decomposition.  Then two products over F2 of distinct
+    irreducibles of one degree, both cubics and all three quartics, which the
+    equal-degree split separates by the trace map."""
     rng = random.Random(5000)
     for i in range(52):
         p = (2, 3, 5, 7)[i % 4]
@@ -213,6 +215,12 @@ def _factor_inputs():
             g = to_sympy(random_dense(p, rng, rng.randint(1, 3)), p)
             f *= g**p if i % 2 else g.compose(sympy.Poly(x**p, x, modulus=p))
         yield p, f
+    # coefficients from the top: X^3+X+1 and X^3+X^2+1; the quartics
+    for tops in (((1, 0, 1, 1), (1, 1, 0, 1)), ((1, 0, 0, 1, 1), (1, 1, 0, 0, 1), (1, 1, 1, 1, 1))):
+        f = sympy.Poly(1, x, modulus=2)
+        for c in tops:
+            f *= sympy.Poly(c, x, modulus=2)
+        yield 2, f
 
 
 FACTOR_INPUTS = list(_factor_inputs())

@@ -8,8 +8,6 @@ from rect4.filtration import (
     AElement,
     FiltrationContext,
     FiltrationError,
-    admissible_representation,
-    check_x_divisibility,
     generators,
     gr_relation_residual,
     to_normal_form,
@@ -17,6 +15,7 @@ from rect4.filtration import (
 )
 
 from conftest import a_add, a_mul, a_var, xzt_vars
+from filtration_oracle import admissible_representation, check_x_divisibility, defining_polynomial
 
 V4 = ("X", "Y", "Z", "T")
 XZT = ("X", "Z", "T")
@@ -74,7 +73,7 @@ def test_normal_form_defining_relation(ctx_simple):
     e = to_normal_form(X * X * Y, ctx_simple)
     assert e.polynomial() == (Z + X * T).with_vars(V4)
     # G itself maps to zero
-    G = ctx_simple.hyperplane.defining_polynomial()
+    G = defining_polynomial(ctx_simple.hyperplane)
     assert to_normal_form(G, ctx_simple).is_zero()
     # level-2 cascade
     e2 = to_normal_form(X * X * Y * Y, ctx_simple)

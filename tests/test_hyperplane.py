@@ -4,7 +4,7 @@ import pytest
 
 from rect4 import cli, hyperplane, plane_coordinates
 from rect4.exprparse import parse_field_spec, parse_polynomial
-from rect4.fields import GF, QQ, ExtensionField, FieldElement, rational_function_field
+from rect4.fields import GF, QQ, Embedding, ExtensionField, FieldElement, rational_function_field
 from rect4.polynomials import MultiPoly, bivariate_irreducible, ideal_contains_one
 from rect4.hyperplane import (
     VERDICT_INCONCLUSIVE,
@@ -34,6 +34,7 @@ from conftest import (
     xzt_vars,
     zt_vars,
 )
+from filtration_oracle import defining_polynomial
 
 V4 = ("X", "Y", "Z", "T")
 
@@ -583,7 +584,7 @@ def _jacobian_smoothness_oracle(h):
     """Direct four-variable Jacobian test: the ideal generated by G and its
     partials is the unit ideal.  Unit-ideal membership is insensitive to
     extending the base field, so this matches a closure-point check."""
-    G = h.defining_polynomial()
+    G = defining_polynomial(h)
     gens = [G] + [
         G.partial_derivative(v) for v in ("X", "Y", "Z", "T")
     ]
@@ -747,7 +748,10 @@ def test_at_root_is_the_substitution_on_raw_reps(monkeypatch):
         cases += [(F, p, K) for F in polys for p, K in roots]
     expected = []
     for F, p, K in cases:
-        lam = K.generator() if K != F.field else -p.constant_term()
+        if K != F.field:
+            F, lam = F.embed(Embedding(F.field, K)), K.generator()
+        else:
+            lam = -p.constant_term()
         expected.append(F.substitute({"X": lam}).with_vars(("Z", "T")))
     built = []
     init = FieldElement.__init__

@@ -23,6 +23,7 @@ from conftest import (
     ZT,
     _pool_element,
     naive_substitute,
+    pth_root,
     random_coordinate,
     random_poly,
     random_tame_steps,
@@ -113,6 +114,18 @@ def test_a_single_mixed_top_term_is_not_a_power_of_a_linear_form():
         outcome = vartest(f)
         assert outcome.status == "reject"
         assert outcome.reason == "leading form is not a scaled power of a single linear form"
+
+
+@pytest.mark.parametrize("f, reason", [
+    # deg_T = 2 gives T the weight q = 2, and Z*T^2 has weight 1 + 2*2 > 4
+    ("Z^4+Z*T^2", "weighted top form obstructs any degree-lowering elementary step"),
+    # the weighted top form Z^4 + T^2 is not c*(T - rho*Z^2)^2
+    ("Z^4+T^2", "the scalar condition for the elementary step has no multiplicity-n root"),
+])
+def test_vartest_rejects_after_the_leading_form(f, reason):
+    """The two rejections once the leading form is c*Z^d and deg_T divides d."""
+    outcome = vartest(parse_polynomial(f, QQ, ZT))
+    assert (outcome.status, outcome.reason, outcome.certificate) == ("reject", reason, None)
 
 
 def test_vartest_rejects_products(rng):
@@ -678,8 +691,8 @@ def reference_power_of_linear(coeffs, field):
         power = nxt
     if [a * lc for a in power] != psi:
         return None
-    while e > 0 and field.pth_root(rho) is not None:
-        rho = field.pth_root(rho)
+    while e > 0 and pth_root(rho) is not None:
+        rho = pth_root(rho)
         e -= 1
     return ("value", rho) if e == 0 else ("extension", e, rho)
 
