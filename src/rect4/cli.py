@@ -10,7 +10,8 @@ Exit codes are the stable interface:
 
 ``--json`` renders machine-readable reports (schema shipped with the
 package); ``--cert-out`` persists coordinate certificates, replayable with
-``verify --cert``.
+``verify --cert``.  The certificate and claim documents are read and
+written by :mod:`rect4.certificates`.
 
 :func:`main` may be called many times in one process.  It builds its
 argument parser on the first call and reuses it afterwards, since the
@@ -25,6 +26,7 @@ import functools
 import json
 import sys
 
+from .certificates import certificate_bundle, certificate_to_json, claim_from_json, replay_bundle, replay_certificate
 from .exprparse import ParseError, parse_field_spec, parse_polynomial
 from .fields import FieldError
 from .filtration import (
@@ -43,13 +45,11 @@ from .hyperplane import (
     HyperplaneError,
     analyze,
 )
-from .plane_coordinates import CoordinateCertificate, TameStep, certificate_fault, vartest
+from .plane_coordinates import vartest
 from .polynomials import DEFAULT_DEGREE_BOUND, FactorizationError, MultiPoly, PolynomialError, univariate_factor
 from .verifier import CoordinateClaim, VerifierError, replay_inverses, verify_coordinate_system
 
 SCHEMA_REPORT = "rect4-report-v1"
-SCHEMA_CERT = "rect4-certificate-v1"
-SCHEMA_CLAIM = "rect4-claim-v1"
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -59,120 +59,6 @@ EXIT_USAGE = 3
 
 class CliError(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# certificate (de)serialization
-# ---------------------------------------------------------------------------
-
-
-def certificate_to_json(cert, f):
-    steps = []
-    for s in cert.steps:
-        if s.kind == "linear":
-            show = s.field.raw_str
-            steps.append(
-                {
-                    "kind": "linear",
-                    "matrix": [[show(m) for m in row] for row in s.matrix],
-                    "translation": [show(v) for v in s.translation],
-                }
-            )
-        else:
-            steps.append(
-                {"kind": "elementary", "target": s.target, "shift": str(s.shift)}
-            )
-    f_here = f
-    if cert.field != f.field and cert.embedding is not None:
-        f_here = f.embed(cert.embedding)
-    return {
-        "schema": SCHEMA_CERT,
-        "field": str(cert.field),
-        "variables": list(cert.variables),
-        "f": str(f_here),
-        "complement": str(cert.complement),
-        "extension": None if cert.extension is None else str(cert.extension),
-        "steps": steps,
-    }
-
-
-_JSON_TYPES = {str: "a string", list: "a list"}
-
-
-def _key(doc, key, what, kind):
-    """``doc[key]``, which must have the JSON type ``kind`` (``str`` or
-    ``list``); a document that is not an object, a missing key or a value of
-    another type is a CliError naming the key."""
-    if not isinstance(doc, dict):
-        raise CliError(f"{what} must be a JSON object with key {key!r}")
-    try:
-        value = doc[key]
-    except KeyError:
-        raise CliError(f"missing key {key!r} in {what}") from None
-    if not isinstance(value, kind):
-        raise CliError(f"key {key!r} in {what} must be {_JSON_TYPES[kind]}")
-    return value
-
-
-def _pair(value, key, what):
-    """``value`` when it is a list of two entries; else a CliError naming the key."""
-    if not isinstance(value, list) or len(value) != 2:
-        raise CliError(f"key {key!r} in {what} must be a list of two entries")
-    return value
-
-
-def _strings(values, key, what):
-    """``values`` when every entry is a string; else a CliError naming the key."""
-    if not all(isinstance(v, str) for v in values):
-        raise CliError(f"key {key!r} in {what} must hold strings only")
-    return values
-
-
-def certificate_from_json(doc):
-    field = parse_field_spec(_key(doc, "field", "certificate", str))
-    vars = _pair(_key(doc, "variables", "certificate", list), "variables", "certificate")
-    vars = tuple(_strings(vars, "variables", "certificate"))
-    if vars[0] == vars[1]:
-        raise CliError("key 'variables' in certificate must name two distinct variables")
-
-    def constants(value, key):
-        return tuple(
-            parse_polynomial(entry, field, vars).constant_value()
-            for entry in _strings(_pair(value, key, "certificate step"), key, "certificate step")
-        )
-
-    steps = []
-    for s in _key(doc, "steps", "certificate", list):
-        kind = _key(s, "kind", "certificate step", str)
-        if kind == "linear":
-            rows = _pair(_key(s, "matrix", "certificate step", list), "matrix", "certificate step")
-            mat = tuple(constants(row, "matrix") for row in rows)
-            tr = constants(_key(s, "translation", "certificate step", list), "translation")
-            steps.append(TameStep("linear", field, matrix=mat, translation=tr))
-        elif kind == "elementary":
-            shift = parse_polynomial(_key(s, "shift", "certificate step", str), field, vars)
-            target = _key(s, "target", "certificate step", str)
-            if target not in vars:
-                raise CliError(
-                    f"key 'target' in certificate step must be one of {list(vars)}, not {target!r}"
-                )
-            steps.append(TameStep("elementary", field, target=target, shift=shift))
-        else:
-            raise CliError(
-                f"key 'kind' in certificate step must be 'linear' or 'elementary', not {kind!r}"
-            )
-    cert = CoordinateCertificate(field, vars, steps)
-    cert.complement = parse_polynomial(_key(doc, "complement", "certificate", str), field, vars)
-    f = parse_polynomial(_key(doc, "f", "certificate", str), field, vars)
-    return cert, f
-
-
-def replay_certificate(doc):
-    """Re-check a serialized certificate: composite maps T to f and the pair
-    (f, complement) passes the Groebner verifier."""
-    cert, f = certificate_from_json(doc)
-    fault = certificate_fault(f, cert)
-    return fault is None, fault
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +200,7 @@ def _cmd_analyze(args):
     if args.cert_out:
         certs = [r["coordinate"]["certificate"] for r in doc["roots"]]
         with open(args.cert_out, "w") as fh:
-            json.dump({"schema": SCHEMA_CERT + "-bundle", "certificates": certs}, fh, indent=2)
+            json.dump(certificate_bundle(certs), fh, indent=2)
     if not report.domain:
         return EXIT_USAGE
     return {
@@ -352,22 +238,11 @@ def _cmd_verify(args):
     if args.cert:
         with open(args.cert) as fh:
             doc = json.load(fh)
-        if isinstance(doc, dict) and "certificates" in doc:
-            bundle = _key(doc, "certificates", "certificate bundle", list)
-            certs = [c for c in bundle if c is not None]
-            if not certs:
-                raise CliError("certificate bundle contains no certificates")
-        else:
-            certs = [doc]
-        failures = []
-        for i, c in enumerate(certs):
-            ok, why = replay_certificate(c)
-            if not ok:
-                failures.append((i, why))
+        field, failures = replay_bundle(doc, replay_certificate)
         out_doc = {
             "schema": SCHEMA_REPORT,
             "command": "verify",
-            "field": certs[0]["field"] if certs else "Q",
+            "field": field,
             "verdict": "Accept" if not failures else "Reject",
             "reason": None if not failures else str(failures),
         }
@@ -376,14 +251,7 @@ def _cmd_verify(args):
 
     if args.claim_file:
         with open(args.claim_file) as fh:
-            claim_doc = json.load(fh)
-        what = "claim document"
-        field = parse_field_spec(_key(claim_doc, "field", what, str))
-        variables = tuple(_strings(_key(claim_doc, "variables", what, list), "variables", what))
-        polys = [
-            parse_polynomial(p, field, variables)
-            for p in _strings(_key(claim_doc, "claims", what, list), "claims", what)
-        ]
+            field, variables, polys = claim_from_json(json.load(fh))
     else:
         if not args.field or not args.vars or not args.polys:
             raise CliError(
@@ -515,11 +383,9 @@ _OPTIONS = {
 
 
 def _add_common(p, *options):
-    """The output-format flags, and those ``_OPTIONS`` that the subcommand's
-    handler reads, so that argparse refuses the others."""
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--json", action="store_true", help="machine-readable output")
-    g.add_argument("--text", action="store_true", help="human-readable output (default)")
+    """``--json``, and those ``_OPTIONS`` that the subcommand's handler
+    reads, so that argparse refuses the others."""
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     for name in options:
         p.add_argument(name, **_OPTIONS[name])
 

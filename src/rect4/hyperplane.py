@@ -462,8 +462,6 @@ def analyze(h, degree_bound=DEFAULT_DEGREE_BOUND):
 
 
 def _assert_cross_consistency(report):
-    if report.verdict != VERDICT_RECTIFIABLE:
-        return
     if report.fibration not in ("true",):
         raise HyperplaneError(
             "internal inconsistency: rectifiable but the fibration flag is "

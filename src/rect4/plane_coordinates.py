@@ -429,8 +429,6 @@ def vartest(f):
 
     while True:
         d = work.total_degree()
-        if d <= 0:
-            return CoordinateOutcome("reject", reason="reduced to a constant")
         if d == 1:
             return _finish(work, inv_steps, embedding)
         info = _analyze_leading_form(work.leading_form(), zn, tn)

@@ -7,7 +7,7 @@ after it.  For the seeds 3 and 5, from the seeded generators of
 * ``hyperplane_mix``: the reports of the first 1,200 inputs that the
   workload's screen keeps, as ``cli.analysis_to_json`` in insertion order;
 * ``tame_round_trip``: every input's ``vartest`` status, reason and
-  ``cli.certificate_to_json``;
+  ``certificates.certificate_to_json``;
 * ``corpus_cli``: one corpus pass through ``cli.main``, as exit code,
   stdout and stderr.
 
@@ -36,7 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402  (from perfbench, on the path just set)
-from rect4 import cli  # noqa: E402
+from rect4 import certificates, cli  # noqa: E402
 from rect4.plane_coordinates import vartest  # noqa: E402
 
 SEEDS = (3, 5)
@@ -60,7 +60,7 @@ def tame_texts(seed):
     for _, f in workloads.TameRoundTrip.generate(ROOT, seed):
         outcome = vartest(f)
         cert = outcome.certificate
-        yield json.dumps([outcome.status, outcome.reason, cert and cli.certificate_to_json(cert, f)])
+        yield json.dumps([outcome.status, outcome.reason, cert and certificates.certificate_to_json(cert, f)])
 
 
 def corpus_texts(seed):

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from rect4 import cli
+from rect4 import certificates, cli
 from rect4.exprparse import ParseError, parse_field_spec, parse_polynomial
 from rect4.fields import QQ, rational_function_field
 
@@ -221,6 +221,14 @@ def test_options_are_accepted_only_where_they_are_read(capsys, tmp_path, cmd, op
         assert json.loads((tmp_path / "certs.json").read_text())
 
 
+@pytest.mark.parametrize("cmd", SUBCOMMANDS)
+def test_text_flag_is_refused(capsys, cmd):
+    # plain text is the default output, and no flag selects it
+    assert cli.main(SUBCOMMANDS[cmd][0] + ["--text"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --text" in captured.err
+
+
 def test_large_prime_field_answers_within_its_cap():
     # a prime near 10^18 once took trial division past any practical time
     proc = run_cli_capped("factor", "X^2+1", "F1000000000000000003")
@@ -412,7 +420,7 @@ def _elementary_cert(**changes):
     ``step_`` prefix, of its step."""
     step = {"kind": "elementary", "target": "Z", "shift": "T^2"}
     doc = {
-        "schema": cli.SCHEMA_CERT,
+        "schema": certificates.SCHEMA_CERT,
         "field": "Q",
         "variables": ["Z", "T"],
         "f": "T",
@@ -432,6 +440,25 @@ def test_verify_replays_a_hand_written_certificate(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(json.dumps(_elementary_cert()))
     assert run(capsys, ["verify", "--cert", str(cert_path)])[0] == 0
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_verify_rejects_a_well_formed_false_certificate_in_a_bundle(capsys, tmp_path, as_json):
+    # the second certificate parses, but its steps map T to T, not to T+1
+    bundle = {
+        "schema": certificates.SCHEMA_CERT + "-bundle",
+        "certificates": [_elementary_cert(), _elementary_cert(f="T+1")],
+    }
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    code, out = run(capsys, ["verify", "--cert", str(path)] + ["--json"] * as_json)
+    reason = "[(1, 'composite does not reproduce f')]"
+    if as_json:
+        doc = json.loads(out)
+        assert (doc["verdict"], doc["reason"]) == ("Reject", reason)
+    else:
+        assert out == f"verdict: Reject\nreason: {reason}\n"
+    assert code == 1
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rect4 import cli
+from rect4 import certificates, cli
 
 from test_cli import CORPUS, _elementary_cert
 
@@ -81,7 +81,7 @@ def _paths(doc, prefix=()):
 
 CERT = _elementary_cert()
 LINEAR = _linear_cert()
-BUNDLE = {"schema": cli.SCHEMA_CERT, "certificates": [CERT, None, LINEAR]}
+BUNDLE = {"schema": certificates.SCHEMA_CERT, "certificates": [CERT, None, LINEAR]}
 CLAIM = _claim()
 
 CASES = (

@@ -154,15 +154,27 @@ def test_divmod_in_variable_needs_a_constant_leading_coefficient():
         divmod_in_variable(Z**3, X * Z + T, "Z")
 
 
+def _imports(module):
+    """The names that each import statement of ``src/rect4/<module>`` reads,
+    one list per statement."""
+    for node in ast.walk(ast.parse((SRC / "rect4" / module).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            yield [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            yield [a.name for a in node.names]
+
+
 @pytest.mark.parametrize("module", ["polynomials/groebner.py", "verifier.py"])
 def test_referee_imports_nothing_from_plane_coordinates(module):
     # the verifier is an independent check of the coordinate certificates:
     # it shares polynomial arithmetic with their producer, not its code
-    for node in ast.walk(ast.parse((SRC / "rect4" / module).read_text())):
-        if isinstance(node, ast.ImportFrom):
-            names = [node.module or ""] + [a.name for a in node.names]
-        elif isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        else:
-            continue
-        assert not any("plane_coordinates" in n for n in names), ast.dump(node)
+    for names in _imports(module):
+        assert not any("plane_coordinates" in n for n in names), names
+
+
+def test_certificate_documents_import_nothing_from_the_decision_procedure():
+    # the certificate reader replays through the producer's steps and the
+    # referee; it must not reach the analysis whose answers it checks
+    for names in _imports("certificates.py"):
+        parts = {part for n in names for part in n.split(".")}
+        assert not parts & {"hyperplane", "factor", "bivariate", "cli"}, names

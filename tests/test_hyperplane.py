@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rect4 import cli, hyperplane, plane_coordinates
+from rect4 import certificates, cli, hyperplane, plane_coordinates
 from rect4.exprparse import parse_field_spec, parse_polynomial
 from rect4.fields import GF, QQ, Embedding, ExtensionField, FieldElement, rational_function_field
 from rect4.polynomials import MultiPoly, bivariate_irreducible, ideal_contains_one
@@ -517,7 +517,7 @@ def _assert_one_outcome(outcome):
 
 
 def _certificate_json(outcome, f):
-    return None if outcome.certificate is None else cli.certificate_to_json(outcome.certificate, f)
+    return None if outcome.certificate is None else certificates.certificate_to_json(outcome.certificate, f)
 
 
 def test_report_coordinates_are_the_vartest_outcomes():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rect4.cli import certificate_to_json
+from rect4.certificates import certificate_to_json
 from rect4.exprparse import parse_polynomial
 from rect4.fields import GF, QQ, FieldElement, FieldMismatch, extend, rational_function_field
 from rect4.polynomials import MultiPoly
